@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-
-TWO_PI = 2.0 * np.pi
+from .kernels import TWO_PI
 
 # Tensor configurations are materialized densely; 2^20 points (~8 MB)
 # is far beyond any desk-scale experiment here.

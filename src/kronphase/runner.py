@@ -20,6 +20,7 @@ from . import __version__
 from .combinatorics import rho_superposed_pair, rho_superposed_sine
 from .config import ExperimentConfig
 from .estimators import (
+    DEFAULT_COUNT_OFFSETS,
     DEFAULT_TRIPLE_TOL,
     EstimateBundle,
     circular_gaps,
@@ -45,8 +46,6 @@ COUNT_LENGTHS = (1.0, 2.0, 4.0)
 # Gap configuration (0, r1, r2) probed when k_analytic >= 3.
 TRIPLE_R1 = 1.0
 TRIPLE_R2 = 2.0
-
-DEFAULT_COUNT_OFFSETS = 32
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-
-TWO_PI = 2.0 * np.pi
+from .kernels import TWO_PI
 
 # QR of a dense complex Gaussian matrix is O(n^3); 512 keeps a single
 # draw under ~0.1 s and no experiment here needs larger factors.
 DEFAULT_MAX_DIM = 512
 
 UNITARITY_TOL = 1e-8
+
+# The Cayley eigenvalue of an eigenphase theta is tan(theta/2), and
+# |1 + e^{i theta}| = 2 / sqrt(1 + tan(theta/2)^2).  eigvalsh has an
+# absolute error of a few eps * max|lambda|, which reaches every phase
+# (dtheta = 2 dlambda near lambda = 0): at max|lambda| = 2e3 (an
+# eigenvalue of U within about 1e-3 of -1) the phases were within 1e-12
+# of the exact ones, at 2e4 only within 1e-11.  Past this bound eigenphases
+# falls back to eigvals.
+CAYLEY_MAX_ABS = 2e3
 
 _U64 = 1 << 64
 
@@ -91,10 +99,48 @@ def sample_haar_unitary(n, rng, max_dim=DEFAULT_MAX_DIM):
     return q * (d / np.abs(d))
 
 
+def _phases_general(u):
+    """Eigenphases in (-pi, pi] from the general complex eigensolver."""
+    return np.angle(np.linalg.eigvals(u))
+
+
+def _phases_cayley(u):
+    """Eigenphases in (-pi, pi) through the Cayley transform, or None.
+
+    H = i (I + U)^{-1} (I - U) is Hermitian for unitary U and has the
+    eigenvalue tan(theta/2) for each eigenphase theta.  None means the
+    guard tripped: I + U is singular, or an eigenvalue of U is near -1.
+    """
+    eye = np.eye(u.shape[0])
+    try:
+        k = np.linalg.solve(eye + u, eye - u)
+    except np.linalg.LinAlgError:
+        return None
+    # 1/2 (H + H*) with H = i K: exactly Hermitian, as eigvalsh assumes.
+    lam = np.linalg.eigvalsh(0.5j * (k - k.conj().T))
+    # written so that a NaN also trips the guard
+    if not np.max(np.abs(lam)) <= CAYLEY_MAX_ABS:
+        return None
+    return 2.0 * np.arctan(lam)
+
+
 def eigenphases(u, tol=UNITARITY_TOL):
     """Sorted eigenphases in [0, 2pi) of a unitary matrix.
 
     Rejects input whose unitarity residual max|U U* - I| exceeds tol.
+
+    The phases come from a Hermitian eigensolve: the Cayley transform
+    H = i (I + U)^{-1} (I - U) (one linear solve), made exactly Hermitian
+    as (H + H*)/2, then eigvalsh, and theta = 2 arctan(lambda).  That is
+    2 to 3 times faster than the general complex eigvals at n = 16..40.
+    H is ill-conditioned when an eigenvalue of U is near -1, so the
+    general eigvals is used instead when the solve fails or when
+    max|lambda| > CAYLEY_MAX_ABS = 2e3, i.e. when some eigenvalue of U
+    is within about 1e-3 of -1.  A Haar draw of size n takes that
+    fallback with probability about n * 1e-3 / pi, 1.3% at n = 40.
+    Either way the phases agree with eigvals, and with the exact
+    spectrum of a unitary built from known phases, to within about
+    1e-12 in circular distance.
     """
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -105,7 +151,9 @@ def eigenphases(u, tol=UNITARITY_TOL):
         raise ValueError(
             "eigenphases: unitarity residual %.3e exceeds tolerance %.3e" % (resid, tol)
         )
-    ang = np.angle(np.linalg.eigvals(u))
+    ang = _phases_cayley(u)
+    if ang is None:
+        ang = _phases_general(u)
     ang = np.mod(ang, TWO_PI)
     ang[ang >= TWO_PI] = 0.0
     ang.sort()

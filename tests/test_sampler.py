@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from kronphase import CapacityError
+from kronphase import CapacityError, sampler
+from kronphase.config import ExperimentConfig
+from kronphase.runner import run_experiment
 from kronphase.sampler import (
     DEFAULT_MAX_DIM,
     RngStream,
@@ -11,6 +13,32 @@ from kronphase.sampler import (
 )
 
 TWO_PI = 2.0 * np.pi
+
+
+def circular_mismatch(got, want):
+    """Largest circular distance under the best cyclic matching of two spectra.
+
+    Both are reduced into [0, 2pi) and sorted; a phase near 0 on one side
+    may sit near 2pi on the other, which shifts the sorted order by one
+    place, so every cyclic shift of the match is tried.
+    """
+    got = np.sort(np.mod(got, TWO_PI))
+    want = np.sort(np.mod(want, TWO_PI))
+    assert got.shape == want.shape
+    best = np.inf
+    for k in range(want.size):
+        d = np.abs(got - np.roll(want, k)) % TWO_PI
+        best = min(best, float(np.max(np.minimum(d, TWO_PI - d))))
+    return best
+
+
+def eigvals_reference(u):
+    return np.sort(np.mod(np.angle(np.linalg.eigvals(u)), TWO_PI))
+
+
+def with_known_spectrum(theta, q):
+    """U = Q diag(e^{i theta}) Q* for a unitary Q."""
+    return (q * np.exp(1j * np.asarray(theta))) @ q.conj().T
 
 
 class TestRngStream:
@@ -130,6 +158,67 @@ class TestEigenphases:
             eigenphases(u)
         ph = eigenphases(u, tol=1e-5)
         assert np.allclose(ph, 0.0)
+
+
+class TestCayleyGuard:
+    # generic phases, none near pi, plus one at pi + delta
+    OTHERS = [0.2, 0.9, 1.7, 2.5, 4.0, 5.1, 6.0]
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 1e-8, 0.0])
+    def test_eigenvalue_near_minus_one(self, delta):
+        theta = np.array([np.pi + delta] + self.OTHERS)
+        q = sample_haar_unitary(theta.size, RngStream(21, 0))
+        u = with_known_spectrum(theta, q)
+        assert circular_mismatch(eigenphases(u), theta) < 1e-11
+
+    @pytest.mark.parametrize("u, want", [
+        (-np.eye(3), [np.pi] * 3),
+        (np.array([[np.exp(2j)]]), [2.0]),
+        (np.array([[-1.0 + 0j]]), [np.pi]),
+        (np.diag(np.exp(1j * np.array([0.5, np.pi, 4.0]))), [0.5, np.pi, 4.0]),
+    ])
+    def test_edge_spectra(self, u, want):
+        assert circular_mismatch(eigenphases(u), want) < 1e-12
+
+    def test_fallback_only_near_minus_one(self, monkeypatch):
+        calls = []
+        general = sampler._phases_general
+
+        def spy(u):
+            calls.append(u.shape[0])
+            return general(u)
+
+        monkeypatch.setattr(sampler, "_phases_general", spy)
+        eigenphases(sample_haar_unitary(40, RngStream(9)))
+        assert calls == []
+        theta = np.array([np.pi + 1e-6] + self.OTHERS)
+        eigenphases(with_known_spectrum(theta, sample_haar_unitary(8, RngStream(21, 0))))
+        assert calls == [8]
+
+
+class TestEigvalsOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 24, 40])
+    def test_agrees_with_eigvals(self, n):
+        worst = 0.0
+        for s in range(200):
+            u = sample_haar_unitary(n, RngStream(404, s))
+            worst = max(worst, circular_mismatch(eigenphases(u), eigvals_reference(u)))
+        assert worst < 1e-10
+
+    def test_run_experiment_unchanged_under_eigvals(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig(
+            mode="pair", dims=(2, 24), n_samples=80, seed=17, n_bins=16, delta_max=3.0,
+        )
+        fast, _ = run_experiment(cfg, out_dir=str(tmp_path / "cayley"))
+        monkeypatch.setattr(sampler, "_phases_cayley", sampler._phases_general)
+        ref, _ = run_experiment(cfg, out_dir=str(tmp_path / "eigvals"))
+        assert np.array_equal(fast.pair.batch_counts, ref.pair.batch_counts)
+        # count variances are exact functions of the integer arc-count moments
+        assert fast.count_var == ref.count_var
+        for name in ("pair_correlation.csv", "count_variance.csv"):
+            a = (tmp_path / "cayley" / name).read_bytes()
+            b = (tmp_path / "eigvals" / name).read_bytes()
+            assert a == b, name
 
 
 class TestCuePhases:
