@@ -138,7 +138,7 @@ def _fmt(x):
     return "%.4g" % x
 
 
-def criterion_1(workers=1):
+def criterion_1():
     """Single-factor sine limit: pair correlation of the rescaled 30-point process.
 
     The first bin carries a deterministic +0.0027 offset against the
@@ -150,7 +150,7 @@ def criterion_1(workers=1):
     """
     cfg = ExperimentConfig(
         mode="single", dims=(30,), n_samples=4000, seed=102, delta_max=4.0,
-        n_bins=40, workers=workers, curve="sine_pair",
+        n_bins=40, curve="sine_pair",
     )
     _, manifest = run_experiment(cfg, out_dir=None)
     rms = manifest.summary["pair_rms_dev"]
@@ -162,14 +162,14 @@ def criterion_1(workers=1):
     )
 
 
-def criterion_2(workers=1):
+def criterion_2():
     """Fixed small m: pair correlation against the m-superposition curve."""
     parts = []
     passed = True
     for m, n, seed in ((2, 40, 201), (3, 30, 202)):
         cfg = ExperimentConfig(
             mode="pair", dims=(m, n), n_samples=5000, seed=seed, delta_max=4.0,
-            n_bins=40, workers=workers, curve="superposed",
+            n_bins=40, curve="superposed",
         )
         _, manifest = run_experiment(cfg, out_dir=None)
         rms = manifest.summary["pair_rms_dev"]
@@ -181,7 +181,7 @@ def criterion_2(workers=1):
     )
 
 
-def criterion_3(workers=1):
+def criterion_3():
     """Convergence toward the fixed-m limit curve as n doubles."""
     n_values = (10, 20, 40)
     mono = 0
@@ -189,7 +189,7 @@ def criterion_3(workers=1):
     for seed in (301, 302, 303):
         cfg = ExperimentConfig(
             mode="pair", dims=(2, n_values[0]), n_samples=4000, seed=seed,
-            delta_max=4.0, n_bins=40, workers=workers,
+            delta_max=4.0, n_bins=40,
         )
         rows = run_convergence_sweep(cfg, n_values)
         rms = [r["rms_dev"] for r in rows]
@@ -202,7 +202,7 @@ def criterion_3(workers=1):
     )
 
 
-def criterion_4(workers=1):
+def criterion_4():
     """Poisson limit at m = n = 24: pair correlation, spacings, count variance."""
     rms = None
     cvar = None
@@ -211,7 +211,7 @@ def criterion_4(workers=1):
     for rep, seed in enumerate((401, 402, 403, 404, 405)):
         cfg = ExperimentConfig(
             mode="pair", dims=(24, 24), n_samples=5000, seed=seed, delta_max=4.0,
-            n_bins=40, workers=workers, curve="poisson",
+            n_bins=40, curve="poisson",
         )
         bundle, manifest = run_experiment(cfg, out_dir=None)
         ks = ks_against_exponential(thin_spacings(bundle.spacings, KS_SUBSAMPLE, seed))
@@ -234,11 +234,11 @@ def criterion_4(workers=1):
     )
 
 
-def criterion_5(workers=1):
+def criterion_5():
     """Triple product with one fixed small factor: Poisson pair correlation."""
     cfg = ExperimentConfig(
         mode="triple", dims=(2, 16, 16), n_samples=4000, seed=501, delta_max=4.0,
-        n_bins=40, workers=workers, curve="poisson",
+        n_bins=40, curve="poisson",
     )
     _, manifest = run_experiment(cfg, out_dir=None)
     rms = manifest.summary["pair_rms_dev"]
@@ -248,7 +248,7 @@ def criterion_5(workers=1):
     )
 
 
-def criterion_6(workers=1):
+def criterion_6():
     """Analytic superposition at integer gaps approaches 1 monotonically."""
     pts = [0.0, 1.0, 2.0]
     ms = [1, 2, 4, 8, 16, 32, 64, 128, 256]
@@ -265,7 +265,7 @@ def criterion_6(workers=1):
     )
 
 
-def criterion_7(workers=1):
+def criterion_7():
     """Exact partition counts and the Stirling polynomial identity."""
     bells = (1, 2, 5, 15, 52, 203, 877, 4140)
     count_ok = all(len(set_partitions(k)) == bells[k - 1] for k in range(1, 9))
@@ -283,7 +283,7 @@ def criterion_7(workers=1):
     )
 
 
-def criterion_8(workers=1):
+def criterion_8():
     """Hadamard bound on random correlation queries and the kernel sup bound."""
     gen = np.random.Generator(np.random.PCG64(801))
     worst = -np.inf
@@ -305,7 +305,7 @@ def criterion_8(workers=1):
     )
 
 
-def criterion_9(workers=1):
+def criterion_9():
     """Estimator oracle equivalence and exact merge invariance."""
     samples = poisson_configs(100.0, 400, seed=901)
     serial = estimate_pair_correlation(samples, 4.0, 40)
@@ -344,7 +344,7 @@ def criterion_9(workers=1):
     )
 
 
-def criterion_10(workers=1):
+def criterion_10():
     """Haar moments of |Tr U|^2 and uniformity of pooled eigenphases."""
     parts = []
     ok = True
@@ -381,7 +381,7 @@ CRITERIA = {
 }
 
 
-def run_criteria(ids=None, workers=1):
+def run_criteria(ids=None):
     """Run the requested criteria (default: all ten) in numeric order."""
     if ids is None:
         ids = sorted(CRITERIA)
@@ -390,4 +390,4 @@ def run_criteria(ids=None, workers=1):
         bad = [i for i in ids if i not in CRITERIA]
         if bad:
             raise ValueError("unknown criteria: %s" % bad)
-    return [CRITERIA[i](workers=workers) for i in ids]
+    return [CRITERIA[i]() for i in ids]

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .config import CURVES, MODES, build_config, parse_config_file
+from .config import CURVES, MODES, build_config, parse_config_file, parse_int_list
 from .errors import CapacityError
 from .output import write_csv
 from .runner import (
@@ -24,54 +24,38 @@ from .runner import (
 )
 from .sampler import RngStream, sample_cue_phases
 
-WORKERS_ENV = "KRONPHASE_WORKERS"
-
 EPILOG = """\
-worker count precedence: --workers flag, then the config file, then the
-%s environment variable, then 1.
-
 exit codes: 0 success, 1 validation error, 2 runtime/I-O error,
 3 verification failure.
-""" % WORKERS_ENV
+"""
 
 
-def _default_workers():
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        return None
-    try:
-        v = int(raw)
-    except ValueError:
-        raise ValueError("%s must be an integer, got %r" % (WORKERS_ENV, raw))
-    if v < 1:
-        raise ValueError("%s must be >= 1" % WORKERS_ENV)
-    return v
+def _int_list_type(message):
+    """argparse type: parse_int_list, with message as the usage error."""
+
+    def parse(text):
+        try:
+            return parse_int_list(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(message)
+
+    return parse
 
 
-def _parse_dims_arg(text):
-    try:
-        return tuple(int(p) for p in text.replace(",", " ").split())
-    except ValueError:
-        raise argparse.ArgumentTypeError("dims must be comma-separated integers")
-
-
-def _parse_int_list(text):
-    try:
-        return [int(p) for p in text.replace(",", " ").split()]
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected comma-separated integers")
+_dims_arg = _int_list_type("dims must be comma-separated integers")
+_int_list_arg = _int_list_type("expected comma-separated integers")
 
 
 def _add_experiment_args(p):
     p.add_argument("--config", metavar="FILE", help="flat key = value config file")
     p.add_argument("--mode", choices=MODES, help="process kind")
-    p.add_argument("--dims", type=_parse_dims_arg, metavar="M[,N[,L]]", help="matrix sizes")
+    p.add_argument("--dims", type=_dims_arg, metavar="M[,N[,L]]", help="matrix sizes")
     p.add_argument("--samples", type=int, dest="n_samples", help="number of Monte Carlo samples")
     p.add_argument("--seed", type=int, help="base seed (64-bit)")
     p.add_argument("--delta-max", type=float, dest="delta_max", help="pair-correlation range, mean-spacing units")
     p.add_argument("--bins", type=int, dest="n_bins", help="histogram bin count (>= 4)")
     p.add_argument("--window", type=float, dest="window_half_width", help="half-width of the dump window (sample subcommand)")
-    p.add_argument("--workers", type=int, help="worker thread count")
+    p.add_argument("--workers", type=int, help="checked (>= 1) and recorded in the manifest; runs are serial")
     p.add_argument("--k-analytic", type=int, dest="k_analytic", help="max analytic correlation order (<= 8); >= 3 adds a triple-correlation probe")
     p.add_argument("--curve", choices=CURVES, help="pair-correlation reference curve")
     p.add_argument("--out", default=".", metavar="DIR", help="output directory (default: current)")
@@ -91,8 +75,6 @@ def _build_config_from_args(args):
         "k_analytic": args.k_analytic,
         "curve": args.curve,
     }
-    if overrides["workers"] is None and "workers" not in file_values:
-        overrides["workers"] = _default_workers()
     return build_config(file_values, overrides)
 
 
@@ -101,6 +83,8 @@ def _cmd_sample(args):
     os.makedirs(args.out, exist_ok=True)
     rows = []
     if cfg.mode == "single":
+        if cfg.window_half_width is not None:
+            raise ValueError("--window applies to the rescaled pair and triple modes, not to single mode")
         for s in range(cfg.n_samples):
             phases = sample_cue_phases(cfg.dims[0], RngStream(cfg.seed, s))
             rows.extend((s, i, float(p)) for i, p in enumerate(phases))
@@ -179,7 +163,7 @@ def _cmd_refcurve(args):
 def _cmd_verify(args):
     from .acceptance import run_criteria
 
-    results = run_criteria(args.criteria, workers=args.workers or _default_workers() or 1)
+    results = run_criteria(args.criteria)
     failed = 0
     for r in results:
         print("%s  %-2s %s: %s" % ("PASS" if r.passed else "FAIL", r.cid, r.title, r.details))
@@ -211,7 +195,7 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="convergence sweep over the second factor size")
     _add_experiment_args(p)
-    p.add_argument("--n-values", type=_parse_int_list, required=True, metavar="N1,N2,...", dest="n_values")
+    p.add_argument("--n-values", type=_int_list_arg, required=True, metavar="N1,N2,...", dest="n_values")
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("refcurve", help="write an analytic reference curve")
@@ -223,8 +207,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_refcurve)
 
     p = sub.add_parser("verify", help="run the built-in verification suite")
-    p.add_argument("--criteria", type=_parse_int_list, metavar="1,2,...", help="subset to run (default: all)")
-    p.add_argument("--workers", type=int, help="worker thread count")
+    p.add_argument("--criteria", type=_int_list_arg, metavar="1,2,...", help="subset to run (default: all)")
     p.set_defaults(fn=_cmd_verify)
 
     return parser

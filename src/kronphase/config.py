@@ -17,9 +17,12 @@ CURVES = ("auto", "sine_pair", "superposed", "poisson")
 _U64 = 1 << 64
 
 
-def _parse_dims(text):
-    parts = [p for p in text.replace(",", " ").split() if p]
-    return tuple(int(p) for p in parts)
+def parse_int_list(text):
+    """Integers separated by commas and/or whitespace, as a tuple.
+
+    Raises ValueError on any part that is not an integer.
+    """
+    return tuple(int(p) for p in text.replace(",", " ").split())
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,7 @@ class ExperimentConfig:
     delta_max: float = 4.0
     n_bins: int = 40
     window_half_width: float | None = None
+    # Checked and echoed in the manifest; runs are serial whatever its value.
     workers: int = 1
     k_analytic: int = 2
     curve: str = "auto"
@@ -95,7 +99,7 @@ class ExperimentConfig:
 # key -> value parser; the parsed values feed ExperimentConfig as-is.
 CONFIG_PARSERS = {
     "mode": str,
-    "dims": _parse_dims,
+    "dims": parse_int_list,
     "n_samples": int,
     "seed": int,
     "delta_max": float,

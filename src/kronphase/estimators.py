@@ -7,8 +7,9 @@ estimator is exactly invariant under rotations of its input.
 
 Pair-correlation accumulation is mergeable: counts are kept per batch,
 batches are addressed by global sample index, and all stored counts are
-integer-valued floats, so merging worker partials reproduces a serial
-pass bit for bit regardless of how samples were split across workers.
+integer-valued floats, so merging partial histograms of disjoint sample
+slices reproduces one pass over all samples bit for bit, however the
+samples were split.
 """
 
 from __future__ import annotations
@@ -124,9 +125,9 @@ def estimate_pair_correlation(
 ):
     """Pair-correlation histogram over distances (0, delta_max].
 
-    For a worker processing a slice of a larger experiment, pass the
-    global sample_indices of the slice and the global n_samples_total;
-    merging such partials is then bit-identical to one serial pass.
+    For a slice of a larger experiment, pass the global sample_indices
+    of the slice and the global n_samples_total; merging such partials
+    is then bit-identical to one pass over all samples.
     """
     L = _common_circumference(samples)
     delta_max = float(delta_max)
@@ -243,7 +244,7 @@ def estimate_triple_correlation(samples, r1, r2, tol=DEFAULT_TRIPLE_TOL):
     tol = float(tol)
     _validate_triple_geometry(L, r1, r2, tol)
     total = sum(triple_window_count(cfg, r1, r2, tol) for cfg in samples)
-    return total / (len(samples) * L * tol * tol)
+    return total / (len(samples) * L * tol ** 2)
 
 
 @dataclass(frozen=True)
@@ -277,8 +278,7 @@ def spacing_histogram_from_gaps(gap_arrays, n_bins=40, n_skipped=0):
     """Pool per-sample gap arrays, rescale to mean 1, and bin.
 
     The pooled mean is computed from per-array sums in list order, so
-    the result does not depend on how the arrays were produced or
-    distributed across workers.
+    the result depends only on the arrays and their order.
     """
     gap_arrays = [np.asarray(g, dtype=float) for g in gap_arrays]
     if not gap_arrays:

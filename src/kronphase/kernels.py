@@ -56,9 +56,18 @@ def sine_q(u):
     return out
 
 
-def _reduce_to_pi_arr(arr):
+def reduce_phases(x):
+    """Reduce angles into [0, 2pi) by a floor-based branch-free map.
+
+    The boundary value 2pi (reachable through rounding) maps to 0.
+    """
+    arr = np.asarray(x, dtype=float)
     r = arr - TWO_PI * np.floor(arr / TWO_PI)
-    r = np.where(r >= TWO_PI, 0.0, r)
+    return np.where(r >= TWO_PI, 0.0, r)
+
+
+def _reduce_to_pi_arr(arr):
+    r = reduce_phases(arr)
     return np.where(r > np.pi, r - TWO_PI, r)
 
 

@@ -14,21 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .kernels import TWO_PI
+from .kernels import TWO_PI, reduce_phases
 
 # Tensor configurations are materialized densely; 2^20 points (~8 MB)
 # is far beyond any desk-scale experiment here.
 DEFAULT_TENSOR_CAPACITY = 1 << 20
-
-
-def reduce_phases(x):
-    """Reduce angles into [0, 2pi) by a floor-based branch-free map.
-
-    The boundary value 2pi (reachable through rounding) maps to 0.
-    """
-    arr = np.asarray(x, dtype=float)
-    r = arr - TWO_PI * np.floor(arr / TWO_PI)
-    return np.where(r >= TWO_PI, 0.0, r)
 
 
 @dataclass(frozen=True)

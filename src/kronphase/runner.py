@@ -1,17 +1,15 @@
-"""Experiment orchestration: parallel sampling, estimation, persistence.
+"""Experiment orchestration: sampling, estimation, persistence.
 
 Reproducibility contract: sample index s always uses the random stream
-(seed, stream_id = s), whichever worker executes it, and every
-accumulator either stores exact integers or is assembled in sample-index
-order.  Results (and the CSV bytes written from them) are therefore
-identical for any worker count.
+(seed, stream_id = s).  Samples are drawn in index order in one serial
+pass and handed to the public estimators, so a run's results (and the
+CSV bytes written from them) depend only on its configuration.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,13 +21,11 @@ from .estimators import (
     DEFAULT_COUNT_OFFSETS,
     DEFAULT_TRIPLE_TOL,
     EstimateBundle,
-    circular_gaps,
+    count_variance,
+    estimate_intensity,
     estimate_pair_correlation,
-    interval_counts,
-    merge,
-    spacing_histogram_from_gaps,
-    triple_window_count,
-    _variance_from_moments,
+    estimate_triple_correlation,
+    nearest_neighbor_spacings,
 )
 from .gof import compare_to_curve, ks_against_exponential
 from .kernels import rho_sine, sine_q
@@ -108,30 +104,7 @@ def target_curve(cfg):
     return "poisson", lambda d: 1.0
 
 
-def _worker_chunk(cfg, indices, lengths, n_offsets, want_triple):
-    configs = [sample_rescaled_config(cfg, s) for s in indices]
-    hist = estimate_pair_correlation(
-        configs,
-        cfg.delta_max,
-        cfg.n_bins,
-        sample_indices=indices,
-        n_samples_total=cfg.n_samples,
-    )
-    gaps = {}
-    counts = {}
-    triples = {}
-    npoints = 0
-    for s, c in zip(indices, configs):
-        npoints += len(c)
-        gaps[s] = circular_gaps(c)
-        if lengths:
-            counts[s] = interval_counts(c, lengths, n_offsets=n_offsets)
-        if want_triple:
-            triples[s] = triple_window_count(c, TRIPLE_R1, TRIPLE_R2, DEFAULT_TRIPLE_TOL)
-    return hist, gaps, counts, triples, npoints
-
-
-def run_experiment(cfg, out_dir=None, emit=("pair", "spacings", "counts"), n_offsets=DEFAULT_COUNT_OFFSETS):
+def run_experiment(cfg, out_dir=None, emit=("pair", "spacings", "counts")):
     """Run one Monte Carlo campaign; optionally persist results.
 
     Returns (EstimateBundle, RunManifest).  When out_dir is given, one
@@ -143,45 +116,13 @@ def run_experiment(cfg, out_dir=None, emit=("pair", "spacings", "counts"), n_off
     L = float(cfg.factor_product)
     lengths = tuple(ell for ell in COUNT_LENGTHS if ell <= L / 2)
     want_triple = cfg.k_analytic >= 3 and L >= 4 * (TRIPLE_R2 + DEFAULT_TRIPLE_TOL)
-    n_workers = min(int(cfg.workers), cfg.n_samples)
-    index_chunks = [list(range(w, cfg.n_samples, n_workers)) for w in range(n_workers)]
 
-    if n_workers == 1:
-        results = [_worker_chunk(cfg, index_chunks[0], lengths, n_offsets, want_triple)]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [
-                pool.submit(_worker_chunk, cfg, idx, lengths, n_offsets, want_triple)
-                for idx in index_chunks
-            ]
-            results = [f.result() for f in futures]
-
-    hist = results[0][0]
-    for part in results[1:]:
-        hist = merge(hist, part[0])
-    gaps = {}
-    counts = {}
-    triples = {}
-    npoints = 0
-    for _, g, c, t, np_ in results:
-        gaps.update(g)
-        counts.update(c)
-        triples.update(t)
-        npoints += np_
-
-    intensity = npoints / (cfg.n_samples * L)
-    spacings = spacing_histogram_from_gaps(
-        [gaps[s] for s in range(cfg.n_samples)], n_bins=cfg.n_bins
-    )
-    count_var = []
-    if lengths:
-        m = cfg.n_samples * int(n_offsets)
-        for i, ell in enumerate(lengths):
-            s1 = sum(int(counts[s][i].sum()) for s in range(cfg.n_samples))
-            s2 = sum(int((counts[s][i] * counts[s][i]).sum()) for s in range(cfg.n_samples))
-            count_var.append((float(ell), float(_variance_from_moments(s1, s2, m))))
+    configs = [sample_rescaled_config(cfg, s) for s in range(cfg.n_samples)]
+    hist = estimate_pair_correlation(configs, cfg.delta_max, cfg.n_bins)
+    spacings = nearest_neighbor_spacings(configs, n_bins=cfg.n_bins)
+    count_var = count_variance(configs, lengths, n_offsets=DEFAULT_COUNT_OFFSETS) if lengths else []
     bundle = EstimateBundle(
-        intensity=float(intensity),
+        intensity=float(estimate_intensity(configs)),
         pair=hist,
         spacings=spacings,
         count_var=tuple(count_var),
@@ -205,8 +146,7 @@ def run_experiment(cfg, out_dir=None, emit=("pair", "spacings", "counts"), n_off
         summary["ks_threshold_05"] = ks.threshold_05
         summary["ks_pass"] = ks.passed
     if want_triple:
-        total = sum(triples[s] for s in range(cfg.n_samples))
-        est3 = total / (cfg.n_samples * L * DEFAULT_TRIPLE_TOL ** 2)
+        est3 = estimate_triple_correlation(configs, TRIPLE_R1, TRIPLE_R2, DEFAULT_TRIPLE_TOL)
         pts3 = [0.0, TRIPLE_R1, TRIPLE_R2]
         if cfg.mode == "single":
             tgt3 = rho_sine(pts3)
@@ -264,22 +204,13 @@ def run_experiment(cfg, out_dir=None, emit=("pair", "spacings", "counts"), n_off
             write_csv(path, preamble, ("length", "variance", "poisson_variance"), rows)
             outputs.append("count_variance.csv")
 
-    worker_streams = tuple(
-        {
-            "worker": w,
-            "first_stream_id": w,
-            "stride": n_workers,
-            "count": len(index_chunks[w]),
-        }
-        for w in range(n_workers)
-    )
     manifest = RunManifest(
         config=cfg.to_dict(),
         version=__version__,
         started_utc=started,
         finished_utc=_utc_now(),
         stream_policy=STREAM_POLICY,
-        worker_streams=worker_streams,
+        worker_streams=({"worker": 0, "first_stream_id": 0, "stride": 1, "count": cfg.n_samples},),
         outputs=tuple(outputs),
         summary=summary,
     )

@@ -1,11 +1,11 @@
 """Haar-distributed unitary matrices and their eigenphases.
 
-Sampling is reproducible across worker counts: a draw is addressed by a
-64-bit (seed, stream_id) pair fed as the key of a counter-based Philox
+Sampling is reproducible draw by draw: a draw is addressed by a 64-bit
+(seed, stream_id) pair fed as the key of a counter-based Philox
 generator, so stream construction is O(1) and independent of how many
-other streams exist.  Gaussians come from Box-Muller on the uniform
-stream, which keeps the byte-level output independent of any library's
-normal-variate algorithm.
+other streams exist or in which order they are used.  Gaussians come
+from Box-Muller on the uniform stream, which keeps the byte-level
+output independent of any library's normal-variate algorithm.
 """
 
 from __future__ import annotations

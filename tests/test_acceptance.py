@@ -16,7 +16,7 @@ from kronphase.acceptance import run_criteria
 
 @pytest.fixture(scope="session")
 def verdicts():
-    results = run_criteria(workers=4)
+    results = run_criteria()
     return {int(r.cid): r for r in results}
 
 

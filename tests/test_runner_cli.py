@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -8,9 +7,20 @@ import pytest
 
 import kronphase
 from kronphase.config import ExperimentConfig, build_config, parse_config_file
+from kronphase.estimators import (
+    DEFAULT_TRIPLE_TOL,
+    count_variance,
+    estimate_intensity,
+    estimate_pair_correlation,
+    estimate_triple_correlation,
+    nearest_neighbor_spacings,
+)
 from kronphase.output import fmt_real, write_csv, write_manifest
 from kronphase.processes import tensor_phases, rescale_center
 from kronphase.runner import (
+    COUNT_LENGTHS,
+    TRIPLE_R1,
+    TRIPLE_R2,
     emit_reference_curve,
     run_convergence_sweep,
     run_experiment,
@@ -22,16 +32,11 @@ from kronphase.sampler import RngStream, sample_cue_phases
 PAIR_M2_AT_1 = 0.79735763271532445
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("KRONPHASE_WORKERS", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "kronphase", *args],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -121,6 +126,9 @@ class TestConfigFile:
         p = tmp_path / "run.cfg"
         p.write_text("n_samples = many\n")
         with pytest.raises(ValueError, match="bad value"):
+            parse_config_file(str(p))
+        p.write_text("mode = pair\ndims = 2, x\n")
+        with pytest.raises(ValueError, match=r"run\.cfg:2: bad value for dims"):
             parse_config_file(str(p))
 
     def test_missing_required(self):
@@ -230,8 +238,24 @@ class TestRunner:
             "pair_correlation.csv", "spacings.csv", "count_variance.csv",
         ]
         assert m1["config"]["seed"] == 13
-        assert m2["worker_streams"][1]["first_stream_id"] == 1
-        assert m2["worker_streams"][1]["stride"] == 4
+        assert m2["worker_streams"] == [
+            {"worker": 0, "first_stream_id": 0, "stride": 1, "count": 25},
+        ]
+
+    def test_matches_public_estimators(self):
+        for seed in range(10):
+            cfg = ExperimentConfig(mode="pair", dims=(2, 12), n_samples=30, seed=seed, k_analytic=3)
+            bundle, manifest = run_experiment(cfg)
+            configs = [sample_rescaled_config(cfg, s) for s in range(cfg.n_samples)]
+            hist = estimate_pair_correlation(configs, cfg.delta_max, cfg.n_bins)
+            assert np.array_equal(bundle.pair.counts, hist.counts), seed
+            assert np.array_equal(bundle.pair.batch_counts, hist.batch_counts), seed
+            spacings = nearest_neighbor_spacings(configs, n_bins=cfg.n_bins)
+            assert np.array_equal(bundle.spacings.spacings, spacings.spacings), seed
+            assert list(bundle.count_var) == count_variance(configs, COUNT_LENGTHS), seed
+            assert bundle.intensity == estimate_intensity(configs), seed
+            triple = estimate_triple_correlation(configs, TRIPLE_R1, TRIPLE_R2, DEFAULT_TRIPLE_TOL)
+            assert manifest.summary["triple_estimate"] == triple, seed
 
     def test_pair_csv_content(self, tmp_path):
         cfg = ExperimentConfig(mode="pair", dims=(2, 12), n_samples=20, seed=3, n_bins=6, delta_max=3.0)
@@ -321,29 +345,12 @@ class TestCli:
             "--seed", "13", "--delta-max", "3", "--bins", "8",
         ]
         r1 = run_cli(*args, "--out", str(d1))
-        r2 = run_cli(*args, "--out", str(d2), env_extra={"KRONPHASE_WORKERS": "3"})
+        r2 = run_cli(*args, "--out", str(d2), "--workers", "3")
         assert r1.returncode == 0, r1.stderr
         assert r2.returncode == 0, r2.stderr
         assert "pair correlation vs superposed_pair(m=2)" in r1.stdout
         assert (d1 / "pair_correlation.csv").read_bytes() == (d2 / "pair_correlation.csv").read_bytes()
         assert (d1 / "count_variance.csv").read_bytes() == (d2 / "count_variance.csv").read_bytes()
-
-    def test_bad_worker_env_rejected(self, tmp_path):
-        r = run_cli(
-            "correlate", "--mode", "pair", "--dims", "2,12", "--samples", "4",
-            "--seed", "1", "--out", str(tmp_path),
-            env_extra={"KRONPHASE_WORKERS": "zero"},
-        )
-        assert r.returncode == 1
-        assert "KRONPHASE_WORKERS" in r.stderr
-
-    def test_flag_overrides_bad_env(self, tmp_path):
-        r = run_cli(
-            "correlate", "--mode", "pair", "--dims", "2,12", "--samples", "4",
-            "--seed", "1", "--workers", "2", "--out", str(tmp_path),
-            env_extra={"KRONPHASE_WORKERS": "zero"},
-        )
-        assert r.returncode == 0, r.stderr
 
     def test_config_file_and_override(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -364,6 +371,14 @@ class TestCli:
         )
         assert r.returncode == 1
         assert "dims" in r.stderr
+
+    def test_non_integer_dims_usage_error(self, tmp_path):
+        r = run_cli(
+            "correlate", "--mode", "pair", "--dims", "2,x", "--samples", "4",
+            "--seed", "1", "--out", str(tmp_path),
+        )
+        assert r.returncode == 2
+        assert "argument --dims: dims must be comma-separated integers" in r.stderr
 
     def test_unknown_config_key_exit_code(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -388,6 +403,15 @@ class TestCli:
         assert len(data) == 18
         phases = np.array([float(row[2]) for row in data])
         assert np.all((phases >= 0) & (phases < 2 * np.pi))
+
+    def test_sample_single_rejects_window(self, tmp_path):
+        r = run_cli(
+            "sample", "--mode", "single", "--dims", "6", "--samples", "3",
+            "--seed", "2", "--delta-max", "3", "--window", "2.0", "--out", str(tmp_path),
+        )
+        assert r.returncode == 1
+        assert "single mode" in r.stderr
+        assert not (tmp_path / "phases.csv").exists()
 
     def test_sample_pair_window(self, tmp_path):
         r = run_cli(
@@ -448,8 +472,3 @@ class TestCli:
     def test_verify_unknown_criterion(self):
         r = run_cli("verify", "--criteria", "11")
         assert r.returncode == 1
-
-    def test_help_mentions_env_var(self):
-        r = run_cli("--help")
-        assert r.returncode == 0
-        assert "KRONPHASE_WORKERS" in r.stdout
