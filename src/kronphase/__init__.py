@@ -29,12 +29,19 @@ from .combinatorics import (
     stirling2_row,
     stirling_identity_residual,
 )
-from .sampler import RngStream, eigenphases, sample_cue_phases, sample_haar_unitary
+from .sampler import (
+    RngStream,
+    eigenphases,
+    sample_cue_phases,
+    sample_haar_block,
+    sample_haar_unitary,
+)
 from .processes import (
     RescaledConfig,
     WindowSpec,
     reduce_phases,
     rescale_center,
+    rescale_points,
     tensor_phases,
     triple_tensor,
     window,
@@ -107,6 +114,7 @@ __all__ = [
     "reduce_phases",
     "reduce_to_pi",
     "rescale_center",
+    "rescale_points",
     "rho_cue",
     "rho_poisson",
     "rho_sine",
@@ -116,6 +124,7 @@ __all__ = [
     "run_criteria",
     "run_experiment",
     "sample_cue_phases",
+    "sample_haar_block",
     "sample_haar_unitary",
     "sample_rescaled_config",
     "set_partitions",

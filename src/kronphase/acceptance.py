@@ -38,7 +38,7 @@ from .gof import chi_square_uniformity, compare_to_curve, ks_against_exponential
 from .kernels import TWO_PI, cue_s, hadamard_bound, rho_cue, rho_sine
 from .processes import RescaledConfig
 from .runner import run_convergence_sweep, run_experiment
-from .sampler import RngStream, sample_haar_unitary, eigenphases
+from .sampler import RngStream, block_length, eigenphases, sample_haar_block
 
 # 1% upper quantile of the chi-square distribution with 31 degrees of
 # freedom (32 uniformity bins).
@@ -350,12 +350,16 @@ def criterion_10():
     ok = True
     pooled = []
     for n in (2, 10, 30):
+        # 10,000 consecutive draws from one generator, made in blocks
         gen = RngStream(1001, n).generator()
         traces = np.empty(10_000)
-        for i in range(traces.size):
-            u = sample_haar_unitary(n, gen)
-            traces[i] = abs(np.trace(u)) ** 2
-            pooled.append(eigenphases(u))
+        step = block_length([n])
+        for start in range(0, traces.size, step):
+            stop = min(start + step, traces.size)
+            u = sample_haar_block([n], [gen] * (stop - start))[0]
+            # one trace per matrix: a stacked np.trace sums in another order
+            traces[start:stop] = [abs(np.trace(m)) ** 2 for m in u]
+            pooled.append(eigenphases(u).ravel())
         se = traces.std(ddof=1) / np.sqrt(traces.size)
         dev = abs(traces.mean() - 1.0)
         ok = ok and dev < 4 * se

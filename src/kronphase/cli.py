@@ -16,13 +16,15 @@ import numpy as np
 from .config import CURVES, MODES, build_config, parse_config_file, parse_int_list
 from .errors import CapacityError
 from .output import write_csv
+from .processes import WindowSpec, window
 from .runner import (
     REFERENCE_KINDS,
     run_convergence_sweep,
     run_experiment,
-    sample_rescaled_config,
+    sample_blocks,
+    sample_phase_block,
+    sample_rescaled_block,
 )
-from .sampler import RngStream, sample_cue_phases
 
 EPILOG = """\
 exit codes: 0 success, 1 validation error, 2 runtime/I-O error,
@@ -81,20 +83,19 @@ def _build_config_from_args(args):
 def _cmd_sample(args):
     cfg = _build_config_from_args(args)
     os.makedirs(args.out, exist_ok=True)
+    w = cfg.window_half_width
+    if cfg.mode == "single" and w is not None:
+        raise ValueError("--window applies to the rescaled pair and triple modes, not to single mode")
     rows = []
-    if cfg.mode == "single":
-        if cfg.window_half_width is not None:
-            raise ValueError("--window applies to the rescaled pair and triple modes, not to single mode")
-        for s in range(cfg.n_samples):
-            phases = sample_cue_phases(cfg.dims[0], RngStream(cfg.seed, s))
-            rows.extend((s, i, float(p)) for i, p in enumerate(phases))
-    else:
-        from .processes import WindowSpec, window
-
-        w = cfg.window_half_width
-        for s in range(cfg.n_samples):
-            rc = sample_rescaled_config(cfg, s)
-            pts = rc.points if w is None else window(rc, WindowSpec(w))
+    for start, stop in sample_blocks(cfg):
+        if cfg.mode == "single":
+            block = sample_phase_block(cfg, start, stop)
+        else:
+            block = [
+                rc.points if w is None else window(rc, WindowSpec(w))
+                for rc in sample_rescaled_block(cfg, start, stop)
+            ]
+        for s, pts in enumerate(block, start):
             rows.extend((s, i, float(p)) for i, p in enumerate(pts))
     path = os.path.join(args.out, "phases.csv")
     name = "phase" if cfg.mode == "single" else "theta"

@@ -98,20 +98,38 @@ def _pair_estimate(counts, n_samples, circumference, widths):
     return counts / (n_samples * 2.0 * circumference * widths)
 
 
+# Cap on the entries of one gap matrix in _pair_gap_histogram; only
+# near-degenerate configurations, where many points crowd within
+# delta_max of each other, need more than one slab of offsets.
+_GAP_MATRIX_MAX = 1 << 18
+
+
 def _pair_gap_histogram(pts, circumference, delta_max, edges):
-    """Histogram of positive circular gaps <= delta_max, one entry per unordered pair."""
-    hist = np.zeros(edges.size - 1)
+    """Histogram of positive circular gaps <= delta_max, one entry per unordered pair.
+
+    Gaps ext[i + off] - pts[i] grow with the offset off, so the offsets
+    worth taking end at the first one whose smallest gap exceeds
+    delta_max.  One searchsorted bounds that offset; the gaps of all
+    offsets up to it form one (P, K) matrix and one np.histogram call.
+    """
     npts = pts.size
     if npts < 2:
-        return hist
+        return np.zeros(edges.size - 1)
     ext = np.concatenate([pts, pts + circumference])
-    for off in range(1, npts):
-        d = ext[off : off + npts] - pts
-        if d.min() > delta_max:
-            break
-        sel = d[(d > 0.0) & (d <= delta_max)]
-        if sel.size:
-            hist += np.histogram(sel, bins=edges)[0]
+    reach = np.searchsorted(ext, pts + delta_max, side="right") - np.arange(npts) - 1
+    k = min(int(reach.max()), npts - 1)
+    # pts[i] + delta_max is rounded, so check the bound against the gaps
+    while k < npts - 1 and (ext[k + 1 : k + 1 + npts] - pts).min() <= delta_max:
+        k += 1
+    hist = np.zeros(edges.size - 1)
+    if k < 1:
+        return hist
+    # row i of windows is ext[i + 1 : i + 1 + k], the points at offsets 1..k
+    windows = np.lib.stride_tricks.sliding_window_view(ext[1:], k)
+    step = max(1, _GAP_MATRIX_MAX // npts)
+    for lo in range(0, k, step):
+        d = windows[:npts, lo : lo + step] - pts[:, None]
+        hist += np.histogram(d[(d > 0.0) & (d <= delta_max)], bins=edges)[0]
     return hist
 
 

@@ -5,6 +5,10 @@ multiset of all pairwise (triple) sums mod 2pi: the eigenphases of the
 Kronecker product of the underlying matrices.  Recentring at pi and
 scaling by P/2pi, with P the number of points, puts the configuration
 on a circle of circumference P with mean intensity exactly 1.
+
+The tensor sums and the rescale also take (..., n) stacks, one
+configuration per row, so that a block of samples shares one numpy call
+per step; each row equals the result for that configuration alone.
 """
 
 from __future__ import annotations
@@ -58,34 +62,66 @@ class WindowSpec:
             raise ValueError("WindowSpec: half_width must be positive")
 
 
-def tensor_phases(a, b, capacity=DEFAULT_TENSOR_CAPACITY):
-    """All sums a_i + b_j mod 2pi, sorted; repeats are kept as repeats."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size < 1 or b.size < 1:
-        raise ValueError("tensor_phases: factors must be nonempty")
-    if a.size * b.size > capacity:
-        raise CapacityError(
-            "tensor_phases: %d points exceed capacity %d" % (a.size * b.size, capacity)
-        )
-    sums = reduce_phases(np.add.outer(a, b).ravel())
-    sums.sort()
+def _sorted_sums(name, factors, capacity):
+    """Sorted sums mod 2pi over one point of each factor, row by row.
+
+    Each factor is (..., n_i) with the same leading shape; the result is
+    (..., prod n_i), summed left to right with the first factor's index
+    slowest.
+    """
+    arrs = [np.asarray(f, dtype=float) for f in factors]
+    if any(a.ndim == 0 or a.shape[-1] < 1 for a in arrs):
+        raise ValueError("%s: factors must be nonempty" % name)
+    total = 1
+    for a in arrs:
+        total *= a.shape[-1]
+    if total > capacity:
+        raise CapacityError("%s: %d points exceed capacity %d" % (name, total, capacity))
+    k = len(arrs)
+    sums = None
+    for i, a in enumerate(arrs):
+        # factor i on axis i of the grid, broadcast along the others
+        g = a.reshape(a.shape[:-1] + (1,) * i + a.shape[-1:] + (1,) * (k - 1 - i))
+        sums = g if sums is None else sums + g
+    sums = reduce_phases(sums.reshape(sums.shape[:-k] + (-1,)))
+    sums.sort(axis=-1)
     return sums
+
+
+def tensor_phases(a, b, capacity=DEFAULT_TENSOR_CAPACITY):
+    """All sums a_i + b_j mod 2pi, sorted; repeats are kept as repeats.
+
+    a and b may be (..., na) and (..., nb) stacks with equal leading
+    shapes; each row of the (..., na * nb) result is then the tensor
+    phases of the matching rows.
+    """
+    return _sorted_sums("tensor_phases", (a, b), capacity)
 
 
 def triple_tensor(a, b, c, capacity=DEFAULT_TENSOR_CAPACITY):
-    """All sums a_i + b_j + c_k mod 2pi, sorted; repeats are kept."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if a.size < 1 or b.size < 1 or c.size < 1:
-        raise ValueError("triple_tensor: factors must be nonempty")
-    total = a.size * b.size * c.size
-    if total > capacity:
-        raise CapacityError("triple_tensor: %d points exceed capacity %d" % (total, capacity))
-    sums = reduce_phases((a[:, None, None] + b[None, :, None] + c[None, None, :]).ravel())
-    sums.sort()
-    return sums
+    """All sums a_i + b_j + c_k mod 2pi, sorted; repeats are kept.
+
+    Stacks are taken row by row, as in tensor_phases.
+    """
+    return _sorted_sums("triple_tensor", (a, b, c), capacity)
+
+
+def rescale_points(phases, factor_product):
+    """theta = (P/2pi)(x - pi) in [-P/2, P/2) for phases x, elementwise.
+
+    Works on a single configuration or on a (..., P) stack of them; the
+    rows are not re-sorted.  P must equal the number of phases per row.
+    """
+    phases = np.atleast_1d(np.asarray(phases, dtype=float))
+    P = int(factor_product)
+    if P != phases.shape[-1]:
+        raise ValueError(
+            "rescale_center: factor product %d does not match %d phases" % (P, phases.shape[-1])
+        )
+    theta = (P / TWO_PI) * (phases - np.pi)
+    # Rounding can land exactly on +P/2, which is the same circle point
+    # as -P/2.
+    return np.where(theta >= P / 2, theta - P, theta)
 
 
 def rescale_center(phases, factor_product):
@@ -94,18 +130,8 @@ def rescale_center(phases, factor_product):
     P must equal the number of phases, which makes the mean intensity
     of the rescaled configuration exactly 1.
     """
-    phases = np.asarray(phases, dtype=float)
     P = int(factor_product)
-    if P != phases.size:
-        raise ValueError(
-            "rescale_center: factor product %d does not match %d phases"
-            % (P, phases.size)
-        )
-    theta = (P / TWO_PI) * (phases - np.pi)
-    # Rounding can land exactly on +P/2, which is the same circle point
-    # as -P/2.
-    theta = np.where(theta >= P / 2, theta - P, theta)
-    return RescaledConfig(points=theta, circumference=float(P))
+    return RescaledConfig(points=rescale_points(phases, P), circumference=float(P))
 
 
 def window(config, spec):

@@ -4,6 +4,11 @@ Reproducibility contract: sample index s always uses the random stream
 (seed, stream_id = s).  Samples are drawn in index order in one serial
 pass and handed to the public estimators, so a run's results (and the
 CSV bytes written from them) depend only on its configuration.
+
+The pass draws samples in blocks of consecutive indices (sample_blocks),
+sized by sampler.BLOCK_BYTES.  Within a block every sample still draws
+from its own stream, and every step works sample by sample, so the
+results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ from .estimators import (
 from .gof import compare_to_curve, ks_against_exponential
 from .kernels import rho_sine, sine_q
 from .output import write_csv, write_manifest
-from .processes import rescale_center, tensor_phases, triple_tensor
-from .sampler import RngStream, sample_cue_phases
+from .processes import RescaledConfig, rescale_points, tensor_phases, triple_tensor
+from .sampler import RngStream, block_length, eigenphases, sample_haar_block
 
 STREAM_POLICY = "sample index s uses stream_id = s"
 
@@ -74,21 +79,39 @@ def _utc_now():
     return _dt.datetime.now(_dt.timezone.utc).replace(microsecond=0).isoformat()
 
 
+def sample_blocks(cfg):
+    """(start, stop) index ranges that cover samples 0 .. n_samples - 1 in
+    blocks of sampler.block_length samples."""
+    step = block_length(cfg.dims, cfg.factor_product)
+    return [(s, min(s + step, cfg.n_samples)) for s in range(0, cfg.n_samples, step)]
+
+
+def sample_phase_block(cfg, start, stop):
+    """Sorted phases in [0, 2pi) of samples start .. stop - 1, one row each.
+
+    Sample s draws its factors, in order, from stream (seed, s); the
+    factors' stacks go through the eigensolve and the tensor sum
+    together.
+    """
+    gens = [RngStream(cfg.seed, s).generator() for s in range(start, stop)]
+    factors = [eigenphases(u) for u in sample_haar_block(cfg.dims, gens)]
+    if cfg.mode == "single":
+        return factors[0]
+    if cfg.mode == "pair":
+        return tensor_phases(*factors)
+    return triple_tensor(*factors)
+
+
+def sample_rescaled_block(cfg, start, stop):
+    """Samples start .. stop - 1 of the configured process on their rescaled circle."""
+    P = cfg.factor_product
+    theta = rescale_points(sample_phase_block(cfg, start, stop), P)
+    return [RescaledConfig(points=row, circumference=float(P)) for row in theta]
+
+
 def sample_rescaled_config(cfg, sample_index):
     """Draw sample s of the configured process on its rescaled circle."""
-    gen = RngStream(cfg.seed, sample_index).generator()
-    if cfg.mode == "single":
-        phases = sample_cue_phases(cfg.dims[0], gen)
-    elif cfg.mode == "pair":
-        a = sample_cue_phases(cfg.dims[0], gen)
-        b = sample_cue_phases(cfg.dims[1], gen)
-        phases = tensor_phases(a, b)
-    else:
-        a = sample_cue_phases(cfg.dims[0], gen)
-        b = sample_cue_phases(cfg.dims[1], gen)
-        c = sample_cue_phases(cfg.dims[2], gen)
-        phases = triple_tensor(a, b, c)
-    return rescale_center(phases, cfg.factor_product)
+    return sample_rescaled_block(cfg, sample_index, sample_index + 1)[0]
 
 
 def target_curve(cfg):
@@ -117,7 +140,9 @@ def run_experiment(cfg, out_dir=None, emit=("pair", "spacings", "counts")):
     lengths = tuple(ell for ell in COUNT_LENGTHS if ell <= L / 2)
     want_triple = cfg.k_analytic >= 3 and L >= 4 * (TRIPLE_R2 + DEFAULT_TRIPLE_TOL)
 
-    configs = [sample_rescaled_config(cfg, s) for s in range(cfg.n_samples)]
+    configs = []
+    for start, stop in sample_blocks(cfg):
+        configs.extend(sample_rescaled_block(cfg, start, stop))
     hist = estimate_pair_correlation(configs, cfg.delta_max, cfg.n_bins)
     spacings = nearest_neighbor_spacings(configs, n_bins=cfg.n_bins)
     count_var = count_variance(configs, lengths, n_offsets=DEFAULT_COUNT_OFFSETS) if lengths else []

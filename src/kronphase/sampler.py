@@ -6,6 +6,15 @@ generator, so stream construction is O(1) and independent of how many
 other streams exist or in which order they are used.  Gaussians come
 from Box-Muller on the uniform stream, which keeps the byte-level
 output independent of any library's normal-variate algorithm.
+
+Draws are made in blocks.  The uniforms of each draw still come from its
+own generator, in the order a one-at-a-time loop would take them; the
+matrices are then stacked as (B, n, n) and go through Box-Muller, QR,
+the phase fix and the eigensolve as one numpy call each.  Every step
+works matrix by matrix (elementwise maps, and LAPACK called once per
+matrix by numpy's stacked linalg), so a draw's bytes do not depend on
+the block it was drawn in.  `sample_haar_unitary` and `eigenphases` on a
+single matrix are the block-of-one case of the same code.
 """
 
 from __future__ import annotations
@@ -31,6 +40,11 @@ UNITARITY_TOL = 1e-8
 # of the exact ones, at 2e4 only within 1e-11.  Past this bound eigenphases
 # falls back to eigvals.
 CAYLEY_MAX_ABS = 2e3
+
+# Size of one stacked array in a block of draws.  Large enough that numpy's
+# per-call overhead is spread over many small matrices (64 draws of 16 x 16,
+# 10 of 40 x 40), small enough that a block adds little to a run's memory.
+BLOCK_BYTES = 1 << 18
 
 _U64 = 1 << 64
 
@@ -68,35 +82,63 @@ def _as_generator(rng):
     raise ValueError("rng must be an RngStream or numpy Generator")
 
 
-def _complex_ginibre(gen, n):
+def block_length(dims, points=0):
+    """Samples per block, at least one: as many as fit in BLOCK_BYTES in the
+    largest stacked array of a block, the (B, n, n) complex matrices of
+    the largest factor in dims or the (B, points) phases of the samples."""
+    per_sample = max(16 * max(int(n) for n in dims) ** 2, 8 * int(points))
+    return max(1, BLOCK_BYTES // per_sample)
+
+
+def _complex_ginibre(u1, u2, n):
     # Box-Muller: two uniforms -> radius/angle -> one standard complex
     # Gaussian per entry (real and imaginary parts N(0, 1/2)).
-    m = n * n
-    u1 = 1.0 - gen.random(m)  # (0, 1], keeps the log finite
-    u2 = gen.random(m)
+    u1 = 1.0 - u1  # (0, 1], keeps the log finite
     r = np.sqrt(-2.0 * np.log(u1))
     z = r * (np.cos(TWO_PI * u2) + 1j * np.sin(TWO_PI * u2))
-    return (z / np.sqrt(2.0)).reshape(n, n)
+    return (z / np.sqrt(2.0)).reshape(-1, n, n)
+
+
+def sample_haar_block(dims, gens, max_dim=DEFAULT_MAX_DIM):
+    """Haar draws for a block of samples: one (len(gens), n, n) stack per n in dims.
+
+    Sample b takes one matrix of each size in dims, in that order, from
+    gens[b], exactly as a loop of sample_haar_unitary calls on gens[b]
+    would.  The same generator may appear more than once; it then
+    supplies consecutive draws.
+    """
+    dims = [int(n) for n in dims]
+    for n in dims:
+        if n < 1:
+            raise ValueError("sample_haar_unitary: n must be >= 1")
+        if n > max_dim:
+            raise CapacityError("sample_haar_unitary: n=%d exceeds max %d" % (n, max_dim))
+    gens = [_as_generator(g) for g in gens]
+    uniforms = [np.empty((2, len(gens), n * n)) for n in dims]
+    for b, gen in enumerate(gens):
+        for u in uniforms:
+            gen.random(out=u[0, b])
+            gen.random(out=u[1, b])
+    return [_haar_from_ginibre(_complex_ginibre(u[0], u[1], n)) for u, n in zip(uniforms, dims)]
+
+
+def _haar_from_ginibre(z):
+    """QR of each Ginibre matrix, with each column of Q rescaled by the unit
+    phase of the matching diagonal entry of R.  Without that phase
+    correction the law is not Haar (the moment tests reject it), so the
+    correction is not optional."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def sample_haar_unitary(n, rng, max_dim=DEFAULT_MAX_DIM):
     """Draw one n x n unitary from the Haar measure on U(n).
 
-    QR factorization of a complex Ginibre matrix, with each column of Q
-    rescaled by the unit phase of the matching diagonal entry of R.
-    Without that phase correction the law is not Haar (the moment tests
-    reject it), so the correction is not optional.
+    QR factorization of a complex Ginibre matrix with the phase fix of
+    Mezzadri (2007); the block-of-one case of sample_haar_block.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("sample_haar_unitary: n must be >= 1")
-    if n > max_dim:
-        raise CapacityError("sample_haar_unitary: n=%d exceeds max %d" % (n, max_dim))
-    gen = _as_generator(rng)
-    z = _complex_ginibre(gen, n)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return sample_haar_block([n], [rng], max_dim=max_dim)[0][0]
 
 
 def _phases_general(u):
@@ -105,29 +147,47 @@ def _phases_general(u):
 
 
 def _phases_cayley(u):
-    """Eigenphases in (-pi, pi) through the Cayley transform, or None.
+    """Eigenphases in (-pi, pi) of a (B, n, n) stack through the Cayley transform.
 
     H = i (I + U)^{-1} (I - U) is Hermitian for unitary U and has the
-    eigenvalue tan(theta/2) for each eigenphase theta.  None means the
-    guard tripped: I + U is singular, or an eigenvalue of U is near -1.
+    eigenvalue tan(theta/2) for each eigenphase theta.  A row is NaN where
+    the guard tripped (an eigenvalue of that U is near -1).  Raises
+    LinAlgError when I + U is singular for some matrix of the stack.
     """
-    eye = np.eye(u.shape[0])
-    try:
-        k = np.linalg.solve(eye + u, eye - u)
-    except np.linalg.LinAlgError:
-        return None
+    eye = np.eye(u.shape[-1])
+    k = np.linalg.solve(eye + u, eye - u)
     # 1/2 (H + H*) with H = i K: exactly Hermitian, as eigvalsh assumes.
-    lam = np.linalg.eigvalsh(0.5j * (k - k.conj().T))
+    lam = np.linalg.eigvalsh(0.5j * (k - k.conj().swapaxes(-1, -2)))
     # written so that a NaN also trips the guard
-    if not np.max(np.abs(lam)) <= CAYLEY_MAX_ABS:
-        return None
-    return 2.0 * np.arctan(lam)
+    ok = np.max(np.abs(lam), axis=-1) <= CAYLEY_MAX_ABS
+    ang = 2.0 * np.arctan(lam)
+    ang[~ok] = np.nan
+    return ang
+
+
+def _phases_stack(u):
+    """Unsorted eigenphases of a (B, n, n) stack, one row per matrix.
+
+    The fallback to eigvals is decided matrix by matrix.  When the
+    stacked solve fails, each matrix is redone as a block of one.
+    """
+    try:
+        ang = _phases_cayley(u)
+    except np.linalg.LinAlgError:
+        if len(u) == 1:
+            return _phases_general(u[0])[None]
+        return np.concatenate([_phases_stack(u[i : i + 1]) for i in range(len(u))])
+    for i in np.flatnonzero(np.isnan(ang).any(axis=-1)):
+        ang[i] = _phases_general(u[i])
+    return ang
 
 
 def eigenphases(u, tol=UNITARITY_TOL):
-    """Sorted eigenphases in [0, 2pi) of a unitary matrix.
+    """Sorted eigenphases in [0, 2pi) of a unitary matrix or a (..., n, n) stack.
 
-    Rejects input whose unitarity residual max|U U* - I| exceeds tol.
+    A stack gives one sorted row of n phases per matrix, and each row
+    equals eigenphases of that matrix alone, bit for bit.  Rejects input
+    whose unitarity residual max|U U* - I| exceeds tol for any matrix.
 
     The phases come from a Hermitian eigensolve: the Cayley transform
     H = i (I + U)^{-1} (I - U) (one linear solve), made exactly Hermitian
@@ -143,21 +203,19 @@ def eigenphases(u, tol=UNITARITY_TOL):
     1e-12 in circular distance.
     """
     u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError("eigenphases: input must be a square matrix")
-    n = u.shape[0]
-    resid = np.max(np.abs(u @ u.conj().T - np.eye(n)))
+    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
+        raise ValueError("eigenphases: input must be a square matrix or a stack of them")
+    n = u.shape[-1]
+    resid = np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(n)))
     if resid > tol:
         raise ValueError(
             "eigenphases: unitarity residual %.3e exceeds tolerance %.3e" % (resid, tol)
         )
-    ang = _phases_cayley(u)
-    if ang is None:
-        ang = _phases_general(u)
+    ang = _phases_stack(u.reshape(-1, n, n))
     ang = np.mod(ang, TWO_PI)
     ang[ang >= TWO_PI] = 0.0
-    ang.sort()
-    return ang
+    ang.sort(axis=-1)
+    return ang.reshape(u.shape[:-1])
 
 
 def sample_cue_phases(n, rng, max_dim=DEFAULT_MAX_DIM):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kronphase import estimators
 from kronphase.estimators import (
     CorrelationHistogram,
     circular_gaps,
@@ -14,7 +17,7 @@ from kronphase.estimators import (
     spacing_histogram_from_gaps,
     triple_window_count,
 )
-from kronphase.processes import RescaledConfig, rescale_center
+from kronphase.processes import RescaledConfig, rescale_center, triple_tensor
 from kronphase.sampler import RngStream, sample_cue_phases
 
 from oracle_curves import bin_averages, count_variance_exact, pair_correlation_exact
@@ -109,6 +112,77 @@ class TestPairCorrelation:
         h = estimate_pair_correlation([cfg], 2.0, 4)
         with pytest.raises(ValueError):
             h.standard_errors()
+
+
+def pair_gap_histogram_loop(pts, circumference, delta_max, edges):
+    """Reference for estimators._pair_gap_histogram: one offset at a time,
+    stopping at the first offset whose smallest gap exceeds delta_max."""
+    hist = np.zeros(edges.size - 1)
+    npts = pts.size
+    if npts < 2:
+        return hist
+    ext = np.concatenate([pts, pts + circumference])
+    for off in range(1, npts):
+        d = ext[off : off + npts] - pts
+        if d.min() > delta_max:
+            break
+        sel = d[(d > 0.0) & (d <= delta_max)]
+        if sel.size:
+            hist += np.histogram(sel, bins=edges)[0]
+    return hist
+
+
+@st.composite
+def circle_configs(draw):
+    """(sorted points in [-L/2, L/2), L, delta_max, edges), with repeated points."""
+    L = draw(st.floats(2.0, 64.0))
+    half = L / 2
+    base = draw(st.lists(st.floats(-half, half, exclude_max=True), max_size=60))
+    repeats = draw(st.lists(st.sampled_from(base), max_size=20)) if base else []
+    delta_max = draw(st.floats(1e-3, half))
+    n_bins = draw(st.integers(1, 40))
+    pts = np.sort(np.array(base + repeats, dtype=float))
+    return pts, L, delta_max, np.linspace(0.0, delta_max, n_bins + 1)
+
+
+class TestPairGapHistogram:
+    @settings(max_examples=300, deadline=None)
+    @given(circle_configs())
+    def test_equals_loop_reference(self, case):
+        pts, L, delta_max, edges = case
+        got = estimators._pair_gap_histogram(pts, L, delta_max, edges)
+        assert np.array_equal(got, pair_gap_histogram_loop(pts, L, delta_max, edges))
+
+    def test_degenerate_triple_product(self):
+        # identical factors repeat every sum i + j + k under permutation,
+        # so the product has many zero gaps, which are not pairs at distance > 0
+        a = sample_cue_phases(4, RngStream(61))
+        cfg = rescale_center(triple_tensor(a, a, a), 64)
+        assert np.count_nonzero(np.diff(cfg.points) == 0.0) > 20
+        edges = np.linspace(0.0, 4.0, 41)
+        got = estimators._pair_gap_histogram(cfg.points, 64.0, 4.0, edges)
+        assert np.array_equal(got, pair_gap_histogram_loop(cfg.points, 64.0, 4.0, edges))
+
+    def test_gap_beyond_the_rounded_searchsorted_bound(self):
+        # x - p rounds to delta_max exactly although x > fl(p + delta_max),
+        # so searchsorted alone would miss the pair
+        p, delta_max = -3.933642242328201, 3.0532379634439946
+        x = np.nextafter(p + delta_max, np.inf)
+        assert x - p == delta_max
+        pts = np.array([p, x])
+        edges = np.linspace(0.0, delta_max, 5)
+        got = estimators._pair_gap_histogram(pts, 20.0, delta_max, edges)
+        assert np.array_equal(got, [0.0, 0.0, 0.0, 1.0])
+        assert np.array_equal(got, pair_gap_histogram_loop(pts, 20.0, delta_max, edges))
+
+    def test_slabs_of_offsets(self, monkeypatch):
+        # all points equal within delta_max: every offset is needed
+        pts = np.sort(np.concatenate([np.zeros(30), np.linspace(0.5, 2.0, 30)]))
+        edges = np.linspace(0.0, 3.0, 7)
+        want = pair_gap_histogram_loop(pts, 8.0, 3.0, edges)
+        assert np.array_equal(estimators._pair_gap_histogram(pts, 8.0, 3.0, edges), want)
+        monkeypatch.setattr(estimators, "_GAP_MATRIX_MAX", 100)
+        assert np.array_equal(estimators._pair_gap_histogram(pts, 8.0, 3.0, edges), want)
 
 
 class TestMerge:

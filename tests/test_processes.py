@@ -7,6 +7,7 @@ from kronphase.processes import (
     WindowSpec,
     reduce_phases,
     rescale_center,
+    rescale_points,
     tensor_phases,
     triple_tensor,
     window,
@@ -79,6 +80,37 @@ class TestTripleTensor:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             triple_tensor(np.zeros(128), np.zeros(128), np.zeros(128))
+
+
+class TestStackedRows:
+    def factor_stack(self, n, seed):
+        return np.stack([sample_cue_phases(n, RngStream(seed, s)) for s in range(5)])
+
+    def test_tensor_rows_equal_single_calls(self):
+        a = self.factor_stack(2, 6)
+        b = self.factor_stack(7, 7)
+        got = tensor_phases(a, b)
+        assert got.shape == (5, 14)
+        for s in range(5):
+            assert np.array_equal(got[s], tensor_phases(a[s], b[s]))
+
+    def test_triple_rows_equal_single_calls(self):
+        a, b, c = self.factor_stack(2, 6), self.factor_stack(3, 7), self.factor_stack(4, 8)
+        got = triple_tensor(a, b, c)
+        assert got.shape == (5, 24)
+        for s in range(5):
+            assert np.array_equal(got[s], triple_tensor(a[s], b[s], c[s]))
+
+    def test_rescale_rows_equal_single_calls(self):
+        phases = tensor_phases(self.factor_stack(2, 6), self.factor_stack(7, 7))
+        theta = rescale_points(phases, 14)
+        for s in range(5):
+            assert np.array_equal(np.sort(theta[s]), rescale_center(phases[s], 14).points)
+
+    def test_capacity_counts_points_per_row(self):
+        with pytest.raises(CapacityError):
+            tensor_phases(np.zeros((2, 1100)), np.zeros((2, 1000)))
+        assert tensor_phases(np.zeros((3, 4)), np.zeros((3, 5)), capacity=20).shape == (3, 20)
 
 
 class TestRescaleCenter:

@@ -24,9 +24,12 @@ from kronphase.runner import (
     emit_reference_curve,
     run_convergence_sweep,
     run_experiment,
+    sample_blocks,
+    sample_rescaled_block,
     sample_rescaled_config,
     target_curve,
 )
+from kronphase import sampler
 from kronphase.sampler import RngStream, sample_cue_phases
 
 PAIR_M2_AT_1 = 0.79735763271532445
@@ -220,6 +223,36 @@ class TestRunner:
         assert np.array_equal(b1.spacings.spacings, b3.spacings.spacings)
         assert b1.count_var == b3.count_var
         assert b1.intensity == b3.intensity
+
+    def test_blocks_cover_samples_in_order(self, monkeypatch):
+        cfg = ExperimentConfig(mode="triple", dims=(2, 16, 16), n_samples=150, seed=1)
+        assert sample_blocks(cfg) == [(0, 64), (64, 128), (128, 150)]
+        monkeypatch.setattr(sampler, "BLOCK_BYTES", 1)
+        assert sample_blocks(cfg) == [(s, s + 1) for s in range(150)]
+
+    def test_block_rows_equal_single_samples(self):
+        cfg = ExperimentConfig(mode="triple", dims=(2, 3, 4), n_samples=9, seed=12)
+        block = sample_rescaled_block(cfg, 2, 9)
+        for s, rc in enumerate(block, 2):
+            assert np.array_equal(rc.points, sample_rescaled_config(cfg, s).points)
+
+    @pytest.mark.parametrize("mode, dims", [("single", (12,)), ("pair", (2, 12)), ("triple", (2, 3, 4))])
+    def test_block_size_invariance(self, mode, dims, tmp_path, monkeypatch):
+        # The block-size analogue of test_worker_invariance_in_memory: the
+        # default block, one sample per block, and 7 per block (which does
+        # not divide the 30 samples) write the same bytes.
+        cfg = ExperimentConfig(mode=mode, dims=dims, n_samples=30, seed=23, k_analytic=3)
+        per_sample = 16 * max(dims) ** 2
+        outputs = []
+        for block_bytes, n_blocks in ((sampler.BLOCK_BYTES, 1), (1, 30), (7 * per_sample, 5)):
+            monkeypatch.setattr(sampler, "BLOCK_BYTES", block_bytes)
+            assert len(sample_blocks(cfg)) == n_blocks
+            out = tmp_path / str(block_bytes)
+            _, manifest = run_experiment(cfg, out_dir=str(out))
+            files = [(out / name).read_bytes() for name in manifest.outputs]
+            outputs.append((files, manifest.summary))
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
     def test_csv_outputs_deterministic(self, tmp_path):
         base = dict(mode="pair", dims=(2, 12), n_samples=25, seed=13, n_bins=8, delta_max=3.0)

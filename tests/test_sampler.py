@@ -9,6 +9,7 @@ from kronphase.sampler import (
     RngStream,
     eigenphases,
     sample_cue_phases,
+    sample_haar_block,
     sample_haar_unitary,
 )
 
@@ -219,6 +220,82 @@ class TestEigvalsOracle:
             a = (tmp_path / "cayley" / name).read_bytes()
             b = (tmp_path / "eigvals" / name).read_bytes()
             assert a == b, name
+
+
+class TestStackedDraws:
+    # generic phases, none near pi, plus one at pi + 1e-6 (guard fallback)
+    NEAR_PI = [np.pi + 1e-6, 0.2, 0.9, 1.7, 2.5, 4.0, 5.1, 6.0]
+
+    def mixed_stack(self):
+        n = len(self.NEAR_PI)
+        haar = [sample_haar_unitary(n, RngStream(55, s)) for s in range(6)]
+        near = with_known_spectrum(self.NEAR_PI, sample_haar_unitary(n, RngStream(21, 0)))
+        return np.stack(haar[:2] + [-np.eye(n)] + haar[2:4] + [near] + haar[4:])
+
+    def test_block_matches_one_at_a_time(self):
+        gens = [RngStream(8, s).generator() for s in range(5)]
+        stacks = sample_haar_block((2, 7, 3), gens)
+        for s in range(5):
+            gen = RngStream(8, s).generator()
+            for n, stack in zip((2, 7, 3), stacks):
+                assert stack.shape == (5, n, n)
+                assert np.array_equal(stack[s], sample_haar_unitary(n, gen))
+
+    def test_shared_generator_draws_in_order(self):
+        gen = RngStream(9).generator()
+        stack = sample_haar_block([4], [gen] * 6)[0]
+        gen = RngStream(9).generator()
+        for u in stack:
+            assert np.array_equal(u, sample_haar_unitary(4, gen))
+
+    def test_block_validation(self):
+        with pytest.raises(ValueError):
+            sample_haar_block([3, 0], [RngStream(0)])
+        with pytest.raises(CapacityError):
+            sample_haar_block([3, 6], [RngStream(0)], max_dim=5)
+
+    @pytest.fixture
+    def general_calls(self, monkeypatch):
+        """Shapes passed to the eigvals fallback from here on."""
+        calls = []
+        general = sampler._phases_general
+
+        def spy(u):
+            calls.append(u.shape)
+            return general(u)
+
+        monkeypatch.setattr(sampler, "_phases_general", spy)
+        return calls
+
+    def test_mixed_stack_rows_equal_single_calls(self, general_calls):
+        stack = self.mixed_stack()
+        want = np.stack([eigenphases(u) for u in stack])
+        general_calls.clear()
+        # the stacked solve fails on -I, so each matrix is redone alone,
+        # and the near -1 matrix still takes the eigvals fallback
+        got = eigenphases(stack)
+        assert np.array_equal(got, want)
+        assert general_calls == [(8, 8), (8, 8)]
+        assert circular_mismatch(got[2], [np.pi] * 8) < 1e-12
+        assert circular_mismatch(got[5], self.NEAR_PI) < 1e-11
+
+    def test_guard_fallback_inside_a_solvable_stack(self, general_calls):
+        stack = np.delete(self.mixed_stack(), 2, axis=0)
+        got = eigenphases(stack)
+        assert general_calls == [(8, 8)]
+        assert np.array_equal(got, np.stack([eigenphases(u) for u in stack]))
+
+    def test_stack_shapes(self):
+        stack = self.mixed_stack().reshape(2, 4, 8, 8)
+        got = eigenphases(stack)
+        assert got.shape == (2, 4, 8)
+        assert np.array_equal(got[1, 2], eigenphases(stack[1, 2]))
+
+    def test_one_non_unitary_matrix_rejects_the_stack(self):
+        stack = self.mixed_stack()
+        stack[4] = stack[4] * (1.0 + 1e-6)
+        with pytest.raises(ValueError, match="unitarity residual"):
+            eigenphases(stack)
 
 
 class TestCuePhases:
