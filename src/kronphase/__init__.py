@@ -39,6 +39,7 @@ from .sampler import (
 from .processes import (
     RescaledConfig,
     WindowSpec,
+    circle_rows,
     reduce_phases,
     rescale_center,
     rescale_points,
@@ -47,6 +48,7 @@ from .processes import (
     window,
 )
 from .estimators import (
+    Accumulator,
     CorrelationHistogram,
     EstimateBundle,
     SpacingHistogram,
@@ -78,6 +80,7 @@ from .runner import (
 from .acceptance import CriterionResult, run_criteria
 
 __all__ = [
+    "Accumulator",
     "CapacityError",
     "CorrelationHistogram",
     "CriterionResult",
@@ -95,6 +98,7 @@ __all__ = [
     "bell_number",
     "build_config",
     "chi_square_uniformity",
+    "circle_rows",
     "circular_gaps",
     "compare_to_curve",
     "count_variance",

@@ -5,15 +5,16 @@ spacings, and interval count variance.  Everything is circular: the only
 geometry used is the signed difference in (-L/2, L/2], so every
 estimator is exactly invariant under rotations of its input.
 
-Pair-correlation accumulation is mergeable: counts are kept per batch,
-batches are addressed by global sample index, and all stored counts are
-integer-valued floats, so merging partial histograms of disjoint sample
-slices reproduces one pass over all samples bit for bit, however the
-samples were split.
+One Accumulator computes all of them from (B, P) blocks of sorted rows,
+one configuration per row; the per-configuration estimators read a list
+of configurations as rows of the same code.  Every accumulated count is
+an exact integer, so merging the results of disjoint rows reproduces one
+pass over all samples bit for bit, however the samples were split.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -22,6 +23,11 @@ import numpy as np
 DEFAULT_N_BATCHES = 20
 DEFAULT_TRIPLE_TOL = 0.2
 DEFAULT_COUNT_OFFSETS = 32
+
+# Cap on the entries of one slab of the (rows, P, K) gap tensor; only
+# near-degenerate configurations, where many points crowd within
+# delta_max of each other, need more than one slab of offsets.
+_GAP_MATRIX_MAX = 1 << 18
 
 
 def _common_circumference(samples):
@@ -92,130 +98,118 @@ class CorrelationHistogram:
         return np.std(means, axis=0, ddof=1) / np.sqrt(b)
 
 
-def _pair_estimate(counts, n_samples, circumference, widths):
-    if n_samples == 0:
-        return np.zeros_like(counts)
-    return counts / (n_samples * 2.0 * circumference * widths)
+def _pair_histogram(edges, batch_counts, batch_samples, n_samples, circumference):
+    counts = batch_counts.sum(axis=0)
+    estimate = np.zeros_like(counts)
+    if n_samples:
+        estimate = counts / (n_samples * 2.0 * circumference * np.diff(edges))
+    return CorrelationHistogram(
+        edges, counts, n_samples, circumference, estimate, batch_counts, batch_samples
+    )
 
 
-# Cap on the entries of one gap matrix in _pair_gap_histogram; only
-# near-degenerate configurations, where many points crowd within
-# delta_max of each other, need more than one slab of offsets.
-_GAP_MATRIX_MAX = 1 << 18
+def _reach(ext, rows, delta_max, top):
+    """Last offset K <= P - 1 at which some row has a gap ext[:, i + K] -
+    rows[:, i] <= delta_max, or a point ext[:, i + K] <= top[:, i].
+
+    Both grow with the offset, so the condition holds up to K and not
+    past it; K is found by galloping, then bisecting, over the offsets.
+    """
+    P = rows.shape[-1]
+
+    def holds(k):
+        w = ext[:, k : k + P]
+        near = delta_max is not None and ((w - rows) <= delta_max).any()
+        return near or (top is not None and (w <= top).any())
+
+    lo, hi = 0, 1
+    while hi < P and holds(hi):
+        lo, hi = hi, 2 * hi
+    hi = min(hi, P)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo
+
+
+def _pair_gap_counts(rows, ext, K, segments, delta_max, edges):
+    """Histogram of the gaps in (0, delta_max] of each segment of rows
+    r0:r1, one entry per unordered pair, from the (B, P, K) tensor of gaps
+    ext[:, i + k] - rows[:, i], k = 1..K, in slabs of <= _GAP_MATRIX_MAX entries."""
+    P = rows.shape[-1]
+    hists = np.zeros((len(segments), edges.size - 1))
+    if K == 0:
+        return hists
+    windows = np.lib.stride_tricks.sliding_window_view(ext[:, 1:], K, axis=-1)
+    step_k = min(K, max(1, _GAP_MATRIX_MAX // P))
+    step_r = max(1, _GAP_MATRIX_MAX // (P * step_k))
+    for j, (r0, r1) in enumerate(segments):
+        for a, k in itertools.product(range(r0, r1, step_r), range(0, K, step_k)):
+            b = min(a + step_r, r1)
+            d = windows[a:b, :P, k : k + step_k] - rows[a:b, :, None]
+            hists[j] += np.histogram(d[(d > 0.0) & (d <= delta_max)], bins=edges)[0]
+    return hists
 
 
 def _pair_gap_histogram(pts, circumference, delta_max, edges):
-    """Histogram of positive circular gaps <= delta_max, one entry per unordered pair.
-
-    Gaps ext[i + off] - pts[i] grow with the offset off, so the offsets
-    worth taking end at the first one whose smallest gap exceeds
-    delta_max.  One searchsorted bounds that offset; the gaps of all
-    offsets up to it form one (P, K) matrix and one np.histogram call.
-    """
-    npts = pts.size
-    if npts < 2:
-        return np.zeros(edges.size - 1)
-    ext = np.concatenate([pts, pts + circumference])
-    reach = np.searchsorted(ext, pts + delta_max, side="right") - np.arange(npts) - 1
-    k = min(int(reach.max()), npts - 1)
-    # pts[i] + delta_max is rounded, so check the bound against the gaps
-    while k < npts - 1 and (ext[k + 1 : k + 1 + npts] - pts).min() <= delta_max:
-        k += 1
-    hist = np.zeros(edges.size - 1)
-    if k < 1:
-        return hist
-    # row i of windows is ext[i + 1 : i + 1 + k], the points at offsets 1..k
-    windows = np.lib.stride_tricks.sliding_window_view(ext[1:], k)
-    step = max(1, _GAP_MATRIX_MAX // npts)
-    for lo in range(0, k, step):
-        d = windows[:npts, lo : lo + step] - pts[:, None]
-        hist += np.histogram(d[(d > 0.0) & (d <= delta_max)], bins=edges)[0]
-    return hist
+    """Histogram of the positive circular gaps <= delta_max of one sorted
+    configuration, one entry per unordered pair."""
+    rows = np.asarray(pts, dtype=float)[None]
+    ext = np.concatenate([rows, rows + circumference], axis=-1)
+    K = _reach(ext, rows, delta_max, None)
+    return _pair_gap_counts(rows, ext, K, [(0, 1)], delta_max, edges)[0]
 
 
-def estimate_pair_correlation(
-    samples,
-    delta_max,
-    n_bins,
-    n_batches=DEFAULT_N_BATCHES,
-    sample_indices=None,
-    n_samples_total=None,
-):
-    """Pair-correlation histogram over distances (0, delta_max].
-
-    For a slice of a larger experiment, pass the global sample_indices
-    of the slice and the global n_samples_total; merging such partials
-    is then bit-identical to one pass over all samples.
-    """
-    L = _common_circumference(samples)
-    delta_max = float(delta_max)
-    if not 0.0 < delta_max <= L / 2:
-        raise ValueError("delta_max must lie in (0, L/2]")
-    n_bins = int(n_bins)
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
-    if int(n_batches) < 1:
-        raise ValueError("n_batches must be >= 1")
-    if sample_indices is None:
-        sample_indices = np.arange(len(samples))
-    else:
-        sample_indices = np.asarray(sample_indices, dtype=np.int64)
-    if sample_indices.size != len(samples):
-        raise ValueError("sample_indices must match samples")
-    total = int(n_samples_total) if n_samples_total is not None else len(samples)
-    if total < 1 or sample_indices.min() < 0 or sample_indices.max() >= total:
-        raise ValueError("sample indices must lie in [0, n_samples_total)")
-
-    nb_batches = min(int(n_batches), total)
-    edges = np.linspace(0.0, delta_max, n_bins + 1)
-    batch_counts = np.zeros((nb_batches, n_bins))
-    batch_samples = np.zeros(nb_batches, dtype=np.int64)
-    for cfg, s in zip(samples, sample_indices):
-        bi = (int(s) * nb_batches) // total
-        batch_counts[bi] += 2.0 * _pair_gap_histogram(cfg.points, L, delta_max, edges)
-        batch_samples[bi] += 1
-    counts = batch_counts.sum(axis=0)
-    return CorrelationHistogram(
-        bin_edges=edges,
-        counts=counts,
-        n_samples=len(samples),
-        circumference=L,
-        estimate=_pair_estimate(counts, len(samples), L, np.diff(edges)),
-        batch_counts=batch_counts,
-        batch_samples=batch_samples,
-    )
+def _triple_count(rows, ext, r1, r2, tol, K):
+    """Ordered triples of each (B, P) block with gaps r1 +- tol/2 and
+    r2 +- tol/2 from the base, counted exactly as the comparisons of
+    searchsorted(ext_row, pts + (r + tol/2), "right") - searchsorted(ext_row,
+    pts + (r - tol/2), "left") make them, offset by offset over 1..K."""
+    P = rows.shape[-1]
+    bounds = [(rows + (r - tol / 2), rows + (r + tol / 2)) for r in (r1, r2)]
+    inside = np.zeros((2,) + rows.shape, dtype=np.int64)
+    for k in range(1, K + 1):
+        w = ext[:, k : k + P]
+        for m, (lower, upper) in enumerate(bounds):
+            inside[m] += w <= upper
+            inside[m] -= w < lower
+    for m, (lower, _) in enumerate(bounds):
+        # a lower bound that rounds onto its point also takes the copies of
+        # the point at or before it, which no offset >= 1 reaches
+        if (lower <= rows).any():
+            idx = np.arange(P)
+            first = np.maximum.accumulate(np.where(np.diff(rows, prepend=-np.inf) > 0, idx, 0), axis=-1)
+            inside[m] += np.where(lower <= rows, idx + 1 - first, 0)
+    return int(np.sum(inside[0] * inside[1]))
 
 
-def merge(h1, h2):
-    """Add two pair-correlation histograms with identical grids.
-
-    Commutative and associative; counts are integer-valued floats, so
-    the sum is exact and independent of merge order.
-    """
-    if not np.array_equal(h1.bin_edges, h2.bin_edges):
-        raise ValueError("merge: bin grids differ")
-    if h1.circumference != h2.circumference:
-        raise ValueError("merge: circumferences differ")
-    if h1.batch_counts.shape != h2.batch_counts.shape:
-        raise ValueError("merge: batch layouts differ")
-    counts = h1.counts + h2.counts
-    n = h1.n_samples + h2.n_samples
-    return CorrelationHistogram(
-        bin_edges=h1.bin_edges,
-        counts=counts,
-        n_samples=n,
-        circumference=h1.circumference,
-        estimate=_pair_estimate(counts, n, h1.circumference, np.diff(h1.bin_edges)),
-        batch_counts=h1.batch_counts + h2.batch_counts,
-        batch_samples=h1.batch_samples + h2.batch_samples,
-    )
+def _arc_grid(circumference, lengths, n_offsets):
+    """Sorted arc ends of the translation grid t (row 0: t, row 1 + i:
+    t + lengths[i]) and the position of each end in that order."""
+    n = int(n_offsets)
+    offs = (np.arange(n) + 0.5) * (circumference / n) - circumference / 2
+    ends = np.concatenate([offs] + [offs + float(ell) for ell in lengths])
+    order = np.argsort(ends, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return ends[order], rank.reshape(-1, n)
 
 
-def estimate_intensity(samples):
-    """Mean number of points per unit circumference."""
-    L = _common_circumference(samples)
-    total = sum(len(cfg) for cfg in samples)
-    return total / (len(samples) * L)
+def _arc_counts(ext, grid, rank):
+    """(B, len(lengths), n_offsets) point counts of the rows of ext in the
+    arcs [t, t + length): one searchsorted into the sorted ends, a bincount
+    and a cumsum give the points below each end, as searchsorted(ext_row,
+    end, "left") does."""
+    B, G = ext.shape[0], grid.size + 1
+    pos = np.searchsorted(grid, ext, side="right") + G * np.arange(B)[:, None]
+    below = np.cumsum(np.bincount(pos.ravel(), minlength=B * G).reshape(B, G), axis=-1)[:, rank]
+    return below[:, 1:] - below[:, :1]
+
+
+def _gaps(rows, circumference):
+    """Consecutive gaps of each sorted row, wrap gap last."""
+    wrap = circumference - (rows[:, -1:] - rows[:, :1])
+    return np.concatenate([np.diff(rows, axis=-1), wrap], axis=-1)
 
 
 def _validate_triple_geometry(circumference, r1, r2, tol):
@@ -227,42 +221,6 @@ def _validate_triple_geometry(circumference, r1, r2, tol):
         raise ValueError("degenerate geometry: r1 and r2 closer than tol")
     if r1 - tol / 2 <= 0:
         raise ValueError("r1 window reaches zero gap; increase r1 or shrink tol")
-
-
-def triple_window_count(cfg, r1, r2, tol=DEFAULT_TRIPLE_TOL):
-    """Ordered triples (x, y, z) of one configuration with circular gaps
-    x->y in r1 +- tol/2 and x->z in r2 +- tol/2; every point is a base x.
-    Returns an exact integer count."""
-    _validate_triple_geometry(cfg.circumference, float(r1), float(r2), float(tol))
-    pts = cfg.points
-    if pts.size < 3:
-        return 0
-    ext = np.concatenate([pts, pts + cfg.circumference])
-    c1 = np.searchsorted(ext, pts + (r1 + tol / 2), side="right") - np.searchsorted(
-        ext, pts + (r1 - tol / 2), side="left"
-    )
-    c2 = np.searchsorted(ext, pts + (r2 + tol / 2), side="right") - np.searchsorted(
-        ext, pts + (r2 - tol / 2), side="left"
-    )
-    return int(np.sum(c1 * c2))
-
-
-def estimate_triple_correlation(samples, r1, r2, tol=DEFAULT_TRIPLE_TOL):
-    """Triple correlation at gap configuration (0, r1, r2), box kernel of width tol.
-
-    Window counts are averaged over translations (every point serves as
-    the base) and normalized by n_samples * L * tol^2, so a
-    unit-intensity Poisson process gives 1.  The box kernel smooths the
-    correlation over the tolerance windows, so the estimate carries an
-    O(tol^2) bias where the target has curvature.
-    """
-    L = _common_circumference(samples)
-    r1 = float(r1)
-    r2 = float(r2)
-    tol = float(tol)
-    _validate_triple_geometry(L, r1, r2, tol)
-    total = sum(triple_window_count(cfg, r1, r2, tol) for cfg in samples)
-    return total / (len(samples) * L * tol ** 2)
 
 
 @dataclass(frozen=True)
@@ -284,42 +242,277 @@ class SpacingHistogram:
         return self.counts / (self.n_spacings * np.diff(self.bin_edges))
 
 
+@dataclass(frozen=True)
+class EstimateBundle:
+    """Everything one experiment measures, with a shared sample count;
+    parts an accumulator was not asked for are None or empty."""
+
+    intensity: float
+    pair: CorrelationHistogram
+    spacings: SpacingHistogram
+    count_var: tuple
+    triple: float | None = None
+
+
+class Accumulator:
+    """Every estimator of a run, fed (B, P) blocks of rows.
+
+    Rows are configurations sorted in [-L/2, L/2), as processes.circle_rows
+    gives them; add_block(points, first_index) takes them as samples
+    first_index, first_index + 1, ...  Per block one ext = [pts, pts + L]
+    serves all parts: the points at offsets 1..K of each point give the
+    pair gaps (one histogram per batch segment of the block) and the
+    triple windows, one searchsorted into the fixed translation grid gives
+    the arc counts, and the gaps go to the spacing pool.  Blocks may come
+    in any order, and merge() adds an accumulator of disjoint samples; the
+    result is the same bit for bit.
+
+    Memory is O(n_samples * P), from the spacing pool only: the gaps of
+    every sample, kept for the spacing histogram and its KS test.  All
+    other parts have a fixed size.
+
+    Parts: pair = (delta_max, n_bins) in n_batches sample batches, arc
+    lengths for count variances over n_offsets translations, triple =
+    (r1, r2, tol), and spacing_bins for the spacing pool.
+    """
+
+    def __init__(
+        self,
+        circumference,
+        n_samples,
+        pair=None,
+        n_batches=DEFAULT_N_BATCHES,
+        lengths=(),
+        n_offsets=DEFAULT_COUNT_OFFSETS,
+        triple=None,
+        spacing_bins=None,
+    ):
+        L, n = float(circumference), int(n_samples)
+        if L <= 0 or n < 1:
+            raise ValueError("need a positive circumference and n_samples >= 1")
+        self.L, self.n_samples, self.pair, self.triple = L, n, pair, triple
+        self.delta_max = None if pair is None else float(pair[0])
+        self.lengths = tuple(float(ell) for ell in lengths)
+        self.settings = (
+            L, n, pair, int(n_batches), self.lengths, int(n_offsets), triple, spacing_bins
+        )
+        if pair is not None:
+            if not 0.0 < self.delta_max <= L / 2:
+                raise ValueError("delta_max must lie in (0, L/2]")
+            if int(pair[1]) < 1 or int(n_batches) < 1:
+                raise ValueError("n_bins and n_batches must be >= 1")
+            self.edges = np.linspace(0.0, self.delta_max, int(pair[1]) + 1)
+            self.batch_counts = np.zeros((min(int(n_batches), n), int(pair[1])))
+            self.batch_samples = np.zeros(min(int(n_batches), n), dtype=np.int64)
+        if any(not 0.0 < ell <= L / 2 for ell in self.lengths):
+            raise ValueError("arc lengths must lie in (0, L/2]")
+        self.arc_grid = _arc_grid(L, self.lengths, n_offsets)
+        self.n_offsets = int(n_offsets)
+        if triple is not None:
+            _validate_triple_geometry(L, *(float(v) for v in triple))
+        self.spacing_bins = spacing_bins
+        self.added = np.zeros(n, dtype=bool)
+        self.n_points = self.triples = 0
+        self.s1, self.s2 = [0] * len(self.lengths), [0] * len(self.lengths)
+        self.gaps = None
+
+    def add_block(self, points, first_index):
+        """Add a sorted (B, P) block as samples first_index .. first_index + B - 1."""
+        points = np.asarray(points, dtype=float)
+        self._add(points, int(first_index) + np.arange(len(points)))
+
+    def _add(self, rows, index):
+        B, P = rows.shape
+        if B == 0:
+            return
+        if index.min() < 0 or index.max() >= self.n_samples:
+            raise ValueError("sample indices must lie in [0, n_samples)")
+        if self.added[index].any() or np.unique(index).size < B:
+            raise ValueError("a sample was added twice")
+        self.added[index] = True
+        self.n_points += B * P
+        ext = np.concatenate([rows, rows + self.L], axis=-1)
+        triple = self.triple is not None and P >= 3
+        top = rows + (self.triple[1] + self.triple[2] / 2) if triple else None
+        K = _reach(ext, rows, self.delta_max, top)
+        if self.pair is not None:
+            nb = self.batch_samples.size
+            batch = (index * nb) // self.n_samples
+            self.batch_samples += np.bincount(batch, minlength=nb)
+            cuts = [0, *(np.flatnonzero(np.diff(batch)) + 1), B]
+            segments = list(zip(cuts[:-1], cuts[1:]))
+            hists = _pair_gap_counts(rows, ext, K, segments, self.delta_max, self.edges)
+            for (r0, _), h in zip(segments, hists):
+                self.batch_counts[batch[r0]] += 2.0 * h
+        if triple:
+            self.triples += _triple_count(rows, ext, *self.triple, K)
+        if self.lengths:
+            counts = _arc_counts(ext, *self.arc_grid)
+            for i in range(len(self.lengths)):
+                self.s1[i] += int(counts[:, i].sum())
+                self.s2[i] += int((counts[:, i] * counts[:, i]).sum())
+        if self.spacing_bins is not None:
+            if self.gaps is None:
+                self.gaps = np.zeros((self.n_samples, P))
+            self.gaps[index] = _gaps(rows, self.L)
+
+    def merge(self, other):
+        """Add the samples of another accumulator with the same settings; returns self."""
+        if self.settings != other.settings or (self.added & other.added).any():
+            raise ValueError("merge: settings differ or a sample was added to both")
+        self.added |= other.added
+        self.n_points += other.n_points
+        self.triples += other.triples
+        self.s1 = [a + b for a, b in zip(self.s1, other.s1)]
+        self.s2 = [a + b for a, b in zip(self.s2, other.s2)]
+        if self.pair is not None:
+            self.batch_counts += other.batch_counts
+            self.batch_samples += other.batch_samples
+        if other.gaps is not None:
+            if self.gaps is None:
+                self.gaps = np.zeros_like(other.gaps)
+            self.gaps[other.added] = other.gaps[other.added]
+        return self
+
+    def finalize(self):
+        """EstimateBundle of the samples added; the spacing pool needs all of them."""
+        n, L = int(np.count_nonzero(self.added)), self.L
+        if n == 0:
+            raise ValueError("estimator input must contain at least one configuration")
+        pair = spacings = triple = None
+        if self.pair is not None:
+            batches = (self.batch_counts.copy(), self.batch_samples.copy())
+            pair = _pair_histogram(self.edges, *batches, n, L)
+        if self.spacing_bins is not None:
+            if n != self.n_samples or self.gaps.shape[1] < 2:
+                raise ValueError("spacings need every sample, each with at least 2 points")
+            spacings = spacing_histogram_from_gaps(self.gaps, n_bins=self.spacing_bins)
+        m = n * self.n_offsets
+        if self.lengths and m < 2:
+            raise ValueError("count variance needs at least 2 observations")
+        moments = zip(self.lengths, self.s1, self.s2)
+        count_var = tuple((ell, float((s2 - s1 * s1 / m) / (m - 1))) for ell, s1, s2 in moments)
+        if self.triple is not None:
+            triple = self.triples / (n * L * float(self.triple[2]) ** 2)
+        return EstimateBundle(self.n_points / (n * L), pair, spacings, count_var, triple)
+
+
+def _accumulate(samples, index=None, n_samples=None, **parts):
+    """Finalized Accumulator of a list of configurations, each run of equal
+    length read as one block; row i is sample index[i] (default i)."""
+    L = _common_circumference(samples)
+    acc = Accumulator(L, len(samples) if n_samples is None else n_samples, **parts)
+    index = np.arange(len(samples)) if index is None else index
+    pos = 0
+    for _, run in itertools.groupby(samples, key=len):
+        rows = np.stack([cfg.points for cfg in run])
+        acc._add(rows, index[pos : pos + len(rows)])
+        pos += len(rows)
+    return acc.finalize()
+
+
+def estimate_pair_correlation(
+    samples,
+    delta_max,
+    n_bins,
+    n_batches=DEFAULT_N_BATCHES,
+    sample_indices=None,
+    n_samples_total=None,
+):
+    """Pair-correlation histogram over distances (0, delta_max].
+
+    For a slice of a larger experiment, pass the global sample_indices
+    of the slice and the global n_samples_total; merging such partials
+    is then bit-identical to one pass over all samples.
+    """
+    index = None if sample_indices is None else np.asarray(sample_indices, dtype=np.int64)
+    if index is not None and index.size != len(samples):
+        raise ValueError("sample_indices must match samples")
+    parts = dict(pair=(delta_max, n_bins), n_batches=n_batches)
+    return _accumulate(samples, index, n_samples_total, **parts).pair
+
+
+def merge(h1, h2):
+    """Add two pair-correlation histograms with identical grids.
+
+    Commutative and associative; counts are integer-valued floats, so
+    the sum is exact and independent of merge order.
+    """
+    if not np.array_equal(h1.bin_edges, h2.bin_edges):
+        raise ValueError("merge: bin grids differ")
+    if h1.circumference != h2.circumference:
+        raise ValueError("merge: circumferences differ")
+    if h1.batch_counts.shape != h2.batch_counts.shape:
+        raise ValueError("merge: batch layouts differ")
+    return _pair_histogram(
+        h1.bin_edges,
+        h1.batch_counts + h2.batch_counts,
+        h1.batch_samples + h2.batch_samples,
+        h1.n_samples + h2.n_samples,
+        h1.circumference,
+    )
+
+
+def estimate_intensity(samples):
+    """Mean number of points per unit circumference."""
+    return _accumulate(samples).intensity
+
+
+def triple_window_count(cfg, r1, r2, tol=DEFAULT_TRIPLE_TOL):
+    """Ordered triples (x, y, z) of one configuration with circular gaps
+    x->y in r1 +- tol/2 and x->z in r2 +- tol/2; every point is a base x.
+    Returns an exact integer count."""
+    _validate_triple_geometry(cfg.circumference, float(r1), float(r2), float(tol))
+    rows = cfg.points[None]
+    if rows.size < 3:
+        return 0
+    ext = np.concatenate([rows, rows + cfg.circumference], axis=-1)
+    return _triple_count(rows, ext, r1, r2, tol, _reach(ext, rows, None, rows + (r2 + tol / 2)))
+
+
+def estimate_triple_correlation(samples, r1, r2, tol=DEFAULT_TRIPLE_TOL):
+    """Triple correlation at gap configuration (0, r1, r2), box kernel of width tol.
+
+    Window counts are averaged over translations (every point serves as
+    the base) and normalized by n_samples * L * tol^2, so a
+    unit-intensity Poisson process gives 1.  The box kernel smooths the
+    correlation over the tolerance windows, so the estimate carries an
+    O(tol^2) bias where the target has curvature.
+    """
+    return _accumulate(samples, triple=(r1, r2, tol)).triple
+
+
 def circular_gaps(cfg):
     """Consecutive gaps of a sorted circle configuration, wrap gap last."""
-    pts = cfg.points
-    if pts.size < 2:
+    if len(cfg) < 2:
         raise ValueError("circular_gaps: need at least 2 points")
-    return np.concatenate([np.diff(pts), [cfg.circumference - (pts[-1] - pts[0])]])
+    return _gaps(cfg.points[None], cfg.circumference)[0]
 
 
 def spacing_histogram_from_gaps(gap_arrays, n_bins=40, n_skipped=0):
-    """Pool per-sample gap arrays, rescale to mean 1, and bin.
+    """Pool per-sample gap arrays (a list, or the rows of a 2-d array),
+    rescale to mean 1, and bin.
 
     The pooled mean is computed from per-array sums in list order, so
     the result depends only on the arrays and their order.
     """
-    gap_arrays = [np.asarray(g, dtype=float) for g in gap_arrays]
-    if not gap_arrays:
-        raise ValueError("no spacings to pool")
-    sums = np.array([np.sum(g) for g in gap_arrays])
-    count = sum(g.size for g in gap_arrays)
+    if isinstance(gap_arrays, np.ndarray) and gap_arrays.ndim == 2:
+        sums, flat = gap_arrays.sum(axis=1), gap_arrays.ravel()
+    else:
+        gap_arrays = [np.asarray(g, dtype=float) for g in gap_arrays]
+        sums = np.array([np.sum(g) for g in gap_arrays])
+        flat = np.concatenate(gap_arrays) if gap_arrays else sums
+    count = flat.size
     if count < 1:
         raise ValueError("no spacings to pool")
     mean = float(np.sum(sums)) / count
     if mean <= 0:
         raise ValueError("spacings must have positive mean")
-    pooled = np.concatenate(gap_arrays) / mean
+    pooled = flat / mean
     edges = np.linspace(0.0, float(pooled.max()), int(n_bins) + 1)
     counts = np.histogram(pooled, bins=edges)[0].astype(float)
     pooled.sort()
-    return SpacingHistogram(
-        bin_edges=edges,
-        counts=counts,
-        n_spacings=count,
-        normalized=True,
-        spacings=pooled,
-        n_skipped=int(n_skipped),
-    )
+    return SpacingHistogram(edges, counts, count, True, pooled, int(n_skipped))
 
 
 def nearest_neighbor_spacings(samples, n_bins=40):
@@ -328,13 +521,8 @@ def nearest_neighbor_spacings(samples, n_bins=40):
     Configurations with fewer than 2 points cannot contribute a gap;
     they are skipped and counted in n_skipped.
     """
-    gaps = []
-    skipped = 0
-    for cfg in samples:
-        if len(cfg) < 2:
-            skipped += 1
-            continue
-        gaps.append(circular_gaps(cfg))
+    gaps = [circular_gaps(cfg) for cfg in samples if len(cfg) >= 2]
+    skipped = len(samples) - len(gaps)
     if skipped:
         warnings.warn("nearest_neighbor_spacings: skipped %d configurations with < 2 points" % skipped)
     if not gaps:
@@ -349,22 +537,8 @@ def interval_counts(cfg, lengths, n_offsets=DEFAULT_COUNT_OFFSETS):
     translation grid is deterministic; stationarity of the process makes
     it statistically equivalent to random translations.
     """
-    L = cfg.circumference
-    pts = cfg.points
-    ext = np.concatenate([pts, pts + L])
-    offs = (np.arange(int(n_offsets)) + 0.5) * (L / int(n_offsets)) - L / 2
-    out = np.empty((len(lengths), int(n_offsets)), dtype=np.int64)
-    lo = np.searchsorted(ext, offs, side="left")
-    for i, ell in enumerate(lengths):
-        hi = np.searchsorted(ext, offs + float(ell), side="left")
-        out[i] = hi - lo
-    return out
-
-
-def _variance_from_moments(s1, s2, m):
-    if m < 2:
-        raise ValueError("count variance needs at least 2 observations")
-    return (s2 - (s1 * s1) / m) / (m - 1)
+    ext = np.concatenate([cfg.points, cfg.points + cfg.circumference])[None]
+    return _arc_counts(ext, *_arc_grid(cfg.circumference, lengths, n_offsets))[0]
 
 
 def count_variance(samples, lengths, n_offsets=DEFAULT_COUNT_OFFSETS):
@@ -374,30 +548,4 @@ def count_variance(samples, lengths, n_offsets=DEFAULT_COUNT_OFFSETS):
     Accumulation uses exact integer moments, so the result is
     independent of sample order.
     """
-    L = _common_circumference(samples)
-    lengths = [float(ell) for ell in lengths]
-    for ell in lengths:
-        if not 0.0 < ell <= L / 2:
-            raise ValueError("arc lengths must lie in (0, L/2]")
-    s1 = [0] * len(lengths)
-    s2 = [0] * len(lengths)
-    for cfg in samples:
-        mat = interval_counts(cfg, lengths, n_offsets=n_offsets)
-        for i in range(len(lengths)):
-            s1[i] += int(mat[i].sum())
-            s2[i] += int((mat[i] * mat[i]).sum())
-    m = len(samples) * int(n_offsets)
-    return [
-        (lengths[i], float(_variance_from_moments(s1[i], s2[i], m)))
-        for i in range(len(lengths))
-    ]
-
-
-@dataclass(frozen=True)
-class EstimateBundle:
-    """Everything one experiment measures, with a shared sample count."""
-
-    intensity: float
-    pair: CorrelationHistogram
-    spacings: SpacingHistogram
-    count_var: tuple
+    return list(_accumulate(samples, lengths=lengths, n_offsets=n_offsets).count_var)

@@ -34,18 +34,10 @@ class RescaledConfig:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        L = float(self.circumference)
-        if L <= 0:
-            raise ValueError("RescaledConfig: circumference must be positive")
         if pts.ndim != 1:
             raise ValueError("RescaledConfig: points must be 1-d")
-        if pts.size and not np.all(np.isfinite(pts)):
-            raise ValueError("RescaledConfig: points must be finite")
-        if pts.size and (pts.min() < -L / 2 or pts.max() >= L / 2):
-            raise ValueError("RescaledConfig: points must lie in [-L/2, L/2)")
-        pts = np.sort(pts)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "circumference", L)
+        object.__setattr__(self, "points", circle_rows(pts, self.circumference))
+        object.__setattr__(self, "circumference", float(self.circumference))
 
     def __len__(self):
         return self.points.size
@@ -122,6 +114,27 @@ def rescale_points(phases, factor_product):
     # Rounding can land exactly on +P/2, which is the same circle point
     # as -P/2.
     return np.where(theta >= P / 2, theta - P, theta)
+
+
+def circle_rows(points, circumference):
+    """Checked, sorted copy of one circle configuration or a (..., P) stack of them.
+
+    Points must be finite and lie in [-L/2, L/2).  A row out of order is
+    sorted, as RescaledConfig sorts its points: rescale_points moves a
+    phase that rounds onto +P/2 to -P/2 without moving it to the front.
+    """
+    pts = np.array(points, dtype=float)
+    L = float(circumference)
+    if L <= 0:
+        raise ValueError("circle points: circumference must be positive")
+    if pts.size and not np.all(np.isfinite(pts)):
+        raise ValueError("circle points must be finite")
+    if pts.size and (pts.min() < -L / 2 or pts.max() >= L / 2):
+        raise ValueError("circle points must lie in [-L/2, L/2)")
+    unsorted = (pts[..., 1:] < pts[..., :-1]).any(axis=-1)
+    if unsorted.any():
+        pts[unsorted] = np.sort(pts[unsorted], axis=-1)
+    return pts
 
 
 def rescale_center(phases, factor_product):

@@ -2,13 +2,15 @@
 
 Reproducibility contract: sample index s always uses the random stream
 (seed, stream_id = s).  Samples are drawn in index order in one serial
-pass and handed to the public estimators, so a run's results (and the
-CSV bytes written from them) depend only on its configuration.
+pass, so a run's results (and the CSV bytes written from them) depend
+only on its configuration.
 
 The pass draws samples in blocks of consecutive indices (sample_blocks),
-sized by sampler.BLOCK_BYTES.  Within a block every sample still draws
-from its own stream, and every step works sample by sample, so the
-results do not depend on the block size.
+sized by sampler.BLOCK_BYTES, and hands each block of sorted rows to one
+estimators.Accumulator.  Within a block every sample still draws from
+its own stream, every sampling step works sample by sample and every
+accumulated count is an exact integer, so the results do not depend on
+the block size.  No per-sample object outlives its block.
 """
 
 from __future__ import annotations
@@ -22,20 +24,11 @@ import numpy as np
 from . import __version__
 from .combinatorics import rho_superposed_pair, rho_superposed_sine
 from .config import ExperimentConfig
-from .estimators import (
-    DEFAULT_COUNT_OFFSETS,
-    DEFAULT_TRIPLE_TOL,
-    EstimateBundle,
-    count_variance,
-    estimate_intensity,
-    estimate_pair_correlation,
-    estimate_triple_correlation,
-    nearest_neighbor_spacings,
-)
+from .estimators import DEFAULT_COUNT_OFFSETS, DEFAULT_TRIPLE_TOL, Accumulator
 from .gof import compare_to_curve, ks_against_exponential
 from .kernels import rho_sine, sine_q
 from .output import write_csv, write_manifest
-from .processes import RescaledConfig, rescale_points, tensor_phases, triple_tensor
+from .processes import RescaledConfig, circle_rows, rescale_points, tensor_phases, triple_tensor
 from .sampler import RngStream, block_length, eigenphases, sample_haar_block
 
 STREAM_POLICY = "sample index s uses stream_id = s"
@@ -102,11 +95,17 @@ def sample_phase_block(cfg, start, stop):
     return triple_tensor(*factors)
 
 
+def sample_rescaled_rows(cfg, start, stop):
+    """Samples start .. stop - 1 of the configured process on their rescaled
+    circle: a (stop - start, P) array of checked, sorted rows."""
+    P = cfg.factor_product
+    return circle_rows(rescale_points(sample_phase_block(cfg, start, stop), P), P)
+
+
 def sample_rescaled_block(cfg, start, stop):
     """Samples start .. stop - 1 of the configured process on their rescaled circle."""
-    P = cfg.factor_product
-    theta = rescale_points(sample_phase_block(cfg, start, stop), P)
-    return [RescaledConfig(points=row, circumference=float(P)) for row in theta]
+    rows = sample_rescaled_rows(cfg, start, stop)
+    return [RescaledConfig(points=row, circumference=float(cfg.factor_product)) for row in rows]
 
 
 def sample_rescaled_config(cfg, sample_index):
@@ -140,18 +139,21 @@ def run_experiment(cfg, out_dir=None, emit=("pair", "spacings", "counts")):
     lengths = tuple(ell for ell in COUNT_LENGTHS if ell <= L / 2)
     want_triple = cfg.k_analytic >= 3 and L >= 4 * (TRIPLE_R2 + DEFAULT_TRIPLE_TOL)
 
-    configs = []
-    for start, stop in sample_blocks(cfg):
-        configs.extend(sample_rescaled_block(cfg, start, stop))
-    hist = estimate_pair_correlation(configs, cfg.delta_max, cfg.n_bins)
-    spacings = nearest_neighbor_spacings(configs, n_bins=cfg.n_bins)
-    count_var = count_variance(configs, lengths, n_offsets=DEFAULT_COUNT_OFFSETS) if lengths else []
-    bundle = EstimateBundle(
-        intensity=float(estimate_intensity(configs)),
-        pair=hist,
-        spacings=spacings,
-        count_var=tuple(count_var),
+    acc = Accumulator(
+        L,
+        cfg.n_samples,
+        pair=(cfg.delta_max, cfg.n_bins),
+        lengths=lengths,
+        n_offsets=DEFAULT_COUNT_OFFSETS,
+        triple=(TRIPLE_R1, TRIPLE_R2, DEFAULT_TRIPLE_TOL) if want_triple else None,
+        spacing_bins=cfg.n_bins,
     )
+    for start, stop in sample_blocks(cfg):
+        acc.add_block(sample_rescaled_rows(cfg, start, stop), start)
+    bundle = acc.finalize()
+    hist = bundle.pair
+    spacings = bundle.spacings
+    count_var = bundle.count_var
 
     curve_name, curve_fn = target_curve(cfg)
     comparison = compare_to_curve(hist, curve_fn)
@@ -171,7 +173,6 @@ def run_experiment(cfg, out_dir=None, emit=("pair", "spacings", "counts")):
         summary["ks_threshold_05"] = ks.threshold_05
         summary["ks_pass"] = ks.passed
     if want_triple:
-        est3 = estimate_triple_correlation(configs, TRIPLE_R1, TRIPLE_R2, DEFAULT_TRIPLE_TOL)
         pts3 = [0.0, TRIPLE_R1, TRIPLE_R2]
         if cfg.mode == "single":
             tgt3 = rho_sine(pts3)
@@ -179,7 +180,7 @@ def run_experiment(cfg, out_dir=None, emit=("pair", "spacings", "counts")):
             tgt3 = rho_superposed_sine(cfg.dims[0], pts3)
         else:
             tgt3 = 1.0
-        summary["triple_estimate"] = est3
+        summary["triple_estimate"] = bundle.triple
         summary["triple_gaps"] = [TRIPLE_R1, TRIPLE_R2]
         summary["triple_tol"] = DEFAULT_TRIPLE_TOL
         summary["triple_target"] = float(tgt3)

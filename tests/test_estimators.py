@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kronphase import estimators
 from kronphase.estimators import (
+    Accumulator,
     CorrelationHistogram,
     circular_gaps,
     count_variance,
@@ -17,7 +18,8 @@ from kronphase.estimators import (
     spacing_histogram_from_gaps,
     triple_window_count,
 )
-from kronphase.processes import RescaledConfig, rescale_center, triple_tensor
+from kronphase.gof import ks_against_exponential
+from kronphase.processes import RescaledConfig, circle_rows, rescale_center, triple_tensor
 from kronphase.sampler import RngStream, sample_cue_phases
 
 from oracle_curves import bin_averages, count_variance_exact, pair_correlation_exact
@@ -103,6 +105,8 @@ class TestPairCorrelation:
             estimate_pair_correlation([], 1.0, 4)
         with pytest.raises(ValueError):
             estimate_pair_correlation([cfg], 2.0, 4, sample_indices=[5], n_samples_total=3)
+        with pytest.raises(ValueError):
+            estimate_pair_correlation([cfg, cfg], 2.0, 4, sample_indices=[1, 1], n_samples_total=3)
         other = RescaledConfig(points=np.array([0.0]), circumference=10.0)
         with pytest.raises(ValueError):
             estimate_pair_correlation([cfg, other], 2.0, 4)
@@ -387,3 +391,211 @@ class TestAgainstExactCurves:
         for ell, var in out:
             exact = count_variance_exact((m, n), ell)
             assert var == pytest.approx(exact, rel=0.1)
+
+
+# References for the block accumulator: the per-configuration searchsorted
+# estimators that it replaced, one configuration at a time.
+
+
+def triple_window_count_searchsorted(pts, L, r1, r2, tol):
+    if pts.size < 3:
+        return 0
+    ext = np.concatenate([pts, pts + L])
+    c1 = np.searchsorted(ext, pts + (r1 + tol / 2), side="right") - np.searchsorted(
+        ext, pts + (r1 - tol / 2), side="left"
+    )
+    c2 = np.searchsorted(ext, pts + (r2 + tol / 2), side="right") - np.searchsorted(
+        ext, pts + (r2 - tol / 2), side="left"
+    )
+    return int(np.sum(c1 * c2))
+
+
+def interval_counts_searchsorted(pts, L, lengths, n_offsets):
+    ext = np.concatenate([pts, pts + L])
+    offs = (np.arange(n_offsets) + 0.5) * (L / n_offsets) - L / 2
+    lo = np.searchsorted(ext, offs, side="left")
+    return np.array([np.searchsorted(ext, offs + float(ell), side="left") - lo for ell in lengths])
+
+
+def circular_gaps_reference(pts, L):
+    return np.concatenate([np.diff(pts), [L - (pts[-1] - pts[0])]])
+
+
+def accumulate_in_blocks(rows, L, blocks, owners, order, **parts):
+    """Add rows[a:b] for (a, b) in blocks, in the given order, to one of two
+    accumulators as owners says, and merge them."""
+    accs = [Accumulator(L, len(rows), **parts) for _ in range(2)]
+    for k in order:
+        a, b = blocks[k]
+        accs[owners[k]].add_block(rows[a:b], a)
+    return accs[0].merge(accs[1])
+
+
+def check_against_references(rows, L, delta_max, n_bins, n_batches, lengths, n_offsets, triple, acc):
+    """The merged accumulator equals the per-sample references and the
+    per-sample estimators bit for bit."""
+    n, P = rows.shape
+    got = acc.finalize()
+    cfgs = [RescaledConfig(points=pts, circumference=L) for pts in rows]
+
+    nb = min(n_batches, n)
+    edges = np.linspace(0.0, delta_max, n_bins + 1)
+    batch_counts = np.zeros((nb, n_bins))
+    for s, pts in enumerate(rows):
+        batch_counts[s * nb // n] += 2.0 * pair_gap_histogram_loop(pts, L, delta_max, edges)
+    assert np.array_equal(got.pair.batch_counts, batch_counts)
+    assert np.array_equal(got.pair.batch_samples, np.bincount(np.arange(n) * nb // n, minlength=nb))
+    hist = estimate_pair_correlation(cfgs, delta_max, n_bins, n_batches)
+    for field in ("counts", "batch_counts", "estimate", "bin_edges"):
+        assert np.array_equal(getattr(got.pair, field), getattr(hist, field)), field
+
+    r1, r2, tol = triple
+    triples = [triple_window_count_searchsorted(pts, L, r1, r2, tol) for pts in rows]
+    assert [triple_window_count(cfg, r1, r2, tol) for cfg in cfgs] == triples
+    assert acc.triples == sum(triples)
+    assert got.triple == sum(triples) / (n * L * tol ** 2)
+    assert got.triple == estimate_triple_correlation(cfgs, r1, r2, tol)
+
+    mats = [interval_counts_searchsorted(pts, L, lengths, n_offsets) for pts in rows]
+    for cfg, mat in zip(cfgs, mats):
+        assert np.array_equal(interval_counts(cfg, lengths, n_offsets), mat)
+    assert acc.s1 == [sum(int(mat[i].sum()) for mat in mats) for i in range(len(lengths))]
+    assert acc.s2 == [sum(int((mat[i] * mat[i]).sum()) for mat in mats) for i in range(len(lengths))]
+    assert list(got.count_var) == count_variance(cfgs, lengths, n_offsets)
+
+    gaps = [circular_gaps_reference(pts, L) for pts in rows]
+    assert np.array_equal(acc.gaps, np.stack(gaps))
+    pooled = spacing_histogram_from_gaps(gaps, n_bins=n_bins)
+    for field in ("spacings", "counts", "bin_edges"):
+        assert np.array_equal(getattr(got.spacings, field), getattr(pooled, field)), field
+        assert np.array_equal(getattr(got.spacings, field), getattr(nearest_neighbor_spacings(cfgs, n_bins), field))
+    if n * P >= 100:
+        assert ks_against_exponential(got.spacings).d_statistic == ks_against_exponential(pooled).d_statistic
+    assert got.intensity == estimate_intensity(cfgs)
+
+
+@st.composite
+def blocked_runs(draw):
+    """Sorted circle rows with repeated points, estimator settings, and a
+    random split of the rows into blocks over two accumulators."""
+    L = draw(st.floats(4.0, 48.0))
+    half = L / 2
+    n = draw(st.integers(1, 9))
+    P = draw(st.integers(2, 30))
+    rows = []
+    for _ in range(n):
+        base = draw(st.lists(st.floats(-half, half, exclude_max=True), min_size=1, max_size=P))
+        repeats = draw(st.lists(st.sampled_from(base), min_size=P - len(base), max_size=P - len(base)))
+        rows.append(np.sort(np.array(base + repeats)))
+    tol = draw(st.floats(0.01, L / 16))
+    # r1 just above tol/2 puts the lower r1 bound onto its point
+    r1 = draw(st.one_of(st.just(float(np.nextafter(tol / 2, np.inf))), st.floats(tol / 2, L / 8)))
+    r2 = draw(st.floats(r1 + tol, L / 4))
+    assume(r1 - tol / 2 > 0 and r2 - r1 >= tol and r1 < r2 <= L / 4)
+    cuts = sorted(set(draw(st.lists(st.integers(1, n), max_size=4))) - {n})
+    blocks = list(zip([0] + cuts, cuts + [n]))
+    settings = dict(
+        delta_max=draw(st.floats(1e-3, half)),
+        n_bins=draw(st.integers(1, 30)),
+        n_batches=draw(st.integers(1, 12)),
+        lengths=tuple(draw(st.lists(st.floats(1e-3, half), min_size=1, max_size=3))),
+        n_offsets=draw(st.integers(2, 40)),
+        triple=(r1, r2, tol),
+    )
+    owners = draw(st.lists(st.integers(0, 1), min_size=len(blocks), max_size=len(blocks)))
+    order = draw(st.permutations(range(len(blocks))))
+    return np.stack(rows), L, settings, blocks, owners, order
+
+
+def parts_of(settings):
+    s = settings
+    return dict(
+        pair=(s["delta_max"], s["n_bins"]),
+        n_batches=s["n_batches"],
+        lengths=s["lengths"],
+        n_offsets=s["n_offsets"],
+        triple=s["triple"],
+        spacing_bins=s["n_bins"],
+    )
+
+
+class TestAccumulator:
+    @settings(max_examples=100, deadline=None)
+    @given(blocked_runs())
+    def test_blocks_and_merge_equal_per_sample(self, case):
+        rows, L, settings_, blocks, owners, order = case
+        acc = accumulate_in_blocks(rows, L, blocks, owners, order, **parts_of(settings_))
+        check_against_references(rows, L, acc=acc, **settings_)
+
+    def test_blocks_across_batches_with_short_pair_reach(self):
+        # delta_max < r2 + tol/2: the triple windows set the reach; the
+        # blocks cut 23 rows in 5 batches (boundaries at rows 5, 10, 14, 19)
+        # in the middle of a batch
+        samples = poisson_samples(40.0, 23, seed=17, intensity=1.5)
+        rows = np.stack([cfg.points[:38] for cfg in samples])
+        settings_ = dict(
+            delta_max=1.5, n_bins=15, n_batches=5, lengths=(1.0, 2.5), n_offsets=16, triple=(1.0, 2.0, 0.2)
+        )
+        blocks = [(0, 7), (7, 16), (16, 23)]
+        acc = accumulate_in_blocks(rows, 40.0, blocks, [0, 1, 0], [2, 0, 1], **parts_of(settings_))
+        check_against_references(rows, 40.0, acc=acc, **settings_)
+
+    def test_degenerate_triple_product_takes_the_slab_path(self, monkeypatch):
+        # identical factors with clustered phases: every sum repeats under
+        # permutation, and the whole product fits inside delta_max, so the
+        # window reaches offset P - 1
+        a = np.array([0.0, 0.1, 0.2, 0.4])
+        theta = rescale_center(triple_tensor(a, a, a), 64).points
+        shifts = np.linspace(0.0, 64.0, 70, endpoint=False)[:, None]
+        rows = circle_rows(np.mod(theta + shifts + 32.0, 64.0) - 32.0, 64.0)
+        assert np.count_nonzero(np.diff(rows[0]) == 0.0) > 20
+        settings_ = dict(
+            delta_max=16.0, n_bins=32, n_batches=1, lengths=(4.0,), n_offsets=8, triple=(1.0, 2.0, 0.2)
+        )
+        ext = np.concatenate([rows, rows + 64.0], axis=-1)
+        assert estimators._reach(ext, rows, 16.0, None) == 63
+        assert rows.size * 63 > estimators._GAP_MATRIX_MAX
+        sizes = []
+        histogram = np.histogram
+
+        def spy(values, bins):
+            sizes.append(values.size)
+            return histogram(values, bins=bins)
+
+        monkeypatch.setattr(estimators.np, "histogram", spy)
+        for cap in (estimators._GAP_MATRIX_MAX, 1000):
+            monkeypatch.setattr(estimators, "_GAP_MATRIX_MAX", cap)
+            sizes.clear()
+            acc = accumulate_in_blocks(rows, 64.0, [(0, 70)], [0], [0], **parts_of(settings_))
+            # one histogram per slab of at most cap gaps
+            assert len(sizes) >= -(-rows.size * 63 // cap) >= 2
+            assert max(sizes) <= cap
+            check_against_references(rows, 64.0, acc=acc, **settings_)
+
+    def test_rejects_overlap_and_missing_rows(self):
+        rows = np.stack([lattice_sample(16.0).points] * 4)
+        acc = Accumulator(16.0, 4, pair=(4.0, 8), spacing_bins=8)
+        acc.add_block(rows[:2], 0)
+        with pytest.raises(ValueError):
+            acc.add_block(rows[1:3], 1)
+        with pytest.raises(ValueError):
+            acc.add_block(rows[:1], 4)
+        with pytest.raises(ValueError):
+            acc.finalize()  # the spacing pool lacks samples 2 and 3
+        other = Accumulator(16.0, 4, pair=(4.0, 8), spacing_bins=8)
+        other.add_block(rows[1:2], 1)
+        with pytest.raises(ValueError):
+            acc.merge(other)
+        with pytest.raises(ValueError):
+            acc.merge(Accumulator(16.0, 4, pair=(4.0, 9), spacing_bins=8))
+        other = Accumulator(16.0, 4, pair=(4.0, 8), spacing_bins=8)
+        other.add_block(rows[2:], 2)
+        got = acc.merge(other).finalize()
+        assert got.pair.n_samples == 4
+        assert got.spacings.n_spacings == 64
+
+    def test_one_point_rows_have_no_spacings(self):
+        acc = Accumulator(2.0, 3, pair=(1.0, 4), spacing_bins=4)
+        acc.add_block(np.zeros((3, 1)), 0)
+        with pytest.raises(ValueError):
+            acc.finalize()

@@ -5,6 +5,7 @@ from kronphase import CapacityError
 from kronphase.processes import (
     RescaledConfig,
     WindowSpec,
+    circle_rows,
     reduce_phases,
     rescale_center,
     rescale_points,
@@ -159,6 +160,31 @@ class TestRescaledConfig:
     def test_empty_allowed(self):
         cfg = RescaledConfig(points=np.array([]), circumference=4.0)
         assert len(cfg) == 0
+
+
+class TestCircleRows:
+    def test_wrapped_row_is_sorted_like_rescaled_config(self):
+        # a phase of exactly 2pi rescales onto +P/2, which rescale_points
+        # maps to -P/2 at the end of its row
+        phases = np.array([[0.5, 3.0, TWO_PI], [0.25, 1.0, 6.0]])
+        theta = rescale_points(phases, 3)
+        assert theta[0, -1] == -1.5
+        rows = circle_rows(theta, 3)
+        assert np.array_equal(rows[0], [-1.5, theta[0, 0], theta[0, 1]])
+        assert np.array_equal(rows[1], theta[1])
+        for s in range(2):
+            assert np.array_equal(rows[s], RescaledConfig(points=theta[s], circumference=3.0).points)
+
+    def test_checks_every_row(self):
+        good = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.5, 1.5]])
+        assert circle_rows(good, 4.0) is not good
+        for bad in (np.nan, np.inf, 2.0, -2.5):
+            block = good.copy()
+            block[1, 2] = bad
+            with pytest.raises(ValueError):
+                circle_rows(block, 4.0)
+        with pytest.raises(ValueError):
+            circle_rows(good, 0.0)
 
 
 class TestWindow:

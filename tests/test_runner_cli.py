@@ -16,7 +16,7 @@ from kronphase.estimators import (
     nearest_neighbor_spacings,
 )
 from kronphase.output import fmt_real, write_csv, write_manifest
-from kronphase.processes import tensor_phases, rescale_center
+from kronphase.processes import RescaledConfig, tensor_phases, rescale_center
 from kronphase.runner import (
     COUNT_LENGTHS,
     TRIPLE_R1,
@@ -253,6 +253,18 @@ class TestRunner:
             outputs.append((files, manifest.summary))
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
+
+    def test_run_builds_no_per_sample_configs(self, monkeypatch):
+        # the blocks go from the sampler to the accumulator as (B, P) arrays
+        cfg = ExperimentConfig(mode="triple", dims=(2, 3, 4), n_samples=30, seed=23, k_analytic=3)
+        _, want = run_experiment(cfg)
+
+        def refuse(self):
+            raise AssertionError("run_experiment built a RescaledConfig")
+
+        monkeypatch.setattr(RescaledConfig, "__post_init__", refuse)
+        _, got = run_experiment(cfg)
+        assert got.summary == want.summary
 
     def test_csv_outputs_deterministic(self, tmp_path):
         base = dict(mode="pair", dims=(2, 12), n_samples=25, seed=13, n_bins=8, delta_max=3.0)
