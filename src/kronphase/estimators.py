@@ -7,9 +7,9 @@ estimator is exactly invariant under rotations of its input.
 
 One Accumulator computes all of them from (B, P) blocks of sorted rows,
 one configuration per row; the per-configuration estimators read a list
-of configurations as rows of the same code.  Every accumulated count is
-an exact integer, so merging the results of disjoint rows reproduces one
-pass over all samples bit for bit, however the samples were split.
+of configurations as rows of the same code.  Every count is an exact
+integer, so any split into blocks, added in any order, gives the bytes
+of one pass; merge() adds pair histograms of disjoint sample slices.
 """
 
 from __future__ import annotations
@@ -30,16 +30,6 @@ DEFAULT_COUNT_OFFSETS = 32
 _GAP_MATRIX_MAX = 1 << 18
 
 
-def _common_circumference(samples):
-    if len(samples) == 0:
-        raise ValueError("estimator input must contain at least one configuration")
-    L = samples[0].circumference
-    for cfg in samples:
-        if cfg.circumference != L:
-            raise ValueError("configurations must share one circumference")
-    return L
-
-
 @dataclass(frozen=True)
 class CorrelationHistogram:
     """Binned pair-correlation estimate on distances (0, delta_max].
@@ -57,20 +47,6 @@ class CorrelationHistogram:
     estimate: np.ndarray
     batch_counts: np.ndarray
     batch_samples: np.ndarray
-
-    @classmethod
-    def empty(cls, bin_edges, circumference, n_batches=DEFAULT_N_BATCHES):
-        edges = np.asarray(bin_edges, dtype=float)
-        nb = edges.size - 1
-        return cls(
-            bin_edges=edges,
-            counts=np.zeros(nb),
-            n_samples=0,
-            circumference=float(circumference),
-            estimate=np.zeros(nb),
-            batch_counts=np.zeros((int(n_batches), nb)),
-            batch_samples=np.zeros(int(n_batches), dtype=np.int64),
-        )
 
     @property
     def n_bins(self):
@@ -151,15 +127,6 @@ def _pair_gap_counts(rows, ext, K, segments, delta_max, edges):
     return hists
 
 
-def _pair_gap_histogram(pts, circumference, delta_max, edges):
-    """Histogram of the positive circular gaps <= delta_max of one sorted
-    configuration, one entry per unordered pair."""
-    rows = np.asarray(pts, dtype=float)[None]
-    ext = np.concatenate([rows, rows + circumference], axis=-1)
-    K = _reach(ext, rows, delta_max, None)
-    return _pair_gap_counts(rows, ext, K, [(0, 1)], delta_max, edges)[0]
-
-
 def _triple_count(rows, ext, r1, r2, tol, K):
     """Ordered triples of each (B, P) block with gaps r1 +- tol/2 and
     r2 +- tol/2 from the base, counted exactly as the comparisons of
@@ -185,8 +152,13 @@ def _triple_count(rows, ext, r1, r2, tol, K):
 
 def _arc_grid(circumference, lengths, n_offsets):
     """Sorted arc ends of the translation grid t (row 0: t, row 1 + i:
-    t + lengths[i]) and the position of each end in that order."""
+    t + lengths[i]) and the position of each end in that order.  Lengths
+    outside (0, L/2] would count negative or wrapped-over arcs."""
     n = int(n_offsets)
+    if n < 1:
+        raise ValueError("n_offsets must be >= 1")
+    if any(not 0.0 < float(ell) <= circumference / 2 for ell in lengths):
+        raise ValueError("arc lengths must lie in (0, L/2]")
     offs = (np.arange(n) + 0.5) * (circumference / n) - circumference / 2
     ends = np.concatenate([offs] + [offs + float(ell) for ell in lengths])
     order = np.argsort(ends, kind="stable")
@@ -227,8 +199,8 @@ def _validate_triple_geometry(circumference, r1, r2, tol):
 class SpacingHistogram:
     """Nearest-neighbor spacings normalized to mean 1.
 
-    spacings keeps the raw normalized values (sorted) for distribution
-    tests; the binned density integrates to 1.
+    spacings keeps the raw normalized values, sorted ascending (checked),
+    for distribution tests; the binned density integrates to 1.
     """
 
     bin_edges: np.ndarray
@@ -237,6 +209,10 @@ class SpacingHistogram:
     normalized: bool
     spacings: np.ndarray
     n_skipped: int = 0
+
+    def __post_init__(self):
+        if not np.all(self.spacings[:-1] <= self.spacings[1:]):
+            raise ValueError("spacings must be sorted ascending")
 
     def density(self):
         return self.counts / (self.n_spacings * np.diff(self.bin_edges))
@@ -264,8 +240,7 @@ class Accumulator:
     pair gaps (one histogram per batch segment of the block) and the
     triple windows, one searchsorted into the fixed translation grid gives
     the arc counts, and the gaps go to the spacing pool.  Blocks may come
-    in any order, and merge() adds an accumulator of disjoint samples; the
-    result is the same bit for bit.
+    in any order and be of any size; the result is the same bit for bit.
 
     Memory is O(n_samples * P), from the spacing pool only: the gaps of
     every sample, kept for the spacing histogram and its KS test.  All
@@ -293,9 +268,6 @@ class Accumulator:
         self.L, self.n_samples, self.pair, self.triple = L, n, pair, triple
         self.delta_max = None if pair is None else float(pair[0])
         self.lengths = tuple(float(ell) for ell in lengths)
-        self.settings = (
-            L, n, pair, int(n_batches), self.lengths, int(n_offsets), triple, spacing_bins
-        )
         if pair is not None:
             if not 0.0 < self.delta_max <= L / 2:
                 raise ValueError("delta_max must lie in (0, L/2]")
@@ -304,8 +276,6 @@ class Accumulator:
             self.edges = np.linspace(0.0, self.delta_max, int(pair[1]) + 1)
             self.batch_counts = np.zeros((min(int(n_batches), n), int(pair[1])))
             self.batch_samples = np.zeros(min(int(n_batches), n), dtype=np.int64)
-        if any(not 0.0 < ell <= L / 2 for ell in self.lengths):
-            raise ValueError("arc lengths must lie in (0, L/2]")
         self.arc_grid = _arc_grid(L, self.lengths, n_offsets)
         self.n_offsets = int(n_offsets)
         if triple is not None:
@@ -356,24 +326,6 @@ class Accumulator:
                 self.gaps = np.zeros((self.n_samples, P))
             self.gaps[index] = _gaps(rows, self.L)
 
-    def merge(self, other):
-        """Add the samples of another accumulator with the same settings; returns self."""
-        if self.settings != other.settings or (self.added & other.added).any():
-            raise ValueError("merge: settings differ or a sample was added to both")
-        self.added |= other.added
-        self.n_points += other.n_points
-        self.triples += other.triples
-        self.s1 = [a + b for a, b in zip(self.s1, other.s1)]
-        self.s2 = [a + b for a, b in zip(self.s2, other.s2)]
-        if self.pair is not None:
-            self.batch_counts += other.batch_counts
-            self.batch_samples += other.batch_samples
-        if other.gaps is not None:
-            if self.gaps is None:
-                self.gaps = np.zeros_like(other.gaps)
-            self.gaps[other.added] = other.gaps[other.added]
-        return self
-
     def finalize(self):
         """EstimateBundle of the samples added; the spacing pool needs all of them."""
         n, L = int(np.count_nonzero(self.added)), self.L
@@ -400,8 +352,10 @@ class Accumulator:
 def _accumulate(samples, index=None, n_samples=None, **parts):
     """Finalized Accumulator of a list of configurations, each run of equal
     length read as one block; row i is sample index[i] (default i)."""
-    L = _common_circumference(samples)
-    acc = Accumulator(L, len(samples) if n_samples is None else n_samples, **parts)
+    circumferences = {cfg.circumference for cfg in samples}
+    if len(circumferences) != 1:
+        raise ValueError("estimator input must be configurations on one circumference")
+    acc = Accumulator(circumferences.pop(), len(samples) if n_samples is None else n_samples, **parts)
     index = np.arange(len(samples)) if index is None else index
     pos = 0
     for _, run in itertools.groupby(samples, key=len):

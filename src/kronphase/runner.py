@@ -25,7 +25,7 @@ from . import __version__
 from .combinatorics import rho_superposed_pair, rho_superposed_sine
 from .config import ExperimentConfig
 from .estimators import DEFAULT_COUNT_OFFSETS, DEFAULT_TRIPLE_TOL, Accumulator
-from .gof import compare_to_curve, ks_against_exponential
+from .gof import KS_MIN_N, compare_to_curve, ks_against_exponential
 from .kernels import rho_sine, sine_q
 from .output import write_csv, write_manifest
 from .processes import RescaledConfig, circle_rows, rescale_points, tensor_phases, triple_tensor
@@ -157,7 +157,7 @@ def run_experiment(cfg, out_dir=None, emit=("pair", "spacings", "counts")):
 
     curve_name, curve_fn = target_curve(cfg)
     comparison = compare_to_curve(hist, curve_fn)
-    ks = ks_against_exponential(spacings) if spacings.n_spacings >= 100 else None
+    ks = ks_against_exponential(spacings) if spacings.n_spacings >= KS_MIN_N else None
     summary = {
         "intensity": bundle.intensity,
         "curve": curve_name,

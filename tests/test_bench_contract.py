@@ -10,18 +10,13 @@ benchmark.  The benchmark files are only read here.
 """
 
 import json
-import os
-import sys
 
 import pytest
 
 from kronphase.config import ExperimentConfig
 from kronphase.runner import run_experiment
 
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
-sys.path.insert(0, BENCH)
-
-from tracing import Tracer, traced_correlate  # noqa: E402
+from tracing import Tracer, traced_correlate
 
 CASES = {
     "single-12": dict(mode="single", dims=(12,), n_samples=40, seed=31, k_analytic=3),

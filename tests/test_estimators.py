@@ -4,9 +4,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kronphase import estimators
+from kronphase.acceptance import poisson_configs
 from kronphase.estimators import (
     Accumulator,
     CorrelationHistogram,
+    SpacingHistogram,
     circular_gaps,
     count_variance,
     estimate_intensity,
@@ -22,19 +24,9 @@ from kronphase.gof import ks_against_exponential
 from kronphase.processes import RescaledConfig, circle_rows, rescale_center, triple_tensor
 from kronphase.sampler import RngStream, sample_cue_phases
 
-from oracle_curves import bin_averages, count_variance_exact, pair_correlation_exact
+import oracle
 
 ONE_MINUS_EXP_MINUS_1 = 0.63212055882855767
-
-
-def poisson_samples(circumference, n, seed, intensity=1.0):
-    gen = np.random.Generator(np.random.PCG64(seed))
-    out = []
-    for _ in range(n):
-        k = gen.poisson(intensity * circumference)
-        pts = gen.uniform(-circumference / 2, circumference / 2, k)
-        out.append(RescaledConfig(points=pts, circumference=circumference))
-    return out
 
 
 def lattice_sample(circumference):
@@ -61,14 +53,14 @@ class TestPairCorrelation:
         assert h.counts[4] > 0  # distance exactly 1 lands at the 1.0 edge
 
     def test_counts_are_integer_valued(self):
-        samples = poisson_samples(20.0, 30, seed=2)
+        samples = poisson_configs(20.0, 30, seed=2)
         h = estimate_pair_correlation(samples, 4.0, 13)
         assert np.array_equal(h.counts, np.rint(h.counts))
         assert np.array_equal(h.counts, h.batch_counts.sum(axis=0))
         assert h.batch_samples.sum() == 30
 
     def test_poisson_is_flat(self):
-        samples = poisson_samples(40.0, 400, seed=7)
+        samples = poisson_configs(40.0, 400, seed=7)
         h = estimate_pair_correlation(samples, 4.0, 20)
         se = h.standard_errors()
         assert np.all(np.abs(h.estimate - 1.0) < 5 * se)
@@ -79,12 +71,12 @@ class TestPairCorrelation:
         gen = RngStream(88).generator()
         samples = [rescale_center(sample_cue_phases(n, gen), n) for _ in range(600)]
         h = estimate_pair_correlation(samples, 4.0, 40)
-        target = bin_averages(lambda d: pair_correlation_exact((n,), d), h.bin_edges)
+        target = oracle.pair_correlation_bin_averages((n,), h.bin_edges)
         rms = np.sqrt(np.mean((h.estimate - target) ** 2))
         assert rms < 0.03
 
     def test_rotation_invariance(self):
-        samples = poisson_samples(24.0, 5, seed=3)
+        samples = poisson_configs(24.0, 5, seed=3)
         h1 = estimate_pair_correlation(samples, 6.0, 12)
         L = 24.0
         rolled = []
@@ -118,9 +110,16 @@ class TestPairCorrelation:
             h.standard_errors()
 
 
+def pair_gap_histogram(pts, circumference, delta_max, edges):
+    """Gap histogram of one configuration through estimate_pair_correlation,
+    one entry per unordered pair."""
+    cfg = RescaledConfig(points=pts, circumference=circumference)
+    return estimate_pair_correlation([cfg], delta_max, edges.size - 1, n_batches=1).counts / 2
+
+
 def pair_gap_histogram_loop(pts, circumference, delta_max, edges):
-    """Reference for estimators._pair_gap_histogram: one offset at a time,
-    stopping at the first offset whose smallest gap exceeds delta_max."""
+    """Reference for pair_gap_histogram: one offset at a time, stopping at
+    the first offset whose smallest gap exceeds delta_max."""
     hist = np.zeros(edges.size - 1)
     npts = pts.size
     if npts < 2:
@@ -154,7 +153,7 @@ class TestPairGapHistogram:
     @given(circle_configs())
     def test_equals_loop_reference(self, case):
         pts, L, delta_max, edges = case
-        got = estimators._pair_gap_histogram(pts, L, delta_max, edges)
+        got = pair_gap_histogram(pts, L, delta_max, edges)
         assert np.array_equal(got, pair_gap_histogram_loop(pts, L, delta_max, edges))
 
     def test_degenerate_triple_product(self):
@@ -164,7 +163,7 @@ class TestPairGapHistogram:
         cfg = rescale_center(triple_tensor(a, a, a), 64)
         assert np.count_nonzero(np.diff(cfg.points) == 0.0) > 20
         edges = np.linspace(0.0, 4.0, 41)
-        got = estimators._pair_gap_histogram(cfg.points, 64.0, 4.0, edges)
+        got = pair_gap_histogram(cfg.points, 64.0, 4.0, edges)
         assert np.array_equal(got, pair_gap_histogram_loop(cfg.points, 64.0, 4.0, edges))
 
     def test_gap_beyond_the_rounded_searchsorted_bound(self):
@@ -175,7 +174,7 @@ class TestPairGapHistogram:
         assert x - p == delta_max
         pts = np.array([p, x])
         edges = np.linspace(0.0, delta_max, 5)
-        got = estimators._pair_gap_histogram(pts, 20.0, delta_max, edges)
+        got = pair_gap_histogram(pts, 20.0, delta_max, edges)
         assert np.array_equal(got, [0.0, 0.0, 0.0, 1.0])
         assert np.array_equal(got, pair_gap_histogram_loop(pts, 20.0, delta_max, edges))
 
@@ -184,14 +183,14 @@ class TestPairGapHistogram:
         pts = np.sort(np.concatenate([np.zeros(30), np.linspace(0.5, 2.0, 30)]))
         edges = np.linspace(0.0, 3.0, 7)
         want = pair_gap_histogram_loop(pts, 8.0, 3.0, edges)
-        assert np.array_equal(estimators._pair_gap_histogram(pts, 8.0, 3.0, edges), want)
+        assert np.array_equal(pair_gap_histogram(pts, 8.0, 3.0, edges), want)
         monkeypatch.setattr(estimators, "_GAP_MATRIX_MAX", 100)
-        assert np.array_equal(estimators._pair_gap_histogram(pts, 8.0, 3.0, edges), want)
+        assert np.array_equal(pair_gap_histogram(pts, 8.0, 3.0, edges), want)
 
 
 class TestMerge:
     def test_split_matches_serial_exactly(self):
-        samples = poisson_samples(30.0, 57, seed=11)
+        samples = poisson_configs(30.0, 57, seed=11)
         serial = estimate_pair_correlation(samples, 5.0, 17)
         cuts = [0, 13, 30, 57]
         partials = [
@@ -209,16 +208,19 @@ class TestMerge:
         assert m.n_samples == serial.n_samples
 
     def test_merge_with_empty(self):
-        samples = poisson_samples(30.0, 8, seed=11)
+        samples = poisson_configs(30.0, 8, seed=11)
         h = estimate_pair_correlation(samples, 5.0, 10, sample_indices=np.arange(8),
                                       n_samples_total=12)
-        zero = CorrelationHistogram.empty(h.bin_edges, 30.0, n_batches=12)
+        nb = h.n_bins
+        zero = CorrelationHistogram(
+            h.bin_edges, np.zeros(nb), 0, 30.0, np.zeros(nb), np.zeros((12, nb)), np.zeros(12, dtype=np.int64)
+        )
         m = merge(h, zero)
         assert np.array_equal(m.counts, h.counts)
         assert m.n_samples == 8
 
     def test_grid_mismatch(self):
-        samples = poisson_samples(30.0, 4, seed=1)
+        samples = poisson_configs(30.0, 4, seed=1)
         h1 = estimate_pair_correlation(samples, 5.0, 10)
         h2 = estimate_pair_correlation(samples, 5.0, 11)
         with pytest.raises(ValueError):
@@ -249,13 +251,13 @@ class TestSpacings:
         assert np.array_equal(circular_gaps(cfg), [1.0, 2.0, 5.0])
 
     def test_gaps_sum_to_circumference(self):
-        samples = poisson_samples(25.0, 10, seed=9)
+        samples = poisson_configs(25.0, 10, seed=9)
         for cfg in samples:
             if len(cfg) >= 2:
                 assert np.sum(circular_gaps(cfg)) == pytest.approx(25.0, rel=1e-12)
 
     def test_normalized_mean_one(self):
-        samples = poisson_samples(30.0, 50, seed=21)
+        samples = poisson_configs(30.0, 50, seed=21)
         sh = nearest_neighbor_spacings(samples)
         assert sh.normalized
         assert sh.spacings.mean() == pytest.approx(1.0, rel=1e-12)
@@ -271,7 +273,7 @@ class TestSpacings:
         assert np.array_equal(a.spacings, b.spacings)
 
     def test_exponential_tail_fraction(self):
-        samples = poisson_samples(50.0, 400, seed=33)
+        samples = poisson_configs(50.0, 400, seed=33)
         sh = nearest_neighbor_spacings(samples)
         frac = np.mean(sh.spacings <= 1.0)
         assert abs(frac - ONE_MINUS_EXP_MINUS_1) < 0.02
@@ -286,6 +288,10 @@ class TestSpacings:
             sh = nearest_neighbor_spacings(cfgs)
         assert sh.n_skipped == 2
         assert sh.n_spacings == 3
+
+    def test_rejects_unsorted_spacings(self):
+        with pytest.raises(ValueError):
+            SpacingHistogram(np.linspace(0.0, 2.0, 3), np.ones(2), 3, True, np.array([1.0, 0.5, 1.5]))
 
     def test_all_too_small(self):
         cfgs = [RescaledConfig(points=np.array([0.5]), circumference=8.0)]
@@ -303,7 +309,7 @@ class TestTripleCorrelation:
         )
 
     def test_poisson_near_one(self):
-        samples = poisson_samples(40.0, 1500, seed=14)
+        samples = poisson_configs(40.0, 1500, seed=14)
         est = estimate_triple_correlation(samples, 1.0, 2.0, tol=0.5)
         assert est == pytest.approx(1.0, abs=0.15)
 
@@ -329,7 +335,7 @@ class TestIntervalCounts:
     def test_grid_multiple_conserves_points(self):
         # arcs whose length is an exact multiple of the offset stride
         # tile the circle, so each point lands in exactly that many arcs
-        samples = poisson_samples(16.0, 20, seed=5)
+        samples = poisson_configs(16.0, 20, seed=5)
         for cfg in samples:
             mat = interval_counts(cfg, [2.0, 4.0], n_offsets=8)
             assert mat[0].sum() == len(cfg) * 1
@@ -342,13 +348,13 @@ class TestIntervalCounts:
         assert out[0][1] == 0.0
 
     def test_poisson_variance(self):
-        samples = poisson_samples(50.0, 800, seed=41)
+        samples = poisson_configs(50.0, 800, seed=41)
         out = count_variance(samples, [1.0, 2.0, 4.0])
         for ell, var in out:
             assert var == pytest.approx(ell, rel=0.12)
 
     def test_sample_order_invariance(self):
-        samples = poisson_samples(20.0, 15, seed=8)
+        samples = poisson_configs(20.0, 15, seed=8)
         a = count_variance(samples, [1.0, 3.0])
         b = count_variance(samples[::-1], [1.0, 3.0])
         assert a == b
@@ -359,6 +365,15 @@ class TestIntervalCounts:
             count_variance([cfg], [5.0])
         with pytest.raises(ValueError):
             count_variance([cfg], [0.0])
+        with pytest.raises(ValueError):
+            count_variance([cfg], [1.0], n_offsets=0)
+        # arcs of negative length or longer than L/2 would give negative
+        # counts or count points twice
+        cfg4 = RescaledConfig(points=np.array([-3.0, -1.0, 0.0, 2.0]), circumference=8.0)
+        for lengths, n_offsets in (([-1.0], 4), ([12.0], 4), ([2.0], 0)):
+            with pytest.raises(ValueError):
+                interval_counts(cfg4, lengths, n_offsets=n_offsets)
+        assert interval_counts(cfg4, [4.0], n_offsets=4).sum() == 4 * 2
 
 
 class TestAgainstExactCurves:
@@ -373,7 +388,7 @@ class TestAgainstExactCurves:
             b = sample_cue_phases(n, gen)
             samples.append(rescale_center(tensor_phases(a, b), m * n))
         h = estimate_pair_correlation(samples, 4.0, 20)
-        target = bin_averages(lambda d: pair_correlation_exact((m, n), d), h.bin_edges)
+        target = oracle.pair_correlation_bin_averages((m, n), h.bin_edges)
         rms = np.sqrt(np.mean((h.estimate - target) ** 2))
         assert rms < 0.04
 
@@ -389,7 +404,7 @@ class TestAgainstExactCurves:
             samples.append(rescale_center(tensor_phases(a, b), m * n))
         out = count_variance(samples, [1.0, 4.0])
         for ell, var in out:
-            exact = count_variance_exact((m, n), ell)
+            exact = oracle.count_variance((m, n), ell)
             assert var == pytest.approx(exact, rel=0.1)
 
 
@@ -421,18 +436,17 @@ def circular_gaps_reference(pts, L):
     return np.concatenate([np.diff(pts), [L - (pts[-1] - pts[0])]])
 
 
-def accumulate_in_blocks(rows, L, blocks, owners, order, **parts):
-    """Add rows[a:b] for (a, b) in blocks, in the given order, to one of two
-    accumulators as owners says, and merge them."""
-    accs = [Accumulator(L, len(rows), **parts) for _ in range(2)]
+def accumulate_in_blocks(rows, L, blocks, order, **parts):
+    """Add rows[a:b] for (a, b) in blocks, in the given order, to one accumulator."""
+    acc = Accumulator(L, len(rows), **parts)
     for k in order:
         a, b = blocks[k]
-        accs[owners[k]].add_block(rows[a:b], a)
-    return accs[0].merge(accs[1])
+        acc.add_block(rows[a:b], a)
+    return acc
 
 
 def check_against_references(rows, L, delta_max, n_bins, n_batches, lengths, n_offsets, triple, acc):
-    """The merged accumulator equals the per-sample references and the
+    """The accumulator equals the per-sample references and the
     per-sample estimators bit for bit."""
     n, P = rows.shape
     got = acc.finalize()
@@ -477,7 +491,7 @@ def check_against_references(rows, L, delta_max, n_bins, n_batches, lengths, n_o
 @st.composite
 def blocked_runs(draw):
     """Sorted circle rows with repeated points, estimator settings, and a
-    random split of the rows into blocks over two accumulators."""
+    random split of the rows into blocks, added in a random order."""
     L = draw(st.floats(4.0, 48.0))
     half = L / 2
     n = draw(st.integers(1, 9))
@@ -502,9 +516,8 @@ def blocked_runs(draw):
         n_offsets=draw(st.integers(2, 40)),
         triple=(r1, r2, tol),
     )
-    owners = draw(st.lists(st.integers(0, 1), min_size=len(blocks), max_size=len(blocks)))
     order = draw(st.permutations(range(len(blocks))))
-    return np.stack(rows), L, settings, blocks, owners, order
+    return np.stack(rows), L, settings, blocks, order
 
 
 def parts_of(settings):
@@ -522,22 +535,22 @@ def parts_of(settings):
 class TestAccumulator:
     @settings(max_examples=100, deadline=None)
     @given(blocked_runs())
-    def test_blocks_and_merge_equal_per_sample(self, case):
-        rows, L, settings_, blocks, owners, order = case
-        acc = accumulate_in_blocks(rows, L, blocks, owners, order, **parts_of(settings_))
+    def test_blocks_in_any_order_equal_per_sample(self, case):
+        rows, L, settings_, blocks, order = case
+        acc = accumulate_in_blocks(rows, L, blocks, order, **parts_of(settings_))
         check_against_references(rows, L, acc=acc, **settings_)
 
     def test_blocks_across_batches_with_short_pair_reach(self):
         # delta_max < r2 + tol/2: the triple windows set the reach; the
         # blocks cut 23 rows in 5 batches (boundaries at rows 5, 10, 14, 19)
         # in the middle of a batch
-        samples = poisson_samples(40.0, 23, seed=17, intensity=1.5)
+        samples = poisson_configs(40.0, 23, seed=17, intensity=1.5)
         rows = np.stack([cfg.points[:38] for cfg in samples])
         settings_ = dict(
             delta_max=1.5, n_bins=15, n_batches=5, lengths=(1.0, 2.5), n_offsets=16, triple=(1.0, 2.0, 0.2)
         )
         blocks = [(0, 7), (7, 16), (16, 23)]
-        acc = accumulate_in_blocks(rows, 40.0, blocks, [0, 1, 0], [2, 0, 1], **parts_of(settings_))
+        acc = accumulate_in_blocks(rows, 40.0, blocks, [2, 0, 1], **parts_of(settings_))
         check_against_references(rows, 40.0, acc=acc, **settings_)
 
     def test_degenerate_triple_product_takes_the_slab_path(self, monkeypatch):
@@ -566,7 +579,7 @@ class TestAccumulator:
         for cap in (estimators._GAP_MATRIX_MAX, 1000):
             monkeypatch.setattr(estimators, "_GAP_MATRIX_MAX", cap)
             sizes.clear()
-            acc = accumulate_in_blocks(rows, 64.0, [(0, 70)], [0], [0], **parts_of(settings_))
+            acc = accumulate_in_blocks(rows, 64.0, [(0, 70)], [0], **parts_of(settings_))
             # one histogram per slab of at most cap gaps
             assert len(sizes) >= -(-rows.size * 63 // cap) >= 2
             assert max(sizes) <= cap
@@ -577,20 +590,16 @@ class TestAccumulator:
         acc = Accumulator(16.0, 4, pair=(4.0, 8), spacing_bins=8)
         acc.add_block(rows[:2], 0)
         with pytest.raises(ValueError):
-            acc.add_block(rows[1:3], 1)
+            acc.add_block(rows[1:3], 1)  # sample 1 again
         with pytest.raises(ValueError):
             acc.add_block(rows[:1], 4)
         with pytest.raises(ValueError):
+            acc.add_block(rows[:1], -1)
+        with pytest.raises(ValueError):
             acc.finalize()  # the spacing pool lacks samples 2 and 3
-        other = Accumulator(16.0, 4, pair=(4.0, 8), spacing_bins=8)
-        other.add_block(rows[1:2], 1)
-        with pytest.raises(ValueError):
-            acc.merge(other)
-        with pytest.raises(ValueError):
-            acc.merge(Accumulator(16.0, 4, pair=(4.0, 9), spacing_bins=8))
-        other = Accumulator(16.0, 4, pair=(4.0, 8), spacing_bins=8)
-        other.add_block(rows[2:], 2)
-        got = acc.merge(other).finalize()
+        # rejected blocks leave no trace
+        acc.add_block(rows[2:], 2)
+        got = acc.finalize()
         assert got.pair.n_samples == 4
         assert got.spacings.n_spacings == 64
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kronphase.acceptance import poisson_configs
 from kronphase.estimators import (
     SpacingHistogram,
     estimate_pair_correlation,
@@ -13,24 +14,13 @@ from kronphase.gof import (
     compare_to_curve,
     ks_against_exponential,
 )
-from kronphase.processes import RescaledConfig
 
 TWO_PI = 2.0 * np.pi
 
 
-def poisson_samples(circumference, n, seed):
-    gen = np.random.Generator(np.random.PCG64(seed))
-    out = []
-    for _ in range(n):
-        k = gen.poisson(circumference)
-        pts = gen.uniform(-circumference / 2, circumference / 2, k)
-        out.append(RescaledConfig(points=pts, circumference=circumference))
-    return out
-
-
 class TestCompareToCurve:
     def test_flat_target_on_poisson(self):
-        h = estimate_pair_correlation(poisson_samples(40.0, 300, seed=1), 4.0, 20)
+        h = estimate_pair_correlation(poisson_configs(40.0, 300, seed=1), 4.0, 20)
         cmp = compare_to_curve(h, lambda d: 1.0)
         assert cmp.rms_dev < 0.05
         assert cmp.max_abs_dev >= cmp.rms_dev
@@ -38,7 +28,7 @@ class TestCompareToCurve:
         assert cmp.n_bins_over_4sigma == 0
 
     def test_exact_match_gives_zero(self):
-        h = estimate_pair_correlation(poisson_samples(40.0, 50, seed=2), 4.0, 10)
+        h = estimate_pair_correlation(poisson_configs(40.0, 50, seed=2), 4.0, 10)
         est = h.estimate.copy()
         mids = h.bin_midpoints()
         cmp = compare_to_curve(h, lambda d: est[np.argmin(np.abs(mids - d))])
@@ -47,20 +37,20 @@ class TestCompareToCurve:
         assert cmp.n_bins_over_4sigma == 0
 
     def test_offset_target_flags_bins(self):
-        h = estimate_pair_correlation(poisson_samples(40.0, 300, seed=3), 4.0, 10)
+        h = estimate_pair_correlation(poisson_configs(40.0, 300, seed=3), 4.0, 10)
         cmp = compare_to_curve(h, lambda d: 5.0)
         assert cmp.n_bins_over_4sigma == 10
         assert np.all(cmp.per_bin_z < -4)
 
     def test_rejects_single_batch(self):
-        h = estimate_pair_correlation(poisson_samples(40.0, 1, seed=4), 4.0, 10)
+        h = estimate_pair_correlation(poisson_configs(40.0, 1, seed=4), 4.0, 10)
         with pytest.raises(ValueError):
             compare_to_curve(h, lambda d: 1.0)
 
 
 class TestKsExponential:
     def test_poisson_spacings_pass(self):
-        sh = nearest_neighbor_spacings(poisson_samples(50.0, 200, seed=5))
+        sh = nearest_neighbor_spacings(poisson_configs(50.0, 200, seed=5))
         res = ks_against_exponential(sh)
         assert res.n == sh.n_spacings
         assert res.threshold_05 == pytest.approx(KS_COEFF_05 / np.sqrt(res.n))
