@@ -394,4 +394,6 @@ def run_criteria(ids=None):
         bad = [i for i in ids if i not in CRITERIA]
         if bad:
             raise ValueError("unknown criteria: %s" % bad)
+        if not ids:
+            raise ValueError("no criteria given")
     return [CRITERIA[i]() for i in ids]

@@ -13,17 +13,18 @@ import sys
 
 import numpy as np
 
-from .config import CURVES, MODES, build_config, parse_config_file, parse_int_list
+from .config import CONFIG_PARSERS, CURVES, MODES, build_config, parse_config_file, parse_int_list
 from .errors import CapacityError
 from .output import write_csv
-from .processes import WindowSpec, window
+from .processes import RescaledConfig, WindowSpec, window
 from .runner import (
     REFERENCE_KINDS,
+    csv_preamble,
     run_convergence_sweep,
     run_experiment,
     sample_blocks,
     sample_phase_block,
-    sample_rescaled_block,
+    sample_rescaled_rows,
 )
 
 EPILOG = """\
@@ -65,18 +66,8 @@ def _add_experiment_args(p):
 
 def _build_config_from_args(args):
     file_values = parse_config_file(args.config) if args.config else {}
-    overrides = {
-        "mode": args.mode,
-        "dims": args.dims,
-        "n_samples": args.n_samples,
-        "seed": args.seed,
-        "delta_max": args.delta_max,
-        "n_bins": args.n_bins,
-        "window_half_width": args.window_half_width,
-        "workers": args.workers,
-        "k_analytic": args.k_analytic,
-        "curve": args.curve,
-    }
+    # every experiment flag's dest is its config key
+    overrides = {key: getattr(args, key) for key in CONFIG_PARSERS}
     return build_config(file_values, overrides)
 
 
@@ -86,25 +77,20 @@ def _cmd_sample(args):
     w = cfg.window_half_width
     if cfg.mode == "single" and w is not None:
         raise ValueError("--window applies to the rescaled pair and triple modes, not to single mode")
+    L = float(cfg.factor_product)
     rows = []
     for start, stop in sample_blocks(cfg):
         if cfg.mode == "single":
             block = sample_phase_block(cfg, start, stop)
         else:
-            block = [
-                rc.points if w is None else window(rc, WindowSpec(w))
-                for rc in sample_rescaled_block(cfg, start, stop)
-            ]
+            block = sample_rescaled_rows(cfg, start, stop)
+            if w is not None:
+                block = [window(RescaledConfig(row, L), WindowSpec(w)) for row in block]
         for s, pts in enumerate(block, start):
             rows.extend((s, i, float(p)) for i, p in enumerate(pts))
     path = os.path.join(args.out, "phases.csv")
     name = "phase" if cfg.mode == "single" else "theta"
-    write_csv(
-        path,
-        {"seed": cfg.seed, "dims": "x".join(str(d) for d in cfg.dims), "n_samples": cfg.n_samples},
-        ("sample", "index", name),
-        rows,
-    )
+    write_csv(path, csv_preamble(cfg), ("sample", "index", name), rows)
     print("wrote %s" % path)
     return 0
 

@@ -9,12 +9,14 @@ circumference equals the product of dims).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+import operator
+from dataclasses import asdict, dataclass, fields
+
+from .sampler import RngStream
 
 MODES = ("single", "pair", "triple")
 CURVES = ("auto", "sine_pair", "superposed", "poisson")
-
-_U64 = 1 << 64
 
 
 def parse_int_list(text):
@@ -23,6 +25,18 @@ def parse_int_list(text):
     Raises ValueError on any part that is not an integer.
     """
     return tuple(int(p) for p in text.replace(",", " ").split())
+
+
+def _as_int(key, value):
+    """value as a plain int.  Bools and numbers that are not integers
+    (2.7, but also 2.0) are rejected rather than truncated; numpy
+    integers are accepted."""
+    if isinstance(value, bool):
+        raise ValueError("%s must be an integer, got %r" % (key, value))
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError("%s must be an integer, got %r" % (key, value)) from None
 
 
 @dataclass(frozen=True)
@@ -42,61 +56,53 @@ class ExperimentConfig:
     curve: str = "auto"
 
     def __post_init__(self):
+        # Store every setting as the type its CONFIG_PARSERS entry yields,
+        # which is the type the manifest records.
+        for key, parse in CONFIG_PARSERS.items():
+            value = getattr(self, key)
+            if parse is int:
+                value = _as_int(key, value)
+            elif parse is parse_int_list:
+                value = tuple(_as_int(key, v) for v in value)
+            elif parse is float and value is not None:
+                value = float(value)
+            object.__setattr__(self, key, value)
         if self.mode not in MODES:
             raise ValueError("mode must be one of %s" % (MODES,))
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
         want = {"single": 1, "pair": 2, "triple": 3}[self.mode]
-        if len(dims) != want:
-            raise ValueError("mode %s needs %d dims, got %d" % (self.mode, want, len(dims)))
-        if any(d < 1 for d in dims):
+        if len(self.dims) != want:
+            raise ValueError("mode %s needs %d dims, got %d" % (self.mode, want, len(self.dims)))
+        if any(d < 1 for d in self.dims):
             raise ValueError("dims must be positive")
         if self.factor_product < 2:
             raise ValueError("the configuration needs at least 2 points per sample")
-        if int(self.n_samples) < 1:
+        if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if not 0 <= int(self.seed) < _U64:
-            raise ValueError("seed must be in [0, 2^64)")
-        if not 0.0 < float(self.delta_max) <= self.factor_product / 2:
+        RngStream(self.seed)  # the seed range is RngStream's
+        if not 0.0 < self.delta_max <= self.factor_product / 2:
             raise ValueError("delta_max must lie in (0, product(dims)/2]")
-        if int(self.n_bins) < 4:
+        if self.n_bins < 4:
             raise ValueError("n_bins must be >= 4")
-        if self.window_half_width is not None:
-            w = float(self.window_half_width)
-            if not 0.0 < 2 * w <= self.factor_product:
-                raise ValueError("window_half_width must satisfy 0 < 2w <= product(dims)")
-        if int(self.workers) < 1:
+        w = self.window_half_width
+        if w is not None and not 0.0 < 2 * w <= self.factor_product:
+            raise ValueError("window_half_width must satisfy 0 < 2w <= product(dims)")
+        if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if not 1 <= int(self.k_analytic) <= 8:
+        if not 1 <= self.k_analytic <= 8:
             raise ValueError("k_analytic must lie in [1, 8]")
         if self.curve not in CURVES:
             raise ValueError("curve must be one of %s" % (CURVES,))
 
     @property
     def factor_product(self):
-        p = 1
-        for d in self.dims:
-            p *= int(d)
-        return p
+        return math.prod(self.dims)
 
     def to_dict(self):
-        return {
-            "mode": self.mode,
-            "dims": list(self.dims),
-            "n_samples": int(self.n_samples),
-            "seed": int(self.seed),
-            "delta_max": float(self.delta_max),
-            "n_bins": int(self.n_bins),
-            "window_half_width": (
-                None if self.window_half_width is None else float(self.window_half_width)
-            ),
-            "workers": int(self.workers),
-            "k_analytic": int(self.k_analytic),
-            "curve": self.curve,
-        }
+        return dict(asdict(self), dims=list(self.dims))
 
 
-# key -> value parser; the parsed values feed ExperimentConfig as-is.
+# key -> value parser, one per ExperimentConfig field; the parsed values
+# feed ExperimentConfig as-is, and the field is stored as the parser's type.
 CONFIG_PARSERS = {
     "mode": str,
     "dims": parse_int_list,

@@ -66,15 +66,10 @@ def reduce_phases(x):
     return np.where(r >= TWO_PI, 0.0, r)
 
 
-def _reduce_to_pi_arr(arr):
-    r = reduce_phases(arr)
-    return np.where(r > np.pi, r - TWO_PI, r)
-
-
 def reduce_to_pi(u):
     """Reduce an angle (or array) mod 2pi into (-pi, pi]."""
-    arr = np.asarray(u, dtype=float)
-    r = _reduce_to_pi_arr(arr)
+    r = reduce_phases(u)
+    r = np.where(r > np.pi, r - TWO_PI, r)
     if np.ndim(u) == 0:
         return float(r)
     return r
@@ -92,7 +87,7 @@ def cue_s(n, u):
         raise ValueError("cue_s: n must be >= 1")
     arr = np.asarray(u, dtype=float)
     _check_finite("cue_s", arr)
-    r = _reduce_to_pi_arr(arr)
+    r = reduce_to_pi(arr)
     small = np.abs(r) < TAYLOR_CUTOFF
     safe = np.where(small, 1.0, r)
     direct = np.sin(0.5 * n * safe) / np.sin(0.5 * safe)
@@ -154,7 +149,7 @@ def rho_cue(n, points, cap=DEFAULT_K_CAP):
         # sin(n u/2)/sin(u/2) is antiperiodic under u -> u + 2pi when n
         # is even, so the reduced evaluation must carry the parity of
         # the winding count to reproduce the raw-difference determinant.
-        winding = np.rint((diff - _reduce_to_pi_arr(diff)) / TWO_PI)
+        winding = np.rint((diff - reduce_to_pi(diff)) / TWO_PI)
         mat = mat * np.where(winding % 2 == 0, 1.0, -1.0)
     return _det_clamped(np.atleast_2d(mat), k)
 

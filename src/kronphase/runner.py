@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -56,20 +56,21 @@ class RunManifest:
     summary: dict
 
     def to_dict(self):
-        return {
-            "config": self.config,
-            "version": self.version,
-            "started_utc": self.started_utc,
-            "finished_utc": self.finished_utc,
-            "stream_policy": self.stream_policy,
-            "worker_streams": list(self.worker_streams),
-            "outputs": list(self.outputs),
-            "summary": self.summary,
-        }
+        return asdict(self)
 
 
 def _utc_now():
     return _dt.datetime.now(_dt.timezone.utc).replace(microsecond=0).isoformat()
+
+
+def csv_preamble(cfg):
+    """The `# key=value` lines above every CSV table of a run: its seed, its
+    dims written MxN[xL] and its sample count."""
+    return {
+        "seed": cfg.seed,
+        "dims": "x".join(str(d) for d in cfg.dims),
+        "n_samples": cfg.n_samples,
+    }
 
 
 def sample_blocks(cfg):
@@ -102,15 +103,10 @@ def sample_rescaled_rows(cfg, start, stop):
     return circle_rows(rescale_points(sample_phase_block(cfg, start, stop), P), P)
 
 
-def sample_rescaled_block(cfg, start, stop):
-    """Samples start .. stop - 1 of the configured process on their rescaled circle."""
-    rows = sample_rescaled_rows(cfg, start, stop)
-    return [RescaledConfig(points=row, circumference=float(cfg.factor_product)) for row in rows]
-
-
 def sample_rescaled_config(cfg, sample_index):
     """Draw sample s of the configured process on its rescaled circle."""
-    return sample_rescaled_block(cfg, sample_index, sample_index + 1)[0]
+    row = sample_rescaled_rows(cfg, sample_index, sample_index + 1)[0]
+    return RescaledConfig(points=row, circumference=float(cfg.factor_product))
 
 
 def target_curve(cfg):
@@ -188,11 +184,7 @@ def run_experiment(cfg, out_dir=None, emit=("pair", "spacings", "counts")):
     outputs = []
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        preamble = {
-            "seed": int(cfg.seed),
-            "dims": "x".join(str(d) for d in cfg.dims),
-            "n_samples": int(cfg.n_samples),
-        }
+        preamble = csv_preamble(cfg)
         if "pair" in emit:
             se = hist.standard_errors()
             mids = hist.bin_midpoints()
@@ -272,14 +264,9 @@ def run_convergence_sweep(cfg, n_values, out_dir=None):
         )
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        preamble = {
-            "seed": int(cfg.seed),
-            "dims": "%dxN" % cfg.dims[0],
-            "n_samples": int(cfg.n_samples),
-        }
         write_csv(
             os.path.join(out_dir, "sweep.csv"),
-            preamble,
+            {**csv_preamble(cfg), "dims": "%dxN" % cfg.dims[0]},
             ("n", "rms_dev", "max_abs_dev"),
             [(r["n"], r["rms_dev"], r["max_abs_dev"]) for r in rows],
         )

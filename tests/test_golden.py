@@ -3,8 +3,11 @@
 Each case pins the SHA-256 of `pair_correlation.csv` and
 `count_variance.csv` and of the manifest summary (as JSON with sorted
 keys) of one `run_experiment` call, and of `phases.csv` from
-`kronphase sample`.  A refactor of the sampler, the tensor step or the
-estimators must leave all of them unchanged, or say why they moved.
+`kronphase sample`.  MANIFESTS pins the whole manifest of each run, as
+JSON with sorted keys and without its two timestamps, so that the
+recorded config and stream layout cannot drift either.  A refactor of
+the sampler, the tensor step or the estimators must leave all of them
+unchanged, or say why they moved.
 
 The digests were recorded with Python 3.11.7 and numpy 2.4.6 on
 OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH, Haswell kernels).
@@ -43,6 +46,13 @@ RUNS = {
     ),
 }
 
+# RUNS case -> SHA-256 of manifest.to_dict() without started_utc/finished_utc.
+MANIFESTS = {
+    "single-12": "7b1398549631382d9d4d1687f7a3d95b73f0018d97fe221c5e46d982ea3df64d",
+    "pair-2x12": "9768bf9b8668da5233f6819035a00634f19fc814d28e243108aae71230ef5a31",
+    "triple-2x4x4": "2b217d0781b98d4a3573ae54567299c0f6bc913e14fafcf26acc29bdebc78976",
+}
+
 SAMPLES = {
     "single": ("12", "b55295663d920fd5d5081fe0c3aa1b99711d2b2740a8d125196d60d927725a22"),
     "pair": ("2,12", "de80120db8a5687ebdb515ed282202f61e81176cabaf87bf85cf215560594bef"),
@@ -61,6 +71,14 @@ def test_run_experiment_bytes(name, tmp_path):
     assert sha256((tmp_path / "pair_correlation.csv").read_bytes()) == pair_sha
     assert sha256((tmp_path / "count_variance.csv").read_bytes()) == counts_sha
     assert sha256(json.dumps(manifest.summary, sort_keys=True).encode()) == summary_sha
+
+
+@pytest.mark.parametrize("name", sorted(MANIFESTS))
+def test_manifest_bytes(name, tmp_path):
+    _, manifest = run_experiment(ExperimentConfig(**RUNS[name][0]), out_dir=str(tmp_path))
+    record = manifest.to_dict()
+    del record["started_utc"], record["finished_utc"]
+    assert sha256(json.dumps(record, sort_keys=True).encode()) == MANIFESTS[name]
 
 
 @pytest.mark.parametrize("mode", sorted(SAMPLES))

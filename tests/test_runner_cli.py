@@ -25,8 +25,8 @@ from kronphase.runner import (
     run_convergence_sweep,
     run_experiment,
     sample_blocks,
-    sample_rescaled_block,
     sample_rescaled_config,
+    sample_rescaled_rows,
     target_curve,
 )
 from kronphase import sampler
@@ -75,6 +75,34 @@ class TestExperimentConfig:
             ExperimentConfig(
                 mode="pair", dims=(2, 20), n_samples=10, seed=1, window_half_width=30.0
             )
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
+            ExperimentConfig(mode="pair", dims=(2, 20), n_samples=10, seed=1 << 64)
+        # numbers that are not integers are rejected, not truncated
+        for bad in (
+            dict(dims=(2.7, 4)),
+            dict(dims=(True, 20)),
+            dict(n_bins=7.9),
+            dict(n_samples=5.5),
+            dict(n_samples=10.0),
+            dict(seed=True),
+            dict(workers=False),
+            dict(k_analytic=2.0),
+        ):
+            with pytest.raises(ValueError, match="must be an integer"):
+                ExperimentConfig(**{**dict(mode="pair", dims=(2, 20), n_samples=10, seed=1), **bad})
+
+    def test_stored_types(self):
+        # numpy numbers are stored as the plain types the manifest records
+        cfg = ExperimentConfig(
+            mode="pair", dims=np.array([2, 20]), n_samples=np.int64(10), seed=np.uint64(1 << 63),
+            delta_max=np.float32(3.5), n_bins=np.int32(8), window_half_width=3, k_analytic=np.int8(3),
+        )
+        assert cfg.dims == (2, 20) and cfg.seed == 1 << 63
+        for key, kind in (("n_samples", int), ("seed", int), ("delta_max", float), ("n_bins", int),
+                          ("window_half_width", float), ("workers", int), ("k_analytic", int)):
+            assert type(getattr(cfg, key)) is kind, key
+        assert all(type(d) is int for d in cfg.dims)
+        assert cfg.to_dict()["window_half_width"] == 3.0
 
     def test_frozen(self):
         cfg = ExperimentConfig(mode="single", dims=(30,), n_samples=1, seed=0)
@@ -232,9 +260,10 @@ class TestRunner:
 
     def test_block_rows_equal_single_samples(self):
         cfg = ExperimentConfig(mode="triple", dims=(2, 3, 4), n_samples=9, seed=12)
-        block = sample_rescaled_block(cfg, 2, 9)
-        for s, rc in enumerate(block, 2):
-            assert np.array_equal(rc.points, sample_rescaled_config(cfg, s).points)
+        rows = sample_rescaled_rows(cfg, 2, 9)
+        assert rows.shape == (7, 24)
+        for s, row in enumerate(rows, 2):
+            assert np.array_equal(row, sample_rescaled_config(cfg, s).points)
 
     @pytest.mark.parametrize("mode, dims", [("single", (12,)), ("pair", (2, 12)), ("triple", (2, 3, 4))])
     def test_block_size_invariance(self, mode, dims, tmp_path, monkeypatch):
@@ -517,3 +546,9 @@ class TestCli:
     def test_verify_unknown_criterion(self):
         r = run_cli("verify", "--criteria", "11")
         assert r.returncode == 1
+
+    @pytest.mark.parametrize("criteria", [",", ""])
+    def test_verify_no_criteria(self, criteria):
+        r = run_cli("verify", "--criteria", criteria)
+        assert r.returncode == 1
+        assert "no criteria" in r.stderr
