@@ -14,12 +14,10 @@ from .kernels import (
     hadamard_bound,
     reduce_to_pi,
     rho_cue,
-    rho_poisson,
     rho_sine,
     sine_q,
 )
 from .combinatorics import (
-    PartitionFamily,
     SetPartition,
     bell_number,
     falling_factorial,
@@ -38,7 +36,6 @@ from .sampler import (
 )
 from .processes import (
     RescaledConfig,
-    WindowSpec,
     circle_rows,
     reduce_phases,
     rescale_center,
@@ -53,13 +50,9 @@ from .estimators import (
     EstimateBundle,
     SpacingHistogram,
     circular_gaps,
-    count_variance,
-    estimate_intensity,
     estimate_pair_correlation,
-    estimate_triple_correlation,
     interval_counts,
     merge,
-    nearest_neighbor_spacings,
 )
 from .gof import (
     CurveComparison,
@@ -88,39 +81,32 @@ __all__ = [
     "EstimateBundle",
     "ExperimentConfig",
     "KsResult",
-    "PartitionFamily",
     "RescaledConfig",
     "RngStream",
     "RunManifest",
     "SetPartition",
     "SpacingHistogram",
-    "WindowSpec",
     "bell_number",
     "build_config",
     "chi_square_uniformity",
     "circle_rows",
     "circular_gaps",
     "compare_to_curve",
-    "count_variance",
     "cue_s",
     "eigenphases",
     "emit_reference_curve",
-    "estimate_intensity",
     "estimate_pair_correlation",
-    "estimate_triple_correlation",
     "falling_factorial",
     "hadamard_bound",
     "interval_counts",
     "ks_against_exponential",
     "merge",
-    "nearest_neighbor_spacings",
     "parse_config_file",
     "reduce_phases",
     "reduce_to_pi",
     "rescale_center",
     "rescale_points",
     "rho_cue",
-    "rho_poisson",
     "rho_sine",
     "rho_superposed_pair",
     "rho_superposed_sine",

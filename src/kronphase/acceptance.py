@@ -386,7 +386,7 @@ CRITERIA = {
 
 
 def run_criteria(ids=None):
-    """Run the requested criteria (default: all ten) in numeric order."""
+    """Run the requested criteria (default: all ten) once each, in numeric order."""
     if ids is None:
         ids = sorted(CRITERIA)
     else:
@@ -396,4 +396,4 @@ def run_criteria(ids=None):
             raise ValueError("unknown criteria: %s" % bad)
         if not ids:
             raise ValueError("no criteria given")
-    return [CRITERIA[i]() for i in ids]
+    return [CRITERIA[i]() for i in sorted(set(ids))]

@@ -16,7 +16,7 @@ import numpy as np
 from .config import CONFIG_PARSERS, CURVES, MODES, build_config, parse_config_file, parse_int_list
 from .errors import CapacityError
 from .output import write_csv
-from .processes import RescaledConfig, WindowSpec, window
+from .processes import RescaledConfig, window
 from .runner import (
     REFERENCE_KINDS,
     csv_preamble,
@@ -85,7 +85,7 @@ def _cmd_sample(args):
         else:
             block = sample_rescaled_rows(cfg, start, stop)
             if w is not None:
-                block = [window(RescaledConfig(row, L), WindowSpec(w)) for row in block]
+                block = [window(RescaledConfig(row, L), w) for row in block]
         for s, pts in enumerate(block, start):
             rows.extend((s, i, float(p)) for i, p in enumerate(pts))
     path = os.path.join(args.out, "phases.csv")

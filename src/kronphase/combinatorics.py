@@ -30,32 +30,10 @@ class SetPartition:
     """
 
     blocks: tuple
-    k: int
 
     @property
     def block_count(self):
         return len(self.blocks)
-
-
-@dataclass(frozen=True)
-class PartitionFamily:
-    """All partitions of {1,...,k}, grouped by block count."""
-
-    k: int
-    partitions: tuple
-
-    def __len__(self):
-        return len(self.partitions)
-
-    def by_block_count(self, p):
-        return tuple(sp for sp in self.partitions if sp.block_count == p)
-
-    def block_count_histogram(self):
-        """Map p -> number of partitions with exactly p blocks."""
-        hist = {}
-        for sp in self.partitions:
-            hist[sp.block_count] = hist.get(sp.block_count, 0) + 1
-        return hist
 
 
 def _rgs_blocks(k):
@@ -80,7 +58,8 @@ def _rgs_blocks(k):
 
 
 def set_partitions(k):
-    """Enumerate every partition of {1,...,k} exactly once.
+    """Enumerate every partition of {1,...,k} exactly once, as a tuple
+    of SetPartition.
 
     Partitions are returned grouped by ascending block count; within a
     group the restricted-growth enumeration order is kept.
@@ -92,9 +71,9 @@ def set_partitions(k):
         raise CapacityError(
             "set_partitions: k=%d exceeds cap %d" % (k, PARTITION_K_CAP)
         )
-    parts = [SetPartition(blocks=b, k=k) for b in _rgs_blocks(k)]
+    parts = [SetPartition(blocks=b) for b in _rgs_blocks(k)]
     parts.sort(key=lambda sp: sp.block_count)
-    return PartitionFamily(k=k, partitions=tuple(parts))
+    return tuple(parts)
 
 
 def falling_factorial(x, p):
@@ -157,7 +136,7 @@ def stirling_identity_residual(k, x):
     return abs(total - float(x) ** k)
 
 
-def rho_superposed_sine(m, points, cap=DEFAULT_K_CAP):
+def rho_superposed_sine(m, points):
     """k-point correlation of m superposed independent sine processes, each dilated by m.
 
     Evaluates the set-partition sum
@@ -174,19 +153,19 @@ def rho_superposed_sine(m, points, cap=DEFAULT_K_CAP):
     if pts.ndim != 1 or pts.size < 1:
         raise ValueError("rho_superposed_sine: points must be a nonempty 1-d sequence")
     k = pts.size
-    if k > cap:
-        raise CapacityError("rho_superposed_sine: order %d exceeds cap %d" % (k, cap))
+    if k > DEFAULT_K_CAP:
+        raise CapacityError("rho_superposed_sine: order %d exceeds cap %d" % (k, DEFAULT_K_CAP))
     scaled = pts / m
     mk = m ** k  # exact int
     total = 0.0
-    for sp in set_partitions(k).partitions:
+    for sp in set_partitions(k):
         p = sp.block_count
         if p > m:
             continue  # falling factorial vanishes
         weight = falling_factorial(m, p) / mk
         prod = 1.0
         for block in sp.blocks:
-            prod *= rho_sine(scaled[[i - 1 for i in block]], cap=cap)
+            prod *= rho_sine(scaled[[i - 1 for i in block]])
         total += weight * prod
     return total
 

@@ -6,16 +6,16 @@ geometry used is the signed difference in (-L/2, L/2], so every
 estimator is exactly invariant under rotations of its input.
 
 One Accumulator computes all of them from (B, P) blocks of sorted rows,
-one configuration per row; the per-configuration estimators read a list
-of configurations as rows of the same code.  Every count is an exact
-integer, so any split into blocks, added in any order, gives the bytes
-of one pass; merge() adds pair histograms of disjoint sample slices.
+one configuration per row; estimate_pair_correlation and the
+one-configuration helpers run the same code on a list or a single row.
+Every count is an exact integer, so any split into blocks, added in any
+order, gives the bytes of one pass; merge() adds pair histograms of
+disjoint sample slices.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,7 +248,10 @@ class Accumulator:
 
     Parts: pair = (delta_max, n_bins) in n_batches sample batches, arc
     lengths for count variances over n_offsets translations, triple =
-    (r1, r2, tol), and spacing_bins for the spacing pool.
+    (r1, r2, tol), and spacing_bins for the spacing pool.  The triple
+    estimate is the window count over every base point divided by
+    n_samples * L * tol^2, 1 for a unit-intensity Poisson process; its box
+    kernel carries an O(tol^2) bias where the target has curvature.
     """
 
     def __init__(
@@ -407,11 +410,6 @@ def merge(h1, h2):
     )
 
 
-def estimate_intensity(samples):
-    """Mean number of points per unit circumference."""
-    return _accumulate(samples).intensity
-
-
 def triple_window_count(cfg, r1, r2, tol=DEFAULT_TRIPLE_TOL):
     """Ordered triples (x, y, z) of one configuration with circular gaps
     x->y in r1 +- tol/2 and x->z in r2 +- tol/2; every point is a base x.
@@ -424,18 +422,6 @@ def triple_window_count(cfg, r1, r2, tol=DEFAULT_TRIPLE_TOL):
     return _triple_count(rows, ext, r1, r2, tol, _reach(ext, rows, None, rows + (r2 + tol / 2)))
 
 
-def estimate_triple_correlation(samples, r1, r2, tol=DEFAULT_TRIPLE_TOL):
-    """Triple correlation at gap configuration (0, r1, r2), box kernel of width tol.
-
-    Window counts are averaged over translations (every point serves as
-    the base) and normalized by n_samples * L * tol^2, so a
-    unit-intensity Poisson process gives 1.  The box kernel smooths the
-    correlation over the tolerance windows, so the estimate carries an
-    O(tol^2) bias where the target has curvature.
-    """
-    return _accumulate(samples, triple=(r1, r2, tol)).triple
-
-
 def circular_gaps(cfg):
     """Consecutive gaps of a sorted circle configuration, wrap gap last."""
     if len(cfg) < 2:
@@ -443,7 +429,7 @@ def circular_gaps(cfg):
     return _gaps(cfg.points[None], cfg.circumference)[0]
 
 
-def spacing_histogram_from_gaps(gap_arrays, n_bins=40, n_skipped=0):
+def spacing_histogram_from_gaps(gap_arrays, n_bins=40):
     """Pool per-sample gap arrays (a list, or the rows of a 2-d array),
     rescale to mean 1, and bin.
 
@@ -466,22 +452,7 @@ def spacing_histogram_from_gaps(gap_arrays, n_bins=40, n_skipped=0):
     edges = np.linspace(0.0, float(pooled.max()), int(n_bins) + 1)
     counts = np.histogram(pooled, bins=edges)[0].astype(float)
     pooled.sort()
-    return SpacingHistogram(edges, counts, count, True, pooled, int(n_skipped))
-
-
-def nearest_neighbor_spacings(samples, n_bins=40):
-    """Pooled nearest-neighbor spacing histogram, mean spacing rescaled to 1.
-
-    Configurations with fewer than 2 points cannot contribute a gap;
-    they are skipped and counted in n_skipped.
-    """
-    gaps = [circular_gaps(cfg) for cfg in samples if len(cfg) >= 2]
-    skipped = len(samples) - len(gaps)
-    if skipped:
-        warnings.warn("nearest_neighbor_spacings: skipped %d configurations with < 2 points" % skipped)
-    if not gaps:
-        raise ValueError("no configuration had enough points for spacings")
-    return spacing_histogram_from_gaps(gaps, n_bins=n_bins, n_skipped=skipped)
+    return SpacingHistogram(edges, counts, count, True, pooled)
 
 
 def interval_counts(cfg, lengths, n_offsets=DEFAULT_COUNT_OFFSETS):
@@ -493,13 +464,3 @@ def interval_counts(cfg, lengths, n_offsets=DEFAULT_COUNT_OFFSETS):
     """
     ext = np.concatenate([cfg.points, cfg.points + cfg.circumference])[None]
     return _arc_counts(ext, *_arc_grid(cfg.circumference, lengths, n_offsets))[0]
-
-
-def count_variance(samples, lengths, n_offsets=DEFAULT_COUNT_OFFSETS):
-    """Variance of arc point counts for each requested arc length.
-
-    Pools counts over samples and a grid of translations per sample.
-    Accumulation uses exact integer moments, so the result is
-    independent of sample order.
-    """
-    return list(_accumulate(samples, lengths=lengths, n_offsets=n_offsets).count_var)

@@ -4,8 +4,7 @@ Two translation-invariant kernels are provided: the sine kernel
 q(u) = sin(pi u)/(pi u) and the finite-n circular kernel
 s_n(u) = (1/2pi) sin(n u/2)/sin(u/2), together with the k-point
 correlation functions obtained as determinants of the corresponding
-kernel matrices, the constant Poisson reference, and the Hadamard
-determinant bound.
+kernel matrices, and the Hadamard determinant bound.
 
 All functions here are pure; they hold no state and are safe to call
 from any number of threads.
@@ -59,11 +58,13 @@ def sine_q(u):
 def reduce_phases(x):
     """Reduce angles into [0, 2pi) by a floor-based branch-free map.
 
-    The boundary value 2pi (reachable through rounding) maps to 0.
+    The boundary value 2pi (reachable through rounding) maps to 0, and so
+    does a negative subnormal x, whose x / 2pi underflows to -0.0 and
+    leaves r = x < 0.
     """
     arr = np.asarray(x, dtype=float)
     r = arr - TWO_PI * np.floor(arr / TWO_PI)
-    return np.where(r >= TWO_PI, 0.0, r)
+    return np.where((r >= TWO_PI) | (r < 0.0), 0.0, r)
 
 
 def reduce_to_pi(u):
@@ -109,7 +110,7 @@ def _det_clamped(mat, k):
     return 0.0 if det < 0.0 else det
 
 
-def rho_sine(points, cap=DEFAULT_K_CAP):
+def rho_sine(points):
     """k-point correlation of the sine process: det[q(x_i - x_j)].
 
     Nonnegative up to determinant round-off; tiny negatives clamp to 0.
@@ -119,13 +120,13 @@ def rho_sine(points, cap=DEFAULT_K_CAP):
         raise ValueError("rho_sine: points must be a nonempty 1-d sequence")
     _check_finite("rho_sine", pts)
     k = pts.size
-    if k > cap:
-        raise CapacityError("rho_sine: order %d exceeds cap %d" % (k, cap))
+    if k > DEFAULT_K_CAP:
+        raise CapacityError("rho_sine: order %d exceeds cap %d" % (k, DEFAULT_K_CAP))
     mat = sine_q(np.subtract.outer(pts, pts))
     return _det_clamped(np.atleast_2d(mat), k)
 
 
-def rho_cue(n, points, cap=DEFAULT_K_CAP):
+def rho_cue(n, points):
     """k-point correlation of the n-point circular process: det[s_n(x_i - x_j)].
 
     Requires k <= n: orders beyond the point count are identically zero
@@ -139,8 +140,8 @@ def rho_cue(n, points, cap=DEFAULT_K_CAP):
         raise ValueError("rho_cue: points must be a nonempty 1-d sequence")
     _check_finite("rho_cue", pts)
     k = pts.size
-    if k > cap:
-        raise CapacityError("rho_cue: order %d exceeds cap %d" % (k, cap))
+    if k > DEFAULT_K_CAP:
+        raise CapacityError("rho_cue: order %d exceeds cap %d" % (k, DEFAULT_K_CAP))
     if k > n:
         raise ValueError("rho_cue: order k=%d exceeds point count n=%d" % (k, n))
     diff = np.subtract.outer(pts, pts)
@@ -161,11 +162,3 @@ def hadamard_bound(k, n):
     if k < 1 or n < 1:
         raise ValueError("hadamard_bound: k and n must be >= 1")
     return float(k) ** (0.5 * k) * (n / TWO_PI) ** k
-
-
-def rho_poisson(k):
-    """k-point correlation of the unit-intensity Poisson process: identically 1."""
-    k = int(k)
-    if k < 1:
-        raise ValueError("rho_poisson: k must be >= 1")
-    return 1.0

@@ -43,18 +43,7 @@ class RescaledConfig:
         return self.points.size
 
 
-@dataclass(frozen=True)
-class WindowSpec:
-    """Symmetric window |theta| <= half_width on a rescaled circle."""
-
-    half_width: float
-
-    def __post_init__(self):
-        if not (float(self.half_width) > 0):
-            raise ValueError("WindowSpec: half_width must be positive")
-
-
-def _sorted_sums(name, factors, capacity):
+def _sorted_sums(name, factors):
     """Sorted sums mod 2pi over one point of each factor, row by row.
 
     Each factor is (..., n_i) with the same leading shape; the result is
@@ -67,8 +56,8 @@ def _sorted_sums(name, factors, capacity):
     total = 1
     for a in arrs:
         total *= a.shape[-1]
-    if total > capacity:
-        raise CapacityError("%s: %d points exceed capacity %d" % (name, total, capacity))
+    if total > DEFAULT_TENSOR_CAPACITY:
+        raise CapacityError("%s: %d points exceed capacity %d" % (name, total, DEFAULT_TENSOR_CAPACITY))
     k = len(arrs)
     sums = None
     for i, a in enumerate(arrs):
@@ -80,22 +69,22 @@ def _sorted_sums(name, factors, capacity):
     return sums
 
 
-def tensor_phases(a, b, capacity=DEFAULT_TENSOR_CAPACITY):
+def tensor_phases(a, b):
     """All sums a_i + b_j mod 2pi, sorted; repeats are kept as repeats.
 
     a and b may be (..., na) and (..., nb) stacks with equal leading
     shapes; each row of the (..., na * nb) result is then the tensor
     phases of the matching rows.
     """
-    return _sorted_sums("tensor_phases", (a, b), capacity)
+    return _sorted_sums("tensor_phases", (a, b))
 
 
-def triple_tensor(a, b, c, capacity=DEFAULT_TENSOR_CAPACITY):
+def triple_tensor(a, b, c):
     """All sums a_i + b_j + c_k mod 2pi, sorted; repeats are kept.
 
     Stacks are taken row by row, as in tensor_phases.
     """
-    return _sorted_sums("triple_tensor", (a, b, c), capacity)
+    return _sorted_sums("triple_tensor", (a, b, c))
 
 
 def rescale_points(phases, factor_product):
@@ -147,9 +136,11 @@ def rescale_center(phases, factor_product):
     return RescaledConfig(points=rescale_points(phases, P), circumference=float(P))
 
 
-def window(config, spec):
+def window(config, half_width):
     """Points of the configuration with |theta| <= half_width, sorted."""
-    w = float(spec.half_width)
+    w = float(half_width)
+    if not w > 0:
+        raise ValueError("window: half_width must be positive")
     if 2.0 * w > config.circumference:
         raise ValueError(
             "window: width %.3g exceeds circumference %.3g"

@@ -283,6 +283,8 @@ def emit_reference_curve(kind, grid, path, m=None):
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise ValueError("grid must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid must be finite")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly ascending")
     if kind == "sine_pair":

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .kernels import TWO_PI
+from .kernels import TWO_PI, reduce_phases
 
 # QR of a dense complex Gaussian matrix is O(n^3); 512 keeps a single
 # draw under ~0.1 s and no experiment here needs larger factors.
@@ -99,7 +99,7 @@ def _complex_ginibre(u1, u2, n):
     return (z / np.sqrt(2.0)).reshape(-1, n, n)
 
 
-def sample_haar_block(dims, gens, max_dim=DEFAULT_MAX_DIM):
+def sample_haar_block(dims, gens):
     """Haar draws for a block of samples: one (len(gens), n, n) stack per n in dims.
 
     Sample b takes one matrix of each size in dims, in that order, from
@@ -111,8 +111,8 @@ def sample_haar_block(dims, gens, max_dim=DEFAULT_MAX_DIM):
     for n in dims:
         if n < 1:
             raise ValueError("sample_haar_unitary: n must be >= 1")
-        if n > max_dim:
-            raise CapacityError("sample_haar_unitary: n=%d exceeds max %d" % (n, max_dim))
+        if n > DEFAULT_MAX_DIM:
+            raise CapacityError("sample_haar_unitary: n=%d exceeds max %d" % (n, DEFAULT_MAX_DIM))
     gens = [_as_generator(g) for g in gens]
     uniforms = [np.empty((2, len(gens), n * n)) for n in dims]
     for b, gen in enumerate(gens):
@@ -132,13 +132,13 @@ def _haar_from_ginibre(z):
     return q * (d / np.abs(d))[..., None, :]
 
 
-def sample_haar_unitary(n, rng, max_dim=DEFAULT_MAX_DIM):
+def sample_haar_unitary(n, rng):
     """Draw one n x n unitary from the Haar measure on U(n).
 
     QR factorization of a complex Ginibre matrix with the phase fix of
     Mezzadri (2007); the block-of-one case of sample_haar_block.
     """
-    return sample_haar_block([n], [rng], max_dim=max_dim)[0][0]
+    return sample_haar_block([n], [rng])[0][0]
 
 
 def _phases_general(u):
@@ -182,12 +182,13 @@ def _phases_stack(u):
     return ang
 
 
-def eigenphases(u, tol=UNITARITY_TOL):
+def eigenphases(u):
     """Sorted eigenphases in [0, 2pi) of a unitary matrix or a (..., n, n) stack.
 
     A stack gives one sorted row of n phases per matrix, and each row
     equals eigenphases of that matrix alone, bit for bit.  Rejects input
-    whose unitarity residual max|U U* - I| exceeds tol for any matrix.
+    whose unitarity residual max|U U* - I| exceeds UNITARITY_TOL for any
+    matrix.
 
     The phases come from a Hermitian eigensolve: the Cayley transform
     H = i (I + U)^{-1} (I - U) (one linear solve), made exactly Hermitian
@@ -207,17 +208,15 @@ def eigenphases(u, tol=UNITARITY_TOL):
         raise ValueError("eigenphases: input must be a square matrix or a stack of them")
     n = u.shape[-1]
     resid = np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(n)))
-    if resid > tol:
+    if resid > UNITARITY_TOL:
         raise ValueError(
-            "eigenphases: unitarity residual %.3e exceeds tolerance %.3e" % (resid, tol)
+            "eigenphases: unitarity residual %.3e exceeds tolerance %.3e" % (resid, UNITARITY_TOL)
         )
-    ang = _phases_stack(u.reshape(-1, n, n))
-    ang = np.mod(ang, TWO_PI)
-    ang[ang >= TWO_PI] = 0.0
+    ang = reduce_phases(_phases_stack(u.reshape(-1, n, n)))
     ang.sort(axis=-1)
     return ang.reshape(u.shape[:-1])
 
 
-def sample_cue_phases(n, rng, max_dim=DEFAULT_MAX_DIM):
+def sample_cue_phases(n, rng):
     """Eigenphases of one Haar draw: a sample of the n-point circular process."""
-    return eigenphases(sample_haar_unitary(n, rng, max_dim=max_dim))
+    return eigenphases(sample_haar_unitary(n, rng))

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -28,9 +30,10 @@ class TestSetPartitions:
             assert len(set_partitions(k)) == BELL[k - 1]
 
     def test_partitions_are_valid_and_distinct(self):
-        fam = set_partitions(5)
+        parts = set_partitions(5)
+        assert isinstance(parts, tuple)
         seen = set()
-        for sp in fam.partitions:
+        for sp in parts:
             flat = [i for b in sp.blocks for i in b]
             assert sorted(flat) == list(range(1, 6))
             assert all(list(b) == sorted(b) for b in sp.blocks)
@@ -40,21 +43,18 @@ class TestSetPartitions:
             seen.add(sp.blocks)
 
     def test_grouped_by_block_count(self):
-        fam = set_partitions(6)
-        counts = [sp.block_count for sp in fam.partitions]
+        counts = [sp.block_count for sp in set_partitions(6)]
         assert counts == sorted(counts)
 
     def test_histogram_is_stirling_row(self):
         for k in (3, 5, 7):
-            hist = set_partitions(k).block_count_histogram()
+            hist = Counter(sp.block_count for sp in set_partitions(k))
             row = stirling2_row(k)
             assert hist == {p: row[p] for p in range(1, k + 1) if row[p]}
 
     def test_by_block_count(self):
-        fam = set_partitions(4)
-        assert len(fam.by_block_count(1)) == 1
-        assert len(fam.by_block_count(2)) == 7
-        assert len(fam.by_block_count(4)) == 1
+        hist = Counter(sp.block_count for sp in set_partitions(4))
+        assert (hist[1], hist[2], hist[3], hist[4]) == (1, 7, 6, 1)
 
     def test_capacity(self):
         with pytest.raises(CapacityError):

@@ -10,13 +10,9 @@ from kronphase.estimators import (
     CorrelationHistogram,
     SpacingHistogram,
     circular_gaps,
-    count_variance,
-    estimate_intensity,
     estimate_pair_correlation,
-    estimate_triple_correlation,
     interval_counts,
     merge,
-    nearest_neighbor_spacings,
     spacing_histogram_from_gaps,
     triple_window_count,
 )
@@ -33,6 +29,31 @@ def lattice_sample(circumference):
     n = int(circumference)
     pts = -circumference / 2 + (np.arange(n) + 0.5)
     return RescaledConfig(points=pts, circumference=circumference)
+
+
+def pooled_spacings(samples, n_bins=40):
+    return spacing_histogram_from_gaps([circular_gaps(cfg) for cfg in samples], n_bins=n_bins)
+
+
+def count_variance(samples, lengths, n_offsets=estimators.DEFAULT_COUNT_OFFSETS):
+    """The run's count variances of a list of configurations of any lengths."""
+    return list(estimators._accumulate(samples, lengths=lengths, n_offsets=n_offsets).count_var)
+
+
+def count_variance_reference(samples, lengths, n_offsets=estimators.DEFAULT_COUNT_OFFSETS):
+    """Sample variance, in exact integers, of the searchsorted arc counts."""
+    mats = [interval_counts_searchsorted(cfg.points, cfg.circumference, lengths, n_offsets) for cfg in samples]
+    m = len(samples) * n_offsets
+    out = []
+    for i, ell in enumerate(lengths):
+        s1 = sum(int(mat[i].sum()) for mat in mats)
+        s2 = sum(int((mat[i] * mat[i]).sum()) for mat in mats)
+        out.append((float(ell), float((s2 - s1 * s1 / m) / (m - 1))))
+    return out
+
+
+def triple_estimate(samples, r1, r2, tol):
+    return estimators._accumulate(samples, triple=(r1, r2, tol)).triple
 
 
 class TestPairCorrelation:
@@ -233,7 +254,7 @@ class TestIntensity:
             RescaledConfig(points=np.array([-1.0, 0.0, 2.0]), circumference=8.0),
             RescaledConfig(points=np.array([0.5]), circumference=8.0),
         ]
-        assert estimate_intensity(cfgs) == pytest.approx(4 / 16.0)
+        assert estimators._accumulate(cfgs).intensity == pytest.approx(4 / 16.0)
 
     def test_rescaled_tensor_is_unit(self):
         gen = RngStream(6).generator()
@@ -242,7 +263,7 @@ class TestIntensity:
         a = sample_cue_phases(4, gen)
         b = sample_cue_phases(6, gen)
         cfg = rescale_center(tensor_phases(a, b), 24)
-        assert estimate_intensity([cfg]) == 1.0
+        assert estimators._accumulate([cfg]).intensity == 1.0
 
 
 class TestSpacings:
@@ -258,7 +279,7 @@ class TestSpacings:
 
     def test_normalized_mean_one(self):
         samples = poisson_configs(30.0, 50, seed=21)
-        sh = nearest_neighbor_spacings(samples)
+        sh = pooled_spacings(samples)
         assert sh.normalized
         assert sh.spacings.mean() == pytest.approx(1.0, rel=1e-12)
         assert np.all(np.diff(sh.spacings) >= 0)
@@ -274,44 +295,36 @@ class TestSpacings:
 
     def test_exponential_tail_fraction(self):
         samples = poisson_configs(50.0, 400, seed=33)
-        sh = nearest_neighbor_spacings(samples)
+        sh = pooled_spacings(samples)
         frac = np.mean(sh.spacings <= 1.0)
         assert abs(frac - ONE_MINUS_EXP_MINUS_1) < 0.02
-
-    def test_skips_small_configs(self):
-        cfgs = [
-            RescaledConfig(points=np.array([0.0, 1.0, 3.0]), circumference=8.0),
-            RescaledConfig(points=np.array([0.5]), circumference=8.0),
-            RescaledConfig(points=np.array([]), circumference=8.0),
-        ]
-        with pytest.warns(UserWarning):
-            sh = nearest_neighbor_spacings(cfgs)
-        assert sh.n_skipped == 2
-        assert sh.n_spacings == 3
 
     def test_rejects_unsorted_spacings(self):
         with pytest.raises(ValueError):
             SpacingHistogram(np.linspace(0.0, 2.0, 3), np.ones(2), 3, True, np.array([1.0, 0.5, 1.5]))
 
     def test_all_too_small(self):
-        cfgs = [RescaledConfig(points=np.array([0.5]), circumference=8.0)]
-        with pytest.warns(UserWarning):
-            with pytest.raises(ValueError):
-                nearest_neighbor_spacings(cfgs)
+        with pytest.raises(ValueError):
+            circular_gaps(RescaledConfig(points=np.array([0.5]), circumference=8.0))
+        with pytest.raises(ValueError):
+            spacing_histogram_from_gaps([])
+        with pytest.raises(ValueError):
+            spacing_histogram_from_gaps(np.zeros((0, 3)))
 
 
 class TestTripleCorrelation:
     def test_hand_counted_window(self):
         cfg = RescaledConfig(points=np.array([0.0, 1.0, 2.0, 5.0]), circumference=12.0)
         assert triple_window_count(cfg, 1.0, 2.0, tol=0.2) == 1
-        assert estimate_triple_correlation([cfg], 1.0, 2.0, tol=0.2) == pytest.approx(
-            1.0 / (12.0 * 0.04)
-        )
+        assert triple_window_count_searchsorted(cfg.points, 12.0, 1.0, 2.0, 0.2) == 1
+        assert triple_estimate([cfg], 1.0, 2.0, 0.2) == pytest.approx(1.0 / (12.0 * 0.04))
 
     def test_poisson_near_one(self):
         samples = poisson_configs(40.0, 1500, seed=14)
-        est = estimate_triple_correlation(samples, 1.0, 2.0, tol=0.5)
+        est = triple_estimate(samples, 1.0, 2.0, 0.5)
         assert est == pytest.approx(1.0, abs=0.15)
+        counts = [triple_window_count_searchsorted(cfg.points, 40.0, 1.0, 2.0, 0.5) for cfg in samples]
+        assert est == sum(counts) / (len(samples) * 40.0 * 0.5**2)
 
     def test_geometry_validation(self):
         cfg = RescaledConfig(points=np.array([0.0, 1.0, 2.0]), circumference=12.0)
@@ -350,6 +363,7 @@ class TestIntervalCounts:
     def test_poisson_variance(self):
         samples = poisson_configs(50.0, 800, seed=41)
         out = count_variance(samples, [1.0, 2.0, 4.0])
+        assert out == count_variance_reference(samples, [1.0, 2.0, 4.0])
         for ell, var in out:
             assert var == pytest.approx(ell, rel=0.12)
 
@@ -446,8 +460,8 @@ def accumulate_in_blocks(rows, L, blocks, order, **parts):
 
 
 def check_against_references(rows, L, delta_max, n_bins, n_batches, lengths, n_offsets, triple, acc):
-    """The accumulator equals the per-sample references and the
-    per-sample estimators bit for bit."""
+    """The accumulator, and the one-configuration estimators, equal the
+    per-sample references bit for bit."""
     n, P = rows.shape
     got = acc.finalize()
     cfgs = [RescaledConfig(points=pts, circumference=L) for pts in rows]
@@ -459,33 +473,33 @@ def check_against_references(rows, L, delta_max, n_bins, n_batches, lengths, n_o
         batch_counts[s * nb // n] += 2.0 * pair_gap_histogram_loop(pts, L, delta_max, edges)
     assert np.array_equal(got.pair.batch_counts, batch_counts)
     assert np.array_equal(got.pair.batch_samples, np.bincount(np.arange(n) * nb // n, minlength=nb))
-    hist = estimate_pair_correlation(cfgs, delta_max, n_bins, n_batches)
-    for field in ("counts", "batch_counts", "estimate", "bin_edges"):
-        assert np.array_equal(getattr(got.pair, field), getattr(hist, field)), field
+    assert np.array_equal(got.pair.bin_edges, edges)
+    assert np.array_equal(got.pair.counts, batch_counts.sum(axis=0))
+    assert np.array_equal(got.pair.estimate, batch_counts.sum(axis=0) / (n * 2.0 * L * np.diff(edges)))
 
     r1, r2, tol = triple
     triples = [triple_window_count_searchsorted(pts, L, r1, r2, tol) for pts in rows]
     assert [triple_window_count(cfg, r1, r2, tol) for cfg in cfgs] == triples
     assert acc.triples == sum(triples)
     assert got.triple == sum(triples) / (n * L * tol ** 2)
-    assert got.triple == estimate_triple_correlation(cfgs, r1, r2, tol)
 
     mats = [interval_counts_searchsorted(pts, L, lengths, n_offsets) for pts in rows]
     for cfg, mat in zip(cfgs, mats):
         assert np.array_equal(interval_counts(cfg, lengths, n_offsets), mat)
     assert acc.s1 == [sum(int(mat[i].sum()) for mat in mats) for i in range(len(lengths))]
     assert acc.s2 == [sum(int((mat[i] * mat[i]).sum()) for mat in mats) for i in range(len(lengths))]
-    assert list(got.count_var) == count_variance(cfgs, lengths, n_offsets)
+    assert list(got.count_var) == count_variance_reference(cfgs, lengths, n_offsets)
 
     gaps = [circular_gaps_reference(pts, L) for pts in rows]
     assert np.array_equal(acc.gaps, np.stack(gaps))
+    for cfg, g in zip(cfgs, gaps):
+        assert np.array_equal(circular_gaps(cfg), g)
     pooled = spacing_histogram_from_gaps(gaps, n_bins=n_bins)
     for field in ("spacings", "counts", "bin_edges"):
         assert np.array_equal(getattr(got.spacings, field), getattr(pooled, field)), field
-        assert np.array_equal(getattr(got.spacings, field), getattr(nearest_neighbor_spacings(cfgs, n_bins), field))
     if n * P >= 100:
         assert ks_against_exponential(got.spacings).d_statistic == ks_against_exponential(pooled).d_statistic
-    assert got.intensity == estimate_intensity(cfgs)
+    assert got.intensity == n * P / (n * L)
 
 
 @st.composite

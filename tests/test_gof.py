@@ -4,8 +4,8 @@ import pytest
 from kronphase.acceptance import poisson_configs
 from kronphase.estimators import (
     SpacingHistogram,
+    circular_gaps,
     estimate_pair_correlation,
-    nearest_neighbor_spacings,
     spacing_histogram_from_gaps,
 )
 from kronphase.gof import (
@@ -50,7 +50,7 @@ class TestCompareToCurve:
 
 class TestKsExponential:
     def test_poisson_spacings_pass(self):
-        sh = nearest_neighbor_spacings(poisson_configs(50.0, 200, seed=5))
+        sh = spacing_histogram_from_gaps([circular_gaps(c) for c in poisson_configs(50.0, 200, seed=5)])
         res = ks_against_exponential(sh)
         assert res.n == sh.n_spacings
         assert res.threshold_05 == pytest.approx(KS_COEFF_05 / np.sqrt(res.n))

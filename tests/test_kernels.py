@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from kronphase import CapacityError
+from kronphase import CapacityError, kernels
 from kronphase.kernels import (
     TWO_PI,
     cue_s,
     hadamard_bound,
     reduce_to_pi,
     rho_cue,
-    rho_poisson,
     rho_sine,
     sine_q,
 )
@@ -140,10 +139,11 @@ class TestRhoSine:
         for k in (2, 3, 5, 8):
             assert rho_sine(np.arange(k, dtype=float)) == pytest.approx(1.0, abs=1e-10)
 
-    def test_capacity(self):
+    def test_capacity(self, monkeypatch):
         with pytest.raises(CapacityError):
             rho_sine(np.linspace(0, 8, 9))
-        assert rho_sine(np.linspace(0, 8.5, 9) * 1.0, cap=9) >= 0.0
+        monkeypatch.setattr(kernels, "DEFAULT_K_CAP", 9)
+        assert rho_sine(np.linspace(0, 8.5, 9) * 1.0) >= 0.0
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -166,9 +166,12 @@ class TestRhoCue:
         with pytest.raises(ValueError):
             rho_cue(2, [0.0, 1.0, 2.0])
 
-    def test_capacity(self):
+    def test_capacity(self, monkeypatch):
         with pytest.raises(CapacityError):
             rho_cue(20, np.linspace(0, 3, 9))
+        monkeypatch.setattr(kernels, "DEFAULT_K_CAP", 2)
+        with pytest.raises(CapacityError):
+            rho_cue(20, np.linspace(0, 3, 3))
 
     def test_nonnegative_even_n_spread_points(self):
         # even n with points more than pi apart exercises the winding
@@ -213,9 +216,3 @@ class TestBoundsAndPoisson:
             hadamard_bound(0, 5)
         with pytest.raises(ValueError):
             hadamard_bound(2, 0)
-
-    def test_poisson(self):
-        assert rho_poisson(1) == 1.0
-        assert rho_poisson(6) == 1.0
-        with pytest.raises(ValueError):
-            rho_poisson(0)

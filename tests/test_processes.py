@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from kronphase import CapacityError
+from kronphase import CapacityError, processes
 from kronphase.processes import (
     RescaledConfig,
-    WindowSpec,
     circle_rows,
     reduce_phases,
     rescale_center,
@@ -32,6 +31,22 @@ class TestReducePhases:
         # a value that floor-reduction rounds right onto 2pi
         tiny = -1e-18
         assert 0.0 <= reduce_phases(tiny) < TWO_PI
+        # x / 2pi underflows to -0.0 for a negative subnormal x, so floor
+        # leaves r = x < 0
+        for x in (-5e-324, -1e-310, -0.0, 5e-324):
+            r = reduce_phases(np.array([x]))
+            assert 0.0 <= r[0] < TWO_PI and not np.signbit(r[0]), x
+        assert reduce_phases(-5e-324) == 0.0
+
+    def test_matches_mod_on_eigensolver_range(self):
+        # eigenphases reduces 2 arctan(lambda) and eigvals angles, all in
+        # [-pi, pi], which np.mod (with 2pi mapped to 0) reduced before
+        gen = np.random.Generator(np.random.PCG64(3))
+        edges = [np.pi, -np.pi, 0.0, -0.0, 5e-324, -5e-324, np.nextafter(0.0, -1.0), np.nextafter(-np.pi, 0.0)]
+        x = np.concatenate([gen.uniform(-np.pi, np.pi, 100000), 2.0 * np.arctan(1e6 * gen.standard_normal(100000)), edges])
+        want = np.mod(x, TWO_PI)
+        want[want >= TWO_PI] = 0.0
+        assert np.array_equal(reduce_phases(x).view(np.int64), want.view(np.int64))
 
 
 class TestTensorPhases:
@@ -108,10 +123,13 @@ class TestStackedRows:
         for s in range(5):
             assert np.array_equal(np.sort(theta[s]), rescale_center(phases[s], 14).points)
 
-    def test_capacity_counts_points_per_row(self):
+    def test_capacity_counts_points_per_row(self, monkeypatch):
         with pytest.raises(CapacityError):
             tensor_phases(np.zeros((2, 1100)), np.zeros((2, 1000)))
-        assert tensor_phases(np.zeros((3, 4)), np.zeros((3, 5)), capacity=20).shape == (3, 20)
+        monkeypatch.setattr(processes, "DEFAULT_TENSOR_CAPACITY", 20)
+        assert tensor_phases(np.zeros((3, 4)), np.zeros((3, 5))).shape == (3, 20)
+        with pytest.raises(CapacityError):
+            triple_tensor(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 6)))
 
 
 class TestRescaleCenter:
@@ -190,14 +208,16 @@ class TestCircleRows:
 class TestWindow:
     def test_selects_symmetric_interval(self):
         cfg = RescaledConfig(points=np.array([-2.0, -0.5, 0.0, 0.5, 1.9]), circumference=6.0)
-        out = window(cfg, WindowSpec(half_width=0.5))
+        out = window(cfg, 0.5)
         assert np.array_equal(out, [-0.5, 0.0, 0.5])
 
     def test_width_check(self):
         cfg = RescaledConfig(points=np.array([0.0]), circumference=2.0)
         with pytest.raises(ValueError):
-            window(cfg, WindowSpec(half_width=1.5))
+            window(cfg, 1.5)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            WindowSpec(half_width=0.0)
+        cfg = RescaledConfig(points=np.array([0.0]), circumference=2.0)
+        for w in (0.0, -0.5, np.nan):
+            with pytest.raises(ValueError):
+                window(cfg, w)

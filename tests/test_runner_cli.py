@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -7,14 +8,7 @@ import pytest
 
 import kronphase
 from kronphase.config import ExperimentConfig, build_config, parse_config_file
-from kronphase.estimators import (
-    DEFAULT_TRIPLE_TOL,
-    count_variance,
-    estimate_intensity,
-    estimate_pair_correlation,
-    estimate_triple_correlation,
-    nearest_neighbor_spacings,
-)
+from kronphase.estimators import DEFAULT_TRIPLE_TOL, spacing_histogram_from_gaps
 from kronphase.output import fmt_real, write_csv, write_manifest
 from kronphase.processes import RescaledConfig, tensor_phases, rescale_center
 from kronphase.runner import (
@@ -31,15 +25,25 @@ from kronphase.runner import (
 )
 from kronphase import sampler
 from kronphase.sampler import RngStream, sample_cue_phases
+from test_estimators import (
+    circular_gaps_reference,
+    count_variance_reference,
+    pair_gap_histogram_loop,
+    triple_window_count_searchsorted,
+)
 
 PAIR_M2_AT_1 = 0.79735763271532445
 
 
 def run_cli(*args):
+    # the command imports the kronphase that the tests import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kronphase.__file__)))
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     return subprocess.run(
         [sys.executable, "-m", "kronphase", *args],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 
@@ -320,16 +324,22 @@ class TestRunner:
         for seed in range(10):
             cfg = ExperimentConfig(mode="pair", dims=(2, 12), n_samples=30, seed=seed, k_analytic=3)
             bundle, manifest = run_experiment(cfg)
+            # against the per-sample references, which share no code with the run
             configs = [sample_rescaled_config(cfg, s) for s in range(cfg.n_samples)]
-            hist = estimate_pair_correlation(configs, cfg.delta_max, cfg.n_bins)
-            assert np.array_equal(bundle.pair.counts, hist.counts), seed
-            assert np.array_equal(bundle.pair.batch_counts, hist.batch_counts), seed
-            spacings = nearest_neighbor_spacings(configs, n_bins=cfg.n_bins)
+            L, edges = float(cfg.factor_product), np.linspace(0.0, cfg.delta_max, cfg.n_bins + 1)
+            batch_counts = np.zeros_like(bundle.pair.batch_counts)
+            for s, c in enumerate(configs):
+                hist = pair_gap_histogram_loop(c.points, L, cfg.delta_max, edges)
+                batch_counts[s * len(batch_counts) // cfg.n_samples] += 2.0 * hist
+            assert np.array_equal(bundle.pair.batch_counts, batch_counts), seed
+            gaps = [circular_gaps_reference(c.points, L) for c in configs]
+            spacings = spacing_histogram_from_gaps(gaps, n_bins=cfg.n_bins)
             assert np.array_equal(bundle.spacings.spacings, spacings.spacings), seed
-            assert list(bundle.count_var) == count_variance(configs, COUNT_LENGTHS), seed
-            assert bundle.intensity == estimate_intensity(configs), seed
-            triple = estimate_triple_correlation(configs, TRIPLE_R1, TRIPLE_R2, DEFAULT_TRIPLE_TOL)
-            assert manifest.summary["triple_estimate"] == triple, seed
+            assert list(bundle.count_var) == count_variance_reference(configs, COUNT_LENGTHS), seed
+            assert bundle.intensity == 1.0, seed
+            r1, r2, tol = TRIPLE_R1, TRIPLE_R2, DEFAULT_TRIPLE_TOL
+            triples = sum(triple_window_count_searchsorted(c.points, L, r1, r2, tol) for c in configs)
+            assert manifest.summary["triple_estimate"] == triples / (cfg.n_samples * L * tol**2), seed
 
     def test_pair_csv_content(self, tmp_path):
         cfg = ExperimentConfig(mode="pair", dims=(2, 12), n_samples=20, seed=3, n_bins=6, delta_max=3.0)
@@ -408,6 +418,11 @@ class TestRunner:
             emit_reference_curve("superposed_pair", [1.0], str(tmp_path / "x.csv"))
         with pytest.raises(ValueError):
             emit_reference_curve("sine_pair", [2.0, 1.0], str(tmp_path / "x.csv"))
+        # NaN fails every comparison, so only a finiteness check rejects it
+        for grid in ([1.0, np.nan], [np.nan] * 3, [1.0, np.inf]):
+            with pytest.raises(ValueError):
+                emit_reference_curve("poisson", grid, str(tmp_path / "x.csv"))
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestCli:
@@ -529,6 +544,14 @@ class TestCli:
         assert float(last[0]) == 1.0
         assert float(last[1]) == pytest.approx(PAIR_M2_AT_1, abs=1e-15)
 
+    @pytest.mark.parametrize("delta_max", ["nan", "inf"])
+    def test_refcurve_rejects_non_finite_grid(self, tmp_path, delta_max):
+        out = tmp_path / "r.csv"
+        r = run_cli("refcurve", "--kind", "poisson", "--delta-max", delta_max, "--points", "3", "--out", str(out))
+        assert r.returncode == 1
+        assert "finite" in r.stderr
+        assert not out.exists()
+
     def test_refcurve_missing_m(self, tmp_path):
         r = run_cli("refcurve", "--kind", "superposed_pair",
                     "--delta-max", "1", "--points", "4", "--out", str(tmp_path / "r.csv"))
@@ -542,6 +565,13 @@ class TestCli:
         assert r6.returncode == 3
         assert r6.stdout.startswith("FAIL")
         assert "not monotone" in r6.stdout
+
+    def test_verify_runs_each_criterion_once_in_order(self):
+        r = run_cli("verify", "--criteria", "8,7,7")
+        assert r.returncode == 0, r.stderr
+        lines = r.stdout.splitlines()
+        assert [ln.split()[1] for ln in lines[:-1]] == ["7", "8"]
+        assert lines[-1] == "2/2 criteria passed"
 
     def test_verify_unknown_criterion(self):
         r = run_cli("verify", "--criteria", "11")

@@ -100,11 +100,14 @@ class TestHaarUnitary:
         b = sample_haar_unitary(4, gen)
         assert not np.array_equal(a, b)
 
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
         with pytest.raises(CapacityError):
             sample_haar_unitary(DEFAULT_MAX_DIM + 1, RngStream(0))
+        monkeypatch.setattr(sampler, "DEFAULT_MAX_DIM", 4)
         with pytest.raises(CapacityError):
-            sample_haar_unitary(5, RngStream(0), max_dim=4)
+            sample_haar_unitary(5, RngStream(0))
+        with pytest.raises(CapacityError):
+            sample_cue_phases(5, RngStream(0))
         with pytest.raises(ValueError):
             sample_haar_unitary(0, RngStream(0))
 
@@ -153,11 +156,12 @@ class TestEigenphases:
         with pytest.raises(ValueError):
             eigenphases(np.ones((2, 3)))
 
-    def test_tolerance_override(self):
+    def test_tolerance_override(self, monkeypatch):
         u = np.eye(2) * (1.0 + 5e-7)
         with pytest.raises(ValueError):
             eigenphases(u)
-        ph = eigenphases(u, tol=1e-5)
+        monkeypatch.setattr(sampler, "UNITARITY_TOL", 1e-5)
+        ph = eigenphases(u)
         assert np.allclose(ph, 0.0)
 
 
@@ -248,11 +252,12 @@ class TestStackedDraws:
         for u in stack:
             assert np.array_equal(u, sample_haar_unitary(4, gen))
 
-    def test_block_validation(self):
+    def test_block_validation(self, monkeypatch):
         with pytest.raises(ValueError):
             sample_haar_block([3, 0], [RngStream(0)])
+        monkeypatch.setattr(sampler, "DEFAULT_MAX_DIM", 5)
         with pytest.raises(CapacityError):
-            sample_haar_block([3, 6], [RngStream(0)], max_dim=5)
+            sample_haar_block([3, 6], [RngStream(0)])
 
     @pytest.fixture
     def general_calls(self, monkeypatch):
