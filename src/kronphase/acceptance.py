@@ -35,7 +35,7 @@ from .combinatorics import (
 from .config import ExperimentConfig
 from .estimators import SpacingHistogram, estimate_pair_correlation, merge
 from .gof import chi_square_uniformity, compare_to_curve, ks_against_exponential
-from .kernels import TWO_PI, cue_s, hadamard_bound, rho_cue, rho_sine
+from .kernels import TWO_PI, as_int, cue_s, hadamard_bound, rho_cue, rho_sine
 from .processes import RescaledConfig
 from .runner import run_convergence_sweep, run_experiment
 from .sampler import RngStream, block_length, eigenphases, sample_haar_block
@@ -72,7 +72,7 @@ def poisson_configs(circumference, n_samples, seed, intensity=1.0):
     gen = np.random.Generator(np.random.PCG64(seed))
     L = float(circumference)
     out = []
-    for _ in range(int(n_samples)):
+    for _ in range(as_int("n_samples", n_samples)):
         n = gen.poisson(intensity * L)
         pts = gen.uniform(-L / 2, L / 2, n)
         out.append(RescaledConfig(points=pts, circumference=L))
@@ -118,10 +118,11 @@ def thin_spacings(spacing_hist, max_count, seed):
     pool is kept.
     """
     s = spacing_hist.spacings
+    max_count = as_int("max_count", max_count, 1)
     if s.size <= max_count:
         return spacing_hist
     gen = np.random.Generator(np.random.PCG64(seed))
-    idx = gen.choice(s.size, size=int(max_count), replace=False)
+    idx = gen.choice(s.size, size=max_count, replace=False)
     sub = np.sort(s[idx])
     edges = np.linspace(0.0, float(sub.max()), spacing_hist.bin_edges.size)
     return SpacingHistogram(
@@ -390,7 +391,7 @@ def run_criteria(ids=None):
     if ids is None:
         ids = sorted(CRITERIA)
     else:
-        ids = [int(i) for i in ids]
+        ids = [as_int("criteria", i) for i in ids]
         bad = [i for i in ids if i not in CRITERIA]
         if bad:
             raise ValueError("unknown criteria: %s" % bad)

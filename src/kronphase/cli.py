@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 
+from .acceptance import run_criteria
 from .config import CONFIG_PARSERS, CURVES, MODES, build_config, parse_config_file, parse_int_list
 from .errors import CapacityError
 from .output import write_csv
@@ -20,6 +21,7 @@ from .processes import RescaledConfig, window
 from .runner import (
     REFERENCE_KINDS,
     csv_preamble,
+    emit_reference_curve,
     run_convergence_sweep,
     run_experiment,
     sample_blocks,
@@ -137,10 +139,10 @@ def _cmd_sweep(args):
 
 
 def _cmd_refcurve(args):
-    from .runner import emit_reference_curve
-
     if args.points < 1:
         raise ValueError("--points must be >= 1")
+    if not 0.0 < args.delta_max < np.inf:
+        raise ValueError("--delta-max must be positive and finite")
     grid = np.linspace(args.delta_max / args.points, args.delta_max, args.points)
     path = emit_reference_curve(args.kind, grid, args.out, m=args.m)
     print("wrote %s" % path)
@@ -148,8 +150,6 @@ def _cmd_refcurve(args):
 
 
 def _cmd_verify(args):
-    from .acceptance import run_criteria
-
     results = run_criteria(args.criteria)
     failed = 0
     for r in results:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .kernels import DEFAULT_K_CAP, rho_sine, sine_q
+from .kernels import as_int, check_points, rho_sine, sine_q
 
 # Bell(13) exceeds 2.7e7 partitions; enumeration beyond this is never
 # needed and only invites accidental memory blowups.
@@ -64,9 +64,7 @@ def set_partitions(k):
     Partitions are returned grouped by ascending block count; within a
     group the restricted-growth enumeration order is kept.
     """
-    k = int(k)
-    if k < 1:
-        raise ValueError("set_partitions: k must be >= 1")
+    k = as_int("set_partitions: k", k, 1)
     if k > PARTITION_K_CAP:
         raise CapacityError(
             "set_partitions: k=%d exceeds cap %d" % (k, PARTITION_K_CAP)
@@ -81,9 +79,7 @@ def falling_factorial(x, p):
 
     Integer arguments are evaluated in exact integer arithmetic.
     """
-    p = int(p)
-    if p < 0:
-        raise ValueError("falling_factorial: p must be >= 0")
+    p = as_int("falling_factorial: p", p, 0)
     if isinstance(x, (int, np.integer)):
         out = 1
         for i in range(p):
@@ -97,9 +93,7 @@ def falling_factorial(x, p):
 
 def stirling2_row(k):
     """Stirling numbers of the second kind S(k, p) for p = 0..k, exact ints."""
-    k = int(k)
-    if k < 0:
-        raise ValueError("stirling2_row: k must be >= 0")
+    k = as_int("stirling2_row: k", k, 0)
     row = [1]
     for n in range(1, k + 1):
         prev = row
@@ -112,7 +106,7 @@ def stirling2_row(k):
 
 def bell_number(k):
     """Number of partitions of a k-element set, exact int."""
-    return sum(stirling2_row(int(k)))
+    return sum(stirling2_row(k))
 
 
 def stirling_identity_residual(k, x):
@@ -121,7 +115,7 @@ def stirling_identity_residual(k, x):
     For integer x the sum is evaluated in exact integer arithmetic and
     the residual is exactly 0.
     """
-    k = int(k)
+    k = as_int("stirling_identity_residual: k", k)
     if k < 1 or k > PARTITION_K_CAP:
         raise ValueError("stirling_identity_residual: need 1 <= k <= %d" % PARTITION_K_CAP)
     row = stirling2_row(k)
@@ -146,15 +140,9 @@ def rho_superposed_sine(m, points):
 
     which tends to the Poisson constant 1 as m grows with the points fixed.
     """
-    m = int(m)
-    if m < 1:
-        raise ValueError("rho_superposed_sine: m must be >= 1")
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 1 or pts.size < 1:
-        raise ValueError("rho_superposed_sine: points must be a nonempty 1-d sequence")
+    m = as_int("rho_superposed_sine: m", m, 1)
+    pts = check_points("rho_superposed_sine", points)
     k = pts.size
-    if k > DEFAULT_K_CAP:
-        raise CapacityError("rho_superposed_sine: order %d exceeds cap %d" % (k, DEFAULT_K_CAP))
     scaled = pts / m
     mk = m ** k  # exact int
     total = 0.0
@@ -176,9 +164,7 @@ def rho_superposed_pair(m, delta):
     Agrees with rho_superposed_sine(m, [0, delta]) and is the fixed-m
     limit curve of the rescaled tensor-product process.
     """
-    m = int(m)
-    if m < 1:
-        raise ValueError("rho_superposed_pair: m must be >= 1")
+    m = as_int("rho_superposed_pair: m", m, 1)
     q = sine_q(np.asarray(delta, dtype=float) / m)
     out = 1.0 - q * q / m
     if np.ndim(delta) == 0:

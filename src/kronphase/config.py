@@ -10,9 +10,9 @@ circumference equals the product of dims).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import asdict, dataclass, fields
 
+from .kernels import as_int
 from .sampler import RngStream
 
 MODES = ("single", "pair", "triple")
@@ -25,18 +25,6 @@ def parse_int_list(text):
     Raises ValueError on any part that is not an integer.
     """
     return tuple(int(p) for p in text.replace(",", " ").split())
-
-
-def _as_int(key, value):
-    """value as a plain int.  Bools and numbers that are not integers
-    (2.7, but also 2.0) are rejected rather than truncated; numpy
-    integers are accepted."""
-    if isinstance(value, bool):
-        raise ValueError("%s must be an integer, got %r" % (key, value))
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError("%s must be an integer, got %r" % (key, value)) from None
 
 
 @dataclass(frozen=True)
@@ -61,9 +49,9 @@ class ExperimentConfig:
         for key, parse in CONFIG_PARSERS.items():
             value = getattr(self, key)
             if parse is int:
-                value = _as_int(key, value)
+                value = as_int(key, value)
             elif parse is parse_int_list:
-                value = tuple(_as_int(key, v) for v in value)
+                value = tuple(as_int(key, v) for v in value)
             elif parse is float and value is not None:
                 value = float(value)
             object.__setattr__(self, key, value)

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import as_int
+
 DEFAULT_N_BATCHES = 20
 DEFAULT_TRIPLE_TOL = 0.2
 DEFAULT_COUNT_OFFSETS = 32
@@ -154,9 +156,7 @@ def _arc_grid(circumference, lengths, n_offsets):
     """Sorted arc ends of the translation grid t (row 0: t, row 1 + i:
     t + lengths[i]) and the position of each end in that order.  Lengths
     outside (0, L/2] would count negative or wrapped-over arcs."""
-    n = int(n_offsets)
-    if n < 1:
-        raise ValueError("n_offsets must be >= 1")
+    n = as_int("n_offsets", n_offsets, 1)
     if any(not 0.0 < float(ell) <= circumference / 2 for ell in lengths):
         raise ValueError("arc lengths must lie in (0, L/2]")
     offs = (np.arange(n) + 0.5) * (circumference / n) - circumference / 2
@@ -185,7 +185,7 @@ def _gaps(rows, circumference):
 
 
 def _validate_triple_geometry(circumference, r1, r2, tol):
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if not 0.0 < r1 < r2 <= circumference / 4:
         raise ValueError("need 0 < r1 < r2 <= L/4")
@@ -265,22 +265,22 @@ class Accumulator:
         triple=None,
         spacing_bins=None,
     ):
-        L, n = float(circumference), int(n_samples)
-        if L <= 0 or n < 1:
-            raise ValueError("need a positive circumference and n_samples >= 1")
+        L, n = float(circumference), as_int("n_samples", n_samples, 1)
+        if not 0.0 < L < np.inf:
+            raise ValueError("circumference must be positive and finite")
         self.L, self.n_samples, self.pair, self.triple = L, n, pair, triple
         self.delta_max = None if pair is None else float(pair[0])
         self.lengths = tuple(float(ell) for ell in lengths)
         if pair is not None:
             if not 0.0 < self.delta_max <= L / 2:
                 raise ValueError("delta_max must lie in (0, L/2]")
-            if int(pair[1]) < 1 or int(n_batches) < 1:
-                raise ValueError("n_bins and n_batches must be >= 1")
-            self.edges = np.linspace(0.0, self.delta_max, int(pair[1]) + 1)
-            self.batch_counts = np.zeros((min(int(n_batches), n), int(pair[1])))
-            self.batch_samples = np.zeros(min(int(n_batches), n), dtype=np.int64)
-        self.arc_grid = _arc_grid(L, self.lengths, n_offsets)
-        self.n_offsets = int(n_offsets)
+            n_bins = as_int("n_bins", pair[1], 1)
+            n_batches = min(as_int("n_batches", n_batches, 1), n)
+            self.edges = np.linspace(0.0, self.delta_max, n_bins + 1)
+            self.batch_counts = np.zeros((n_batches, n_bins))
+            self.batch_samples = np.zeros(n_batches, dtype=np.int64)
+        self.n_offsets = as_int("n_offsets", n_offsets, 1)
+        self.arc_grid = _arc_grid(L, self.lengths, self.n_offsets)
         if triple is not None:
             _validate_triple_geometry(L, *(float(v) for v in triple))
         self.spacing_bins = spacing_bins
@@ -292,7 +292,7 @@ class Accumulator:
     def add_block(self, points, first_index):
         """Add a sorted (B, P) block as samples first_index .. first_index + B - 1."""
         points = np.asarray(points, dtype=float)
-        self._add(points, int(first_index) + np.arange(len(points)))
+        self._add(points, as_int("first_index", first_index) + np.arange(len(points)))
 
     def _add(self, rows, index):
         B, P = rows.shape
@@ -449,7 +449,7 @@ def spacing_histogram_from_gaps(gap_arrays, n_bins=40):
     if mean <= 0:
         raise ValueError("spacings must have positive mean")
     pooled = flat / mean
-    edges = np.linspace(0.0, float(pooled.max()), int(n_bins) + 1)
+    edges = np.linspace(0.0, float(pooled.max()), as_int("n_bins", n_bins, 1) + 1)
     counts = np.histogram(pooled, bins=edges)[0].astype(float)
     pooled.sort()
     return SpacingHistogram(edges, counts, count, True, pooled)

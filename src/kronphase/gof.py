@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import as_int
+
 KS_MIN_N = 100
 
 # Asymptotic 5% critical value of the one-sample Kolmogorov-Smirnov
@@ -83,9 +85,7 @@ def chi_square_uniformity(phases, n_bins=32):
     10 expected counts per bin.
     """
     phases = np.asarray(phases, dtype=float)
-    n_bins = int(n_bins)
-    if n_bins < 2:
-        raise ValueError("chi_square_uniformity: need at least 2 bins")
+    n_bins = as_int("chi_square_uniformity: n_bins", n_bins, 2)
     expected = phases.size / n_bins
     if expected < 10:
         raise ValueError(

@@ -34,9 +34,32 @@ DEFAULT_K_CAP = 8
 DET_CLAMP_PER_ORDER = 1e-10
 
 
+def as_int(name, value, low=None):
+    """value as a plain int, at least low if low is given: the one check of
+    every size argument.  Python and numpy integers are accepted; bools and
+    numbers that are not integers (2.7, but also 2.0) are never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    if low is not None and value < low:
+        raise ValueError("%s must be >= %d" % (name, low))
+    return int(value)
+
+
 def _check_finite(name, arr):
     if not np.all(np.isfinite(arr)):
         raise ValueError("%s: argument must be finite" % name)
+
+
+def check_points(name, points):
+    """points of a k-point correlation as a float array: nonempty, 1-d,
+    finite, and at most DEFAULT_K_CAP of them."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 1 or pts.size < 1:
+        raise ValueError("%s: points must be a nonempty 1-d sequence" % name)
+    _check_finite(name, pts)
+    if pts.size > DEFAULT_K_CAP:
+        raise CapacityError("%s: order %d exceeds cap %d" % (name, pts.size, DEFAULT_K_CAP))
+    return pts
 
 
 def sine_q(u):
@@ -83,9 +106,7 @@ def cue_s(n, u):
     the only singular point; there the kernel takes its limit n/(2pi).
     Satisfies |(2pi/n) s_n(u)| <= 1 for all u. Scalar or ndarray.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("cue_s: n must be >= 1")
+    n = as_int("cue_s: n", n, 1)
     arr = np.asarray(u, dtype=float)
     _check_finite("cue_s", arr)
     r = reduce_to_pi(arr)
@@ -115,15 +136,9 @@ def rho_sine(points):
 
     Nonnegative up to determinant round-off; tiny negatives clamp to 0.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 1 or pts.size < 1:
-        raise ValueError("rho_sine: points must be a nonempty 1-d sequence")
-    _check_finite("rho_sine", pts)
-    k = pts.size
-    if k > DEFAULT_K_CAP:
-        raise CapacityError("rho_sine: order %d exceeds cap %d" % (k, DEFAULT_K_CAP))
+    pts = check_points("rho_sine", points)
     mat = sine_q(np.subtract.outer(pts, pts))
-    return _det_clamped(np.atleast_2d(mat), k)
+    return _det_clamped(np.atleast_2d(mat), pts.size)
 
 
 def rho_cue(n, points):
@@ -132,16 +147,9 @@ def rho_cue(n, points):
     Requires k <= n: orders beyond the point count are identically zero
     and are rejected rather than silently returned.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("rho_cue: n must be >= 1")
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 1 or pts.size < 1:
-        raise ValueError("rho_cue: points must be a nonempty 1-d sequence")
-    _check_finite("rho_cue", pts)
+    n = as_int("rho_cue: n", n, 1)
+    pts = check_points("rho_cue", points)
     k = pts.size
-    if k > DEFAULT_K_CAP:
-        raise CapacityError("rho_cue: order %d exceeds cap %d" % (k, DEFAULT_K_CAP))
     if k > n:
         raise ValueError("rho_cue: order k=%d exceeds point count n=%d" % (k, n))
     diff = np.subtract.outer(pts, pts)
@@ -157,8 +165,6 @@ def rho_cue(n, points):
 
 def hadamard_bound(k, n):
     """Hadamard bound k^(k/2) n^k / (2pi)^k on the k-point circular correlation."""
-    k = int(k)
-    n = int(n)
-    if k < 1 or n < 1:
-        raise ValueError("hadamard_bound: k and n must be >= 1")
+    k = as_int("hadamard_bound: k", k, 1)
+    n = as_int("hadamard_bound: n", n, 1)
     return float(k) ** (0.5 * k) * (n / TWO_PI) ** k

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .kernels import TWO_PI, reduce_phases
+from .kernels import TWO_PI, as_int, reduce_phases
 
 # Tensor configurations are materialized densely; 2^20 points (~8 MB)
 # is far beyond any desk-scale experiment here.
@@ -94,7 +94,7 @@ def rescale_points(phases, factor_product):
     rows are not re-sorted.  P must equal the number of phases per row.
     """
     phases = np.atleast_1d(np.asarray(phases, dtype=float))
-    P = int(factor_product)
+    P = as_int("rescale_center: factor_product", factor_product)
     if P != phases.shape[-1]:
         raise ValueError(
             "rescale_center: factor product %d does not match %d phases" % (P, phases.shape[-1])
@@ -114,8 +114,8 @@ def circle_rows(points, circumference):
     """
     pts = np.array(points, dtype=float)
     L = float(circumference)
-    if L <= 0:
-        raise ValueError("circle points: circumference must be positive")
+    if not 0.0 < L < np.inf:
+        raise ValueError("circle points: circumference must be positive and finite")
     if pts.size and not np.all(np.isfinite(pts)):
         raise ValueError("circle points must be finite")
     if pts.size and (pts.min() < -L / 2 or pts.max() >= L / 2):
@@ -132,8 +132,8 @@ def rescale_center(phases, factor_product):
     P must equal the number of phases, which makes the mean intensity
     of the rescaled configuration exactly 1.
     """
-    P = int(factor_product)
-    return RescaledConfig(points=rescale_points(phases, P), circumference=float(P))
+    pts = rescale_points(phases, factor_product)
+    return RescaledConfig(points=pts, circumference=float(pts.shape[-1]))
 
 
 def window(config, half_width):

@@ -26,7 +26,7 @@ from .combinatorics import rho_superposed_pair, rho_superposed_sine
 from .config import ExperimentConfig
 from .estimators import DEFAULT_COUNT_OFFSETS, DEFAULT_TRIPLE_TOL, Accumulator
 from .gof import KS_MIN_N, compare_to_curve, ks_against_exponential
-from .kernels import rho_sine, sine_q
+from .kernels import as_int, rho_sine, sine_q
 from .output import write_csv, write_manifest
 from .processes import RescaledConfig, circle_rows, rescale_points, tensor_phases, triple_tensor
 from .sampler import RngStream, block_length, eigenphases, sample_haar_block
@@ -245,7 +245,7 @@ def run_convergence_sweep(cfg, n_values, out_dir=None):
     """
     if cfg.mode != "pair":
         raise ValueError("convergence sweep needs a pair-mode config")
-    n_values = [int(n) for n in n_values]
+    n_values = [as_int("n_values", n) for n in n_values]
     if not n_values:
         raise ValueError("n_values must be nonempty")
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
@@ -291,10 +291,11 @@ def emit_reference_curve(kind, grid, path, m=None):
         rho = 1.0 - sine_q(grid) ** 2
         preamble = {"kind": kind}
     elif kind == "superposed_pair":
-        if m is None or int(m) < 1:
+        if m is None:
             raise ValueError("superposed_pair needs m >= 1")
-        rho = rho_superposed_pair(int(m), grid)
-        preamble = {"kind": kind, "m": int(m)}
+        m = as_int("m", m, 1)
+        rho = rho_superposed_pair(m, grid)
+        preamble = {"kind": kind, "m": m}
     else:
         rho = np.ones_like(grid)
         preamble = {"kind": kind}

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .kernels import TWO_PI, reduce_phases
+from .kernels import TWO_PI, as_int, reduce_phases
 
 # QR of a dense complex Gaussian matrix is O(n^3); 512 keeps a single
 # draw under ~0.1 s and no experiment here needs larger factors.
@@ -62,10 +62,7 @@ class RngStream:
 
     def __post_init__(self):
         for name in ("seed", "stream_id"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-                raise ValueError("RngStream: %s must be an integer" % name)
-            if not 0 <= int(v) < _U64:
+            if not 0 <= as_int("RngStream: " + name, getattr(self, name)) < _U64:
                 raise ValueError("RngStream: %s must be in [0, 2^64)" % name)
 
     def generator(self):
@@ -107,10 +104,8 @@ def sample_haar_block(dims, gens):
     would.  The same generator may appear more than once; it then
     supplies consecutive draws.
     """
-    dims = [int(n) for n in dims]
+    dims = [as_int("sample_haar_unitary: n", n, 1) for n in dims]
     for n in dims:
-        if n < 1:
-            raise ValueError("sample_haar_unitary: n must be >= 1")
         if n > DEFAULT_MAX_DIM:
             raise CapacityError("sample_haar_unitary: n=%d exceeds max %d" % (n, DEFAULT_MAX_DIM))
     gens = [_as_generator(g) for g in gens]

@@ -337,6 +337,13 @@ class TestTripleCorrelation:
         with pytest.raises(ValueError):
             triple_window_count(cfg, 0.05, 2.0, tol=0.2)
 
+    def test_nan_tol_is_rejected(self):
+        cfg = RescaledConfig(points=np.array([0.0, 1.0, 2.0]), circumference=12.0)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            triple_window_count(cfg, 1.0, 2.0, np.nan)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            Accumulator(12.0, 1, triple=(1.0, 2.0, np.nan))
+
 
 class TestIntervalCounts:
     def test_hand_example(self):
@@ -616,6 +623,11 @@ class TestAccumulator:
         got = acc.finalize()
         assert got.pair.n_samples == 4
         assert got.spacings.n_spacings == 64
+
+    @pytest.mark.parametrize("circumference", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_circumference_not_positive_and_finite(self, circumference):
+        with pytest.raises(ValueError, match="circumference must be positive and finite"):
+            Accumulator(circumference, 1, pair=(1.0, 4))
 
     def test_one_point_rows_have_no_spacings(self):
         acc = Accumulator(2.0, 3, pair=(1.0, 4), spacing_bins=4)

@@ -175,6 +175,13 @@ class TestRescaledConfig:
         with pytest.raises(ValueError):
             RescaledConfig(points=np.zeros((2, 2)), circumference=4.0)
 
+    @pytest.mark.parametrize("circumference", [np.nan, np.inf])
+    def test_rejects_non_finite_circumference(self, circumference):
+        with pytest.raises(ValueError, match="circumference must be positive and finite"):
+            RescaledConfig(points=np.array([0.0, 1.0]), circumference=circumference)
+        with pytest.raises(ValueError, match="circumference must be positive and finite"):
+            circle_rows(np.zeros((2, 3)), circumference)
+
     def test_empty_allowed(self):
         cfg = RescaledConfig(points=np.array([]), circumference=4.0)
         assert len(cfg) == 0
