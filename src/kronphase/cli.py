@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 validation error, 2 runtime or I/O error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 
@@ -28,6 +29,14 @@ from .runner import (
     sample_phase_block,
     sample_rescaled_rows,
 )
+
+# glibc returns freed chunks above its adaptive mmap threshold, and heap tops
+# above its trim threshold, to the kernel, so every block's 128 KiB - 2 MiB
+# temporaries would fault in fresh pages.  Fixed at 4 MiB and 32 MiB, they
+# stay in the heap from block to block, while larger arrays (a spacing pool)
+# still go to mmap and are returned when freed; fixing one alone adds faults.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MALLOC_THRESHOLDS = ((_M_MMAP_THRESHOLD, 4 << 20), (_M_TRIM_THRESHOLD, 32 << 20))
 
 EPILOG = """\
 exit codes: 0 success, 1 validation error, 2 runtime/I-O error,
@@ -200,7 +209,20 @@ def build_parser():
     return parser
 
 
+def _pin_malloc_thresholds():
+    """Fix glibc's mmap and trim thresholds for this process; a no-op where
+    the C library has no mallopt (or, on Windows, cannot be opened so)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in _MALLOC_THRESHOLDS:
+        mallopt(param, value)
+
+
 def main(argv=None):
+    _pin_malloc_thresholds()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

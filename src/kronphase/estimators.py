@@ -86,19 +86,17 @@ def _pair_histogram(edges, batch_counts, batch_samples, n_samples, circumference
     )
 
 
-def _reach(ext, rows, delta_max, top):
+def _reach(ext, rows, delta_max):
     """Last offset K <= P - 1 at which some row has a gap ext[:, i + K] -
-    rows[:, i] <= delta_max, or a point ext[:, i + K] <= top[:, i].
+    rows[:, i] <= delta_max.
 
-    Both grow with the offset, so the condition holds up to K and not
+    The gaps grow with the offset, so the condition holds up to K and not
     past it; K is found by galloping, then bisecting, over the offsets.
     """
     P = rows.shape[-1]
 
     def holds(k):
-        w = ext[:, k : k + P]
-        near = delta_max is not None and ((w - rows) <= delta_max).any()
-        return near or (top is not None and (w <= top).any())
+        return ((ext[:, k : k + P] - rows) <= delta_max).any()
 
     lo, hi = 0, 1
     while hi < P and holds(hi):
@@ -129,19 +127,24 @@ def _pair_gap_counts(rows, ext, K, segments, delta_max, edges):
     return hists
 
 
-def _triple_count(rows, ext, r1, r2, tol, K):
+def _triple_count(rows, ext, r1, r2, tol):
     """Ordered triples of each (B, P) block with gaps r1 +- tol/2 and
-    r2 +- tol/2 from the base, counted exactly as the comparisons of
-    searchsorted(ext_row, pts + (r + tol/2), "right") - searchsorted(ext_row,
-    pts + (r - tol/2), "left") make them, offset by offset over 1..K."""
+    r2 +- tol/2 (r1 < r2) from the base, counted exactly as the comparisons
+    of searchsorted(ext_row, pts + (r + tol/2), "right") - searchsorted(ext_row,
+    pts + (r - tol/2), "left") make them, offset by offset from 1 until no
+    point reaches the r2 window."""
     P = rows.shape[-1]
     bounds = [(rows + (r - tol / 2), rows + (r + tol / 2)) for r in (r1, r2)]
     inside = np.zeros((2,) + rows.shape, dtype=np.int64)
-    for k in range(1, K + 1):
+    for k in range(1, P):
         w = ext[:, k : k + P]
         for m, (lower, upper) in enumerate(bounds):
-            inside[m] += w <= upper
+            reached = w <= upper
+            inside[m] += reached
             inside[m] -= w < lower
+        if not reached.any():
+            # ext grows with the offset: no later point reaches either window
+            break
     for m, (lower, _) in enumerate(bounds):
         # a lower bound that rounds onto its point also takes the copies of
         # the point at or before it, which no offset >= 1 reaches
@@ -236,11 +239,12 @@ class Accumulator:
     Rows are configurations sorted in [-L/2, L/2), as processes.circle_rows
     gives them; add_block(points, first_index) takes them as samples
     first_index, first_index + 1, ...  Per block one ext = [pts, pts + L]
-    serves all parts: the points at offsets 1..K of each point give the
-    pair gaps (one histogram per batch segment of the block) and the
-    triple windows, one searchsorted into the fixed translation grid gives
-    the arc counts, and the gaps go to the spacing pool.  Blocks may come
-    in any order and be of any size; the result is the same bit for bit.
+    serves all parts: the points at offsets 1, 2, ... of each point, up to
+    each part's own reach, give the pair gaps (one histogram per batch
+    segment of the block) and the triple windows, one searchsorted into
+    the fixed translation grid gives the arc counts, and the gaps go to
+    the spacing pool.  Blocks may come in any order and be of any size;
+    the result is the same bit for bit.
 
     Memory is O(n_samples * P), from the spacing pool only: the gaps of
     every sample, kept for the spacing histogram and its KS test.  All
@@ -283,7 +287,7 @@ class Accumulator:
         self.arc_grid = _arc_grid(L, self.lengths, self.n_offsets)
         if triple is not None:
             _validate_triple_geometry(L, *(float(v) for v in triple))
-        self.spacing_bins = spacing_bins
+        self.spacing_bins = None if spacing_bins is None else as_int("spacing_bins", spacing_bins, 1)
         self.added = np.zeros(n, dtype=bool)
         self.n_points = self.triples = 0
         self.s1, self.s2 = [0] * len(self.lengths), [0] * len(self.lengths)
@@ -305,10 +309,8 @@ class Accumulator:
         self.added[index] = True
         self.n_points += B * P
         ext = np.concatenate([rows, rows + self.L], axis=-1)
-        triple = self.triple is not None and P >= 3
-        top = rows + (self.triple[1] + self.triple[2] / 2) if triple else None
-        K = _reach(ext, rows, self.delta_max, top)
         if self.pair is not None:
+            K = _reach(ext, rows, self.delta_max)
             nb = self.batch_samples.size
             batch = (index * nb) // self.n_samples
             self.batch_samples += np.bincount(batch, minlength=nb)
@@ -317,8 +319,8 @@ class Accumulator:
             hists = _pair_gap_counts(rows, ext, K, segments, self.delta_max, self.edges)
             for (r0, _), h in zip(segments, hists):
                 self.batch_counts[batch[r0]] += 2.0 * h
-        if triple:
-            self.triples += _triple_count(rows, ext, *self.triple, K)
+        if self.triple is not None and P >= 3:
+            self.triples += _triple_count(rows, ext, *self.triple)
         if self.lengths:
             counts = _arc_counts(ext, *self.arc_grid)
             for i in range(len(self.lengths)):
@@ -419,7 +421,7 @@ def triple_window_count(cfg, r1, r2, tol=DEFAULT_TRIPLE_TOL):
     if rows.size < 3:
         return 0
     ext = np.concatenate([rows, rows + cfg.circumference], axis=-1)
-    return _triple_count(rows, ext, r1, r2, tol, _reach(ext, rows, None, rows + (r2 + tol / 2)))
+    return _triple_count(rows, ext, r1, r2, tol)
 
 
 def circular_gaps(cfg):

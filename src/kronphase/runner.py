@@ -87,6 +87,7 @@ def sample_phase_block(cfg, start, stop):
     factors' stacks go through the eigensolve and the tensor sum
     together.
     """
+    start, stop = as_int("start", start), as_int("stop", stop)
     gens = [RngStream(cfg.seed, s).generator() for s in range(start, stop)]
     factors = [eigenphases(u) for u in sample_haar_block(cfg.dims, gens)]
     if cfg.mode == "single":
@@ -105,7 +106,8 @@ def sample_rescaled_rows(cfg, start, stop):
 
 def sample_rescaled_config(cfg, sample_index):
     """Draw sample s of the configured process on its rescaled circle."""
-    row = sample_rescaled_rows(cfg, sample_index, sample_index + 1)[0]
+    s = as_int("sample_index", sample_index)
+    row = sample_rescaled_rows(cfg, s, s + 1)[0]
     return RescaledConfig(points=row, circumference=float(cfg.factor_product))
 
 

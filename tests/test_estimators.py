@@ -562,9 +562,9 @@ class TestAccumulator:
         check_against_references(rows, L, acc=acc, **settings_)
 
     def test_blocks_across_batches_with_short_pair_reach(self):
-        # delta_max < r2 + tol/2: the triple windows set the reach; the
-        # blocks cut 23 rows in 5 batches (boundaries at rows 5, 10, 14, 19)
-        # in the middle of a batch
+        # delta_max < r2 + tol/2: the triple windows reach further than the
+        # pair gaps; the blocks cut 23 rows in 5 batches (boundaries at rows
+        # 5, 10, 14, 19) in the middle of a batch
         samples = poisson_configs(40.0, 23, seed=17, intensity=1.5)
         rows = np.stack([cfg.points[:38] for cfg in samples])
         settings_ = dict(
@@ -587,7 +587,7 @@ class TestAccumulator:
             delta_max=16.0, n_bins=32, n_batches=1, lengths=(4.0,), n_offsets=8, triple=(1.0, 2.0, 0.2)
         )
         ext = np.concatenate([rows, rows + 64.0], axis=-1)
-        assert estimators._reach(ext, rows, 16.0, None) == 63
+        assert estimators._reach(ext, rows, 16.0) == 63
         assert rows.size * 63 > estimators._GAP_MATRIX_MAX
         sizes = []
         histogram = np.histogram
