@@ -384,9 +384,11 @@ def estimate_pair_correlation(
     of the slice and the global n_samples_total; merging such partials
     is then bit-identical to one pass over all samples.
     """
-    index = None if sample_indices is None else np.asarray(sample_indices, dtype=np.int64)
-    if index is not None and index.size != len(samples):
-        raise ValueError("sample_indices must match samples")
+    index = None
+    if sample_indices is not None:
+        index = np.array([as_int("sample_indices", i) for i in sample_indices], dtype=np.int64)
+        if index.size != len(samples):
+            raise ValueError("sample_indices must match samples")
     parts = dict(pair=(delta_max, n_bins), n_batches=n_batches)
     return _accumulate(samples, index, n_samples_total, **parts).pair
 

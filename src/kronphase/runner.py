@@ -88,8 +88,8 @@ def sample_phase_block(cfg, start, stop):
     together.
     """
     start, stop = as_int("start", start), as_int("stop", stop)
-    gens = [RngStream(cfg.seed, s).generator() for s in range(start, stop)]
-    factors = [eigenphases(u) for u in sample_haar_block(cfg.dims, gens)]
+    streams = [RngStream(cfg.seed, s) for s in range(start, stop)]
+    factors = [eigenphases(u) for u in sample_haar_block(cfg.dims, streams)]
     if cfg.mode == "single":
         return factors[0]
     if cfg.mode == "pair":
@@ -109,6 +109,15 @@ def sample_rescaled_config(cfg, sample_index):
     s = as_int("sample_index", sample_index)
     row = sample_rescaled_rows(cfg, s, s + 1)[0]
     return RescaledConfig(points=row, circumference=float(cfg.factor_product))
+
+
+def _accumulate_samples(cfg, **parts):
+    """EstimateBundle of the given Accumulator parts over every sample of cfg,
+    drawn block by block."""
+    acc = Accumulator(float(cfg.factor_product), cfg.n_samples, **parts)
+    for start, stop in sample_blocks(cfg):
+        acc.add_block(sample_rescaled_rows(cfg, start, stop), start)
+    return acc.finalize()
 
 
 def target_curve(cfg):
@@ -137,18 +146,14 @@ def run_experiment(cfg, out_dir=None, emit=("pair", "spacings", "counts")):
     lengths = tuple(ell for ell in COUNT_LENGTHS if ell <= L / 2)
     want_triple = cfg.k_analytic >= 3 and L >= 4 * (TRIPLE_R2 + DEFAULT_TRIPLE_TOL)
 
-    acc = Accumulator(
-        L,
-        cfg.n_samples,
+    bundle = _accumulate_samples(
+        cfg,
         pair=(cfg.delta_max, cfg.n_bins),
         lengths=lengths,
         n_offsets=DEFAULT_COUNT_OFFSETS,
         triple=(TRIPLE_R1, TRIPLE_R2, DEFAULT_TRIPLE_TOL) if want_triple else None,
         spacing_bins=cfg.n_bins,
     )
-    for start, stop in sample_blocks(cfg):
-        acc.add_block(sample_rescaled_rows(cfg, start, stop), start)
-    bundle = acc.finalize()
     hist = bundle.pair
     spacings = bundle.spacings
     count_var = bundle.count_var
@@ -243,7 +248,8 @@ def run_convergence_sweep(cfg, n_values, out_dir=None):
     """Fixed first factor, growing second factor: rms vs the limit curve.
 
     cfg must be in pair mode; its dims[1] is replaced by each value of
-    n_values in turn.  Returns one row dict per n.
+    n_values in turn, and only the pair histogram is accumulated, the
+    same histogram run_experiment compares.  Returns one row dict per n.
     """
     if cfg.mode != "pair":
         raise ValueError("convergence sweep needs a pair-mode config")
@@ -255,12 +261,13 @@ def run_convergence_sweep(cfg, n_values, out_dir=None):
     rows = []
     for n in n_values:
         sub = replace(cfg, dims=(cfg.dims[0], n), curve="superposed")
-        _, manifest = run_experiment(sub, out_dir=None)
+        hist = _accumulate_samples(sub, pair=(sub.delta_max, sub.n_bins)).pair
+        comparison = compare_to_curve(hist, target_curve(sub)[1])
         rows.append(
             {
                 "n": n,
-                "rms_dev": manifest.summary["pair_rms_dev"],
-                "max_abs_dev": manifest.summary["pair_max_abs_dev"],
+                "rms_dev": comparison.rms_dev,
+                "max_abs_dev": comparison.max_abs_dev,
                 "n_samples": cfg.n_samples,
             }
         )

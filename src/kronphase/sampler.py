@@ -8,13 +8,18 @@ from Box-Muller on the uniform stream, which keeps the byte-level
 output independent of any library's normal-variate algorithm.
 
 Draws are made in blocks.  The uniforms of each draw still come from its
-own generator, in the order a one-at-a-time loop would take them; the
-matrices are then stacked as (B, n, n) and go through Box-Muller, QR,
-the phase fix and the eigensolve as one numpy call each.  Every step
-works matrix by matrix (elementwise maps, and LAPACK called once per
-matrix by numpy's stacked linalg), so a draw's bytes do not depend on
-the block it was drawn in.  `sample_haar_unitary` and `eigenphases` on a
-single matrix are the block-of-one case of the same code.
+own stream, in the order a one-at-a-time loop would take them.  A block
+builds one Philox generator and re-keys it to each sample's (seed,
+stream_id) through the public state setter: Philox is counter-based, so
+the key alone fixes the stream, and the bits are those of
+RngStream.generator() without a new generator per sample.  One fill
+takes all of a sample's uniforms.  The matrices are then stacked as
+(B, n, n) and go through Box-Muller, QR, the phase fix and the
+eigensolve as one numpy call each.  Every step works matrix by matrix
+(elementwise maps, and LAPACK called once per matrix by numpy's stacked
+linalg), so a draw's bytes do not depend on the block it was drawn in.
+`sample_haar_unitary` and `eigenphases` on a single matrix are the
+block-of-one case of the same code.
 """
 
 from __future__ import annotations
@@ -67,16 +72,26 @@ class RngStream:
 
     def generator(self):
         """Fresh numpy Generator positioned at the start of this stream."""
-        key = (int(self.seed) << 64) | int(self.stream_id)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=_philox_key(self)))
 
 
-def _as_generator(rng):
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise ValueError("rng must be an RngStream or numpy Generator")
+def _philox_key(stream):
+    """The two uint64 words of the Philox key of a stream: the 128-bit
+    integer (seed << 64) | stream_id, least significant word first."""
+    return np.array([stream.stream_id, stream.seed], dtype=np.uint64)
+
+
+def _rekey(bitgen, stream):
+    """Position a Philox bit generator at the start of stream, with the bits
+    of a fresh one built from its key: counter 0, empty output buffer."""
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": _philox_key(stream)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def block_length(dims, points=0):
@@ -89,11 +104,28 @@ def block_length(dims, points=0):
 
 def _complex_ginibre(u1, u2, n):
     # Box-Muller: two uniforms -> radius/angle -> one standard complex
-    # Gaussian per entry (real and imaginary parts N(0, 1/2)).
-    u1 = 1.0 - u1  # (0, 1], keeps the log finite
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = r * (np.cos(TWO_PI * u2) + 1j * np.sin(TWO_PI * u2))
-    return (z / np.sqrt(2.0)).reshape(-1, n, n)
+    # Gaussian per entry (real and imaginary parts N(0, 1/2)).  Each plane
+    # is scaled by r and by 1/sqrt(2) in place, the bits of
+    # r * (cos + 1j sin) / sqrt(2), which numpy divides as a product by
+    # 1/sqrt(2).
+    r = np.subtract(1.0, u1)  # (0, 1], keeps the log finite
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    angle = TWO_PI * u2
+    z = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=z.real)
+    np.sin(angle, out=z.imag)
+    for plane in (z.real, z.imag):
+        plane *= r
+        plane *= 1.0 / np.sqrt(2.0)
+    if not r.all():
+        # u1 = 0 gives r = -0, where numpy's complex product and quotient
+        # give +0 real parts and a -0 imaginary part only where cos < 0 < sin.
+        zero = r == 0
+        a = angle[zero]
+        z[zero] = np.where((np.cos(a) < 0) & (np.sin(a) > 0), complex(0.0, -0.0), 0j)
+    return z.reshape(-1, n, n)
 
 
 def sample_haar_block(dims, gens):
@@ -101,20 +133,34 @@ def sample_haar_block(dims, gens):
 
     Sample b takes one matrix of each size in dims, in that order, from
     gens[b], exactly as a loop of sample_haar_unitary calls on gens[b]
-    would.  The same generator may appear more than once; it then
-    supplies consecutive draws.
+    would.  An RngStream entry draws from one Philox generator of the
+    call, re-keyed to that stream, with the bits of its generator().  A
+    Generator entry may appear more than once; it then supplies
+    consecutive draws.
     """
     dims = [as_int("sample_haar_unitary: n", n, 1) for n in dims]
     for n in dims:
         if n > DEFAULT_MAX_DIM:
             raise CapacityError("sample_haar_unitary: n=%d exceeds max %d" % (n, DEFAULT_MAX_DIM))
-    gens = [_as_generator(g) for g in gens]
-    uniforms = [np.empty((2, len(gens), n * n)) for n in dims]
-    for b, gen in enumerate(gens):
-        for u in uniforms:
-            gen.random(out=u[0, b])
-            gen.random(out=u[1, b])
-    return [_haar_from_ginibre(_complex_ginibre(u[0], u[1], n)) for u, n in zip(uniforms, dims)]
+    gens = list(gens)
+    if not all(isinstance(g, (RngStream, np.random.Generator)) for g in gens):
+        raise ValueError("rng must be an RngStream or numpy Generator")
+    # per sample: u1 then u2 of each factor, in dims order
+    uniforms = np.empty((len(gens), sum(2 * n * n for n in dims)))
+    keyed = None
+    for row, gen in zip(uniforms, gens):
+        if isinstance(gen, RngStream):
+            if keyed is None:  # its seed is replaced by every re-key
+                keyed = np.random.Generator(np.random.Philox(0))
+            _rekey(keyed.bit_generator, gen)
+            gen = keyed
+        gen.random(out=row)
+    stacks, start = [], 0
+    for n in dims:
+        u1, u2 = uniforms[:, start : start + n * n], uniforms[:, start + n * n : start + 2 * n * n]
+        stacks.append(_haar_from_ginibre(_complex_ginibre(u1, u2, n)))
+        start += 2 * n * n
+    return stacks
 
 
 def _haar_from_ginibre(z):
@@ -177,6 +223,16 @@ def _phases_stack(u):
     return ang
 
 
+def _unitarity_residual(u):
+    """max|U U* - I| over a (..., n, n) stack, with I subtracted in place on
+    the diagonal of U U* (off the diagonal, x - 0 is x)."""
+    gram = u @ u.conj().swapaxes(-1, -2)
+    gram = gram.astype(np.result_type(gram, 1.0), copy=False)  # bool and int stacks
+    diag = np.arange(u.shape[-1])
+    gram[..., diag, diag] -= 1
+    return np.max(np.abs(gram))
+
+
 def eigenphases(u):
     """Sorted eigenphases in [0, 2pi) of a unitary matrix or a (..., n, n) stack.
 
@@ -202,7 +258,7 @@ def eigenphases(u):
     if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         raise ValueError("eigenphases: input must be a square matrix or a stack of them")
     n = u.shape[-1]
-    resid = np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(n)))
+    resid = _unitarity_residual(u)
     if resid > UNITARITY_TOL:
         raise ValueError(
             "eigenphases: unitarity residual %.3e exceeds tolerance %.3e" % (resid, UNITARITY_TOL)

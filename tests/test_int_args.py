@@ -19,7 +19,12 @@ from kronphase.combinatorics import (
     stirling_identity_residual,
 )
 from kronphase.config import ExperimentConfig
-from kronphase.estimators import Accumulator, interval_counts, spacing_histogram_from_gaps
+from kronphase.estimators import (
+    Accumulator,
+    estimate_pair_correlation,
+    interval_counts,
+    spacing_histogram_from_gaps,
+)
 from kronphase.errors import CapacityError
 from kronphase.gof import chi_square_uniformity
 from kronphase.kernels import as_int, cue_s, hadamard_bound, rho_cue, rho_sine
@@ -46,6 +51,10 @@ def _spacing_hist():
     return spacing_histogram_from_gaps(GAPS, n_bins=4)
 
 
+def _pair_slice(indices):
+    return estimate_pair_correlation([CIRCLE] * len(indices), 2.0, 4, sample_indices=indices, n_samples_total=2)
+
+
 # (site, callable of the size argument, a valid value of it)
 SITES = [
     ("cue_s n", lambda v: cue_s(v, 0.5), 3),
@@ -65,6 +74,7 @@ SITES = [
     ("Accumulator n_offsets", lambda v: Accumulator(8.0, 2, lengths=(1.0,), n_offsets=v), 4),
     ("Accumulator spacing_bins", lambda v: Accumulator(8.0, 2, spacing_bins=v), 4),
     ("add_block first_index", lambda v: Accumulator(8.0, 2).add_block(CIRCLE.points[None], v), 1),
+    ("estimate_pair_correlation sample_indices", lambda v: _pair_slice([v]), 1),
     ("interval_counts n_offsets", lambda v: interval_counts(CIRCLE, (1.0,), n_offsets=v), 4),
     ("spacing_histogram_from_gaps n_bins", lambda v: spacing_histogram_from_gaps(GAPS, n_bins=v), 4),
     ("rescale_points factor_product", lambda v: rescale_points(np.linspace(0.1, 6.0, 4), v), 4),
@@ -130,3 +140,11 @@ def test_correlation_point_check(name):
             fn(bad)
     with pytest.raises(CapacityError, match="^%s: order 9 exceeds cap 8$" % name):
         fn(np.arange(9.0))
+
+
+def test_fractional_sample_indices_are_not_truncated():
+    with pytest.raises(ValueError, match=r"sample_indices must be an integer, got 0\.5"):
+        _pair_slice([0.5, 1.7])
+    with pytest.raises(ValueError, match=r"sample_indices must be an integer, got np\.float64\(0\.0\)"):
+        _pair_slice(np.array([0.0, 1.0]))
+    assert _pair_slice(np.arange(2)).n_samples == 2

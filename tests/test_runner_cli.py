@@ -1,4 +1,5 @@
 import ctypes
+import hashlib
 import json
 import os
 import platform
@@ -370,6 +371,28 @@ class TestRunner:
         sub = ExperimentConfig(mode="pair", dims=(2, 10), n_samples=40, seed=6, curve="superposed")
         _, manifest = run_experiment(sub)
         assert single[0]["rms_dev"] == manifest.summary["pair_rms_dev"]
+
+    def test_sweep_rows_equal_run_experiment(self, monkeypatch):
+        cfg = ExperimentConfig(mode="pair", dims=(2, 8), n_samples=60, seed=13, n_bins=12)
+        want = []
+        for n in (8, 12, 20):
+            sub = ExperimentConfig(mode="pair", dims=(2, n), n_samples=60, seed=13, n_bins=12, curve="superposed")
+            s = run_experiment(sub)[1].summary
+            want.append((n, s["pair_rms_dev"], s["pair_max_abs_dev"]))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep ran a whole experiment")
+
+        monkeypatch.setattr(kronphase.runner, "run_experiment", refuse)
+        rows = run_convergence_sweep(cfg, [8, 12, 20])
+        assert [(r["n"], r["rms_dev"], r["max_abs_dev"]) for r in rows] == want
+
+    def test_sweep_csv_bytes(self, tmp_path):
+        # recorded when each sweep row came from a full run_experiment
+        cfg = ExperimentConfig(mode="pair", dims=(2, 8), n_samples=120, seed=75)
+        run_convergence_sweep(cfg, [8, 12, 20], out_dir=str(tmp_path))
+        digest = hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest()
+        assert digest == "4d3a93ed7e3d3f7bf42b0f456f7924e5db9fcc7fb63fbcbd7d2155e4506f425c"
 
     def test_sweep_validation(self):
         cfg = ExperimentConfig(mode="pair", dims=(2, 10), n_samples=4, seed=6)

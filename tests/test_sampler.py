@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,25 @@ from kronphase.sampler import (
 )
 
 TWO_PI = 2.0 * np.pi
+KEY_WORDS = (0, 1, 1 << 63, (1 << 64) - 1)
+
+
+def oracle_generator(seed, stream_id):
+    """The stream as first defined: Philox keyed by the 128-bit integer
+    (seed << 64) | stream_id."""
+    return np.random.Generator(np.random.Philox(key=(seed << 64) | stream_id))
+
+
+def reference_ginibre(u1, u2, n):
+    """Box-Muller as first written, one complex expression."""
+    u1 = 1.0 - u1
+    r = np.sqrt(-2.0 * np.log(u1))
+    z = r * (np.cos(TWO_PI * u2) + 1j * np.sin(TWO_PI * u2))
+    return (z / np.sqrt(2.0)).reshape(-1, n, n)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def circular_mismatch(got, want):
@@ -74,6 +95,41 @@ class TestRngStream:
         s = RngStream(1, 2)
         with pytest.raises(AttributeError):
             s.seed = 9
+
+    @pytest.mark.parametrize("seed, stream_id", itertools.product(KEY_WORDS, KEY_WORDS))
+    def test_key_matches_integer_key(self, seed, stream_id):
+        want = oracle_generator(seed, stream_id).random(9)
+        assert np.array_equal(RngStream(seed, stream_id).generator().random(9), want)
+        # the block re-keys its one Philox to the same words
+        keyed = np.random.Generator(np.random.Philox(0))
+        keyed.random(3)
+        sampler._rekey(keyed.bit_generator, RngStream(seed, stream_id))
+        assert np.array_equal(keyed.random(9), want)
+
+    @pytest.mark.parametrize("seed, stream_id", [(0, 1), ((1 << 64) - 1, 1 << 63)])
+    def test_block_draws_equal_the_integer_key(self, seed, stream_id):
+        got = sample_haar_block([3, 2], [RngStream(seed, stream_id)])
+        want = sample_haar_block([3, 2], [oracle_generator(seed, stream_id)])
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_block_builds_at_most_one_philox(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def spy(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", spy)
+        sample_haar_block((2, 5), [RngStream(3, s) for s in range(6)])
+        assert len(built) == 1
+        gen = np.random.Generator(philox(1))
+        built.clear()
+        sample_haar_block([4], [gen, RngStream(3, 0), gen, RngStream(3, 1)])
+        assert len(built) == 1
+        built.clear()
+        sample_haar_block([4], [gen, gen])
+        assert built == []
 
 
 class TestHaarUnitary:
@@ -245,6 +301,23 @@ class TestStackedDraws:
                 assert stack.shape == (5, n, n)
                 assert np.array_equal(stack[s], sample_haar_unitary(n, gen))
 
+    def test_mixed_entries_match_one_at_a_time(self):
+        shared = RngStream(8, 90).generator()
+        entries = [RngStream(8, 0), shared, RngStream(8, 2), shared, RngStream(8, 90).generator()]
+        stacks = sample_haar_block((3, 2), iter(entries))  # any iterable
+        shared = RngStream(8, 90).generator()
+        singles = [RngStream(8, 0), shared, RngStream(8, 2), shared, RngStream(8, 90).generator()]
+        for b, entry in enumerate(singles):
+            gen = entry.generator() if isinstance(entry, RngStream) else entry
+            for n, stack in zip((3, 2), stacks):
+                assert np.array_equal(stack[b], sample_haar_unitary(n, gen))
+
+    def test_rejects_unknown_entry_before_drawing(self):
+        gen = RngStream(4).generator()
+        with pytest.raises(ValueError, match="rng must be"):
+            sample_haar_block([2], [gen, 1234])
+        assert np.array_equal(gen.random(3), RngStream(4).generator().random(3))
+
     def test_shared_generator_draws_in_order(self):
         gen = RngStream(9).generator()
         stack = sample_haar_block([4], [gen] * 6)[0]
@@ -301,6 +374,43 @@ class TestStackedDraws:
         stack[4] = stack[4] * (1.0 + 1e-6)
         with pytest.raises(ValueError, match="unitarity residual"):
             eigenphases(stack)
+
+
+class TestBoxMullerOracle:
+    @pytest.mark.parametrize("n, b", [(1, 5), (2, 64), (16, 9), (40, 3)])
+    def test_random_blocks(self, n, b):
+        u = np.random.default_rng(n).random((b, 2 * n * n))
+        u1, u2 = u[:, : n * n], u[:, n * n :]
+        assert same_bits(sampler._complex_ginibre(u1, u2, n), reference_ginibre(u1, u2, n))
+
+    def test_signed_zeros(self):
+        # u1 = 0 gives r = -0, and u2 = 0 a zero sine; u2 runs through
+        # every quadrant of the angle
+        u2 = np.concatenate([[0.0, 0.25, 0.5, 0.75], np.linspace(0.0, 1.0, 64, endpoint=False)])
+        u1 = np.zeros_like(u2)
+        u1[::3] = np.random.default_rng(7).random(u2[::3].size)
+        for a, b in ((u1, u2), (np.zeros_like(u2), u2), (u2, np.zeros_like(u2))):
+            got = sampler._complex_ginibre(a[None], b[None], 1)
+            assert same_bits(got, reference_ginibre(a[None], b[None], 1))
+
+
+class TestUnitarityResidual:
+    @staticmethod
+    def reference(u):
+        return np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1])))
+
+    def test_bit_equal(self):
+        haar = sample_haar_block([6], [RngStream(12, s) for s in range(8)])[0]
+        skewed = haar * np.linspace(0.9, 1.1, 6)
+        for stack in (haar, skewed, haar[3], -np.eye(4), np.eye(3) * 1.5):
+            got, want = sampler._unitarity_residual(stack), self.reference(stack)
+            assert np.array_equal(np.float64(got).view(np.uint64), np.float64(want).view(np.uint64))
+
+    def test_integer_and_bool_input(self):
+        perm = np.eye(3, dtype=bool)[[2, 0, 1]]
+        assert sampler._unitarity_residual(perm) == 0.0
+        assert sampler._unitarity_residual(2 * np.eye(2, dtype=int)) == 3.0
+        assert circular_mismatch(eigenphases(perm), [0.0, TWO_PI / 3, 2 * TWO_PI / 3]) < 1e-12
 
 
 class TestCuePhases:
