@@ -18,7 +18,6 @@ from .kernels import (
     sine_q,
 )
 from .combinatorics import (
-    SetPartition,
     bell_number,
     falling_factorial,
     rho_superposed_pair,
@@ -67,7 +66,6 @@ from .runner import (
     emit_reference_curve,
     run_convergence_sweep,
     run_experiment,
-    sample_rescaled_config,
     target_curve,
 )
 from .acceptance import CriterionResult, run_criteria
@@ -84,7 +82,6 @@ __all__ = [
     "RescaledConfig",
     "RngStream",
     "RunManifest",
-    "SetPartition",
     "SpacingHistogram",
     "bell_number",
     "build_config",
@@ -116,7 +113,6 @@ __all__ = [
     "sample_cue_phases",
     "sample_haar_block",
     "sample_haar_unitary",
-    "sample_rescaled_config",
     "set_partitions",
     "sine_q",
     "stirling2_row",

@@ -16,7 +16,6 @@ import numpy as np
 
 from .acceptance import run_criteria
 from .config import CONFIG_PARSERS, CURVES, MODES, build_config, parse_config_file, parse_int_list
-from .errors import CapacityError
 from .output import write_csv
 from .processes import RescaledConfig, window
 from .runner import (
@@ -196,7 +195,7 @@ def build_parser():
 
     p = sub.add_parser("refcurve", help="write an analytic reference curve")
     p.add_argument("--kind", choices=REFERENCE_KINDS, required=True)
-    p.add_argument("--m", type=int, help="superposition order for superposed_pair")
+    p.add_argument("--m", type=int, help="superposition order (superposed_pair only)")
     p.add_argument("--delta-max", type=float, default=4.0, dest="delta_max")
     p.add_argument("--points", type=int, default=80)
     p.add_argument("--out", default="refcurve.csv", metavar="FILE")
@@ -227,7 +226,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CapacityError, ValueError) as exc:
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except OSError as exc:

@@ -10,8 +10,6 @@ specialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CapacityError
@@ -20,20 +18,6 @@ from .kernels import as_int, check_points, rho_sine, sine_q
 # Bell(13) exceeds 2.7e7 partitions; enumeration beyond this is never
 # needed and only invites accidental memory blowups.
 PARTITION_K_CAP = 12
-
-
-@dataclass(frozen=True)
-class SetPartition:
-    """A partition of {1,...,k} into nonempty disjoint blocks.
-
-    Blocks are tuples of ascending indices, ordered by smallest element.
-    """
-
-    blocks: tuple
-
-    @property
-    def block_count(self):
-        return len(self.blocks)
 
 
 def _rgs_blocks(k):
@@ -59,19 +43,19 @@ def _rgs_blocks(k):
 
 def set_partitions(k):
     """Enumerate every partition of {1,...,k} exactly once, as a tuple
-    of SetPartition.
+    of partitions, each a tuple of blocks.
 
-    Partitions are returned grouped by ascending block count; within a
-    group the restricted-growth enumeration order is kept.
+    A block is a tuple of ascending indices, and the blocks of a
+    partition are ordered by smallest element.  Partitions are returned
+    grouped by ascending block count; within a group the restricted-growth
+    enumeration order is kept.
     """
     k = as_int("set_partitions: k", k, 1)
     if k > PARTITION_K_CAP:
         raise CapacityError(
             "set_partitions: k=%d exceeds cap %d" % (k, PARTITION_K_CAP)
         )
-    parts = [SetPartition(blocks=b) for b in _rgs_blocks(k)]
-    parts.sort(key=lambda sp: sp.block_count)
-    return tuple(parts)
+    return tuple(sorted(_rgs_blocks(k), key=len))
 
 
 def falling_factorial(x, p):
@@ -146,13 +130,13 @@ def rho_superposed_sine(m, points):
     scaled = pts / m
     mk = m ** k  # exact int
     total = 0.0
-    for sp in set_partitions(k):
-        p = sp.block_count
+    for blocks in set_partitions(k):
+        p = len(blocks)
         if p > m:
             continue  # falling factorial vanishes
         weight = falling_factorial(m, p) / mk
         prod = 1.0
-        for block in sp.blocks:
+        for block in blocks:
             prod *= rho_sine(scaled[[i - 1 for i in block]])
         total += weight * prod
     return total

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import as_int
+from .processes import circle_rows
 
 DEFAULT_N_BATCHES = 20
 DEFAULT_TRIPLE_TOL = 0.2
@@ -209,7 +210,6 @@ class SpacingHistogram:
     bin_edges: np.ndarray
     counts: np.ndarray
     n_spacings: int
-    normalized: bool
     spacings: np.ndarray
     n_skipped: int = 0
 
@@ -236,8 +236,8 @@ class EstimateBundle:
 class Accumulator:
     """Every estimator of a run, fed (B, P) blocks of rows.
 
-    Rows are configurations sorted in [-L/2, L/2), as processes.circle_rows
-    gives them; add_block(points, first_index) takes them as samples
+    Rows are configurations in [-L/2, L/2), which add_block checks and
+    sorts through processes.circle_rows; it takes them as samples
     first_index, first_index + 1, ...  Per block one ext = [pts, pts + L]
     serves all parts: the points at offsets 1, 2, ... of each point, up to
     each part's own reach, give the pair gaps (one histogram per batch
@@ -250,7 +250,7 @@ class Accumulator:
     every sample, kept for the spacing histogram and its KS test.  All
     other parts have a fixed size.
 
-    Parts: pair = (delta_max, n_bins) in n_batches sample batches, arc
+    Parts: pair = (delta_max, n_bins) in DEFAULT_N_BATCHES sample batches, arc
     lengths for count variances over n_offsets translations, triple =
     (r1, r2, tol), and spacing_bins for the spacing pool.  The triple
     estimate is the window count over every base point divided by
@@ -263,7 +263,6 @@ class Accumulator:
         circumference,
         n_samples,
         pair=None,
-        n_batches=DEFAULT_N_BATCHES,
         lengths=(),
         n_offsets=DEFAULT_COUNT_OFFSETS,
         triple=None,
@@ -279,10 +278,9 @@ class Accumulator:
             if not 0.0 < self.delta_max <= L / 2:
                 raise ValueError("delta_max must lie in (0, L/2]")
             n_bins = as_int("n_bins", pair[1], 1)
-            n_batches = min(as_int("n_batches", n_batches, 1), n)
             self.edges = np.linspace(0.0, self.delta_max, n_bins + 1)
-            self.batch_counts = np.zeros((n_batches, n_bins))
-            self.batch_samples = np.zeros(n_batches, dtype=np.int64)
+            self.batch_counts = np.zeros((min(DEFAULT_N_BATCHES, n), n_bins))
+            self.batch_samples = np.zeros(len(self.batch_counts), dtype=np.int64)
         self.n_offsets = as_int("n_offsets", n_offsets, 1)
         self.arc_grid = _arc_grid(L, self.lengths, self.n_offsets)
         if triple is not None:
@@ -294,9 +292,11 @@ class Accumulator:
         self.gaps = None
 
     def add_block(self, points, first_index):
-        """Add a sorted (B, P) block as samples first_index .. first_index + B - 1."""
-        points = np.asarray(points, dtype=float)
-        self._add(points, as_int("first_index", first_index) + np.arange(len(points)))
+        """Add a (B, P) block, checked and sorted by circle_rows, as samples first_index, ..."""
+        if np.ndim(points) != 2:
+            raise ValueError("add_block: points must be a (B, P) block")
+        rows = circle_rows(points, self.L)
+        self._add(rows, as_int("first_index", first_index) + np.arange(len(rows)))
 
     def _add(self, rows, index):
         B, P = rows.shape
@@ -370,14 +370,7 @@ def _accumulate(samples, index=None, n_samples=None, **parts):
     return acc.finalize()
 
 
-def estimate_pair_correlation(
-    samples,
-    delta_max,
-    n_bins,
-    n_batches=DEFAULT_N_BATCHES,
-    sample_indices=None,
-    n_samples_total=None,
-):
+def estimate_pair_correlation(samples, delta_max, n_bins, sample_indices=None, n_samples_total=None):
     """Pair-correlation histogram over distances (0, delta_max].
 
     For a slice of a larger experiment, pass the global sample_indices
@@ -389,8 +382,7 @@ def estimate_pair_correlation(
         index = np.array([as_int("sample_indices", i) for i in sample_indices], dtype=np.int64)
         if index.size != len(samples):
             raise ValueError("sample_indices must match samples")
-    parts = dict(pair=(delta_max, n_bins), n_batches=n_batches)
-    return _accumulate(samples, index, n_samples_total, **parts).pair
+    return _accumulate(samples, index, n_samples_total, pair=(delta_max, n_bins)).pair
 
 
 def merge(h1, h2):
@@ -456,7 +448,7 @@ def spacing_histogram_from_gaps(gap_arrays, n_bins=40):
     edges = np.linspace(0.0, float(pooled.max()), as_int("n_bins", n_bins, 1) + 1)
     counts = np.histogram(pooled, bins=edges)[0].astype(float)
     pooled.sort()
-    return SpacingHistogram(edges, counts, count, True, pooled)
+    return SpacingHistogram(edges, counts, count, pooled)
 
 
 def interval_counts(cfg, lengths, n_offsets=DEFAULT_COUNT_OFFSETS):

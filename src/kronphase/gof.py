@@ -62,8 +62,6 @@ def ks_against_exponential(spacing_hist):
     """One-sample KS test of normalized spacings against 1 - exp(-s).
 
     Reads the spacings in the ascending order SpacingHistogram keeps them."""
-    if not spacing_hist.normalized:
-        raise ValueError("ks_against_exponential: spacings must be normalized to mean 1")
     s = np.asarray(spacing_hist.spacings, dtype=float)
     n = s.size
     if n < KS_MIN_N:

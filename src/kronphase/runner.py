@@ -28,7 +28,7 @@ from .estimators import DEFAULT_COUNT_OFFSETS, DEFAULT_TRIPLE_TOL, Accumulator
 from .gof import KS_MIN_N, compare_to_curve, ks_against_exponential
 from .kernels import as_int, rho_sine, sine_q
 from .output import write_csv, write_manifest
-from .processes import RescaledConfig, circle_rows, rescale_points, tensor_phases, triple_tensor
+from .processes import circle_rows, rescale_points, tensor_phases, triple_tensor
 from .sampler import RngStream, block_length, eigenphases, sample_haar_block
 
 STREAM_POLICY = "sample index s uses stream_id = s"
@@ -104,19 +104,13 @@ def sample_rescaled_rows(cfg, start, stop):
     return circle_rows(rescale_points(sample_phase_block(cfg, start, stop), P), P)
 
 
-def sample_rescaled_config(cfg, sample_index):
-    """Draw sample s of the configured process on its rescaled circle."""
-    s = as_int("sample_index", sample_index)
-    row = sample_rescaled_rows(cfg, s, s + 1)[0]
-    return RescaledConfig(points=row, circumference=float(cfg.factor_product))
-
-
 def _accumulate_samples(cfg, **parts):
     """EstimateBundle of the given Accumulator parts over every sample of cfg,
-    drawn block by block."""
-    acc = Accumulator(float(cfg.factor_product), cfg.n_samples, **parts)
+    drawn block by block; add_block checks and sorts the rescaled rows."""
+    P = cfg.factor_product
+    acc = Accumulator(float(P), cfg.n_samples, **parts)
     for start, stop in sample_blocks(cfg):
-        acc.add_block(sample_rescaled_rows(cfg, start, stop), start)
+        acc.add_block(rescale_points(sample_phase_block(cfg, start, stop), P), start)
     return acc.finalize()
 
 
@@ -289,6 +283,8 @@ def emit_reference_curve(kind, grid, path, m=None):
     """Write a two-column CSV (delta, rho) of an analytic pair curve."""
     if kind not in REFERENCE_KINDS:
         raise ValueError("kind must be one of %s" % (REFERENCE_KINDS,))
+    if m is not None and kind != "superposed_pair":
+        raise ValueError("%s takes no m" % kind)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise ValueError("grid must be a nonempty 1-d sequence")

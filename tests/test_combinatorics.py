@@ -33,27 +33,28 @@ class TestSetPartitions:
         parts = set_partitions(5)
         assert isinstance(parts, tuple)
         seen = set()
-        for sp in parts:
-            flat = [i for b in sp.blocks for i in b]
+        for blocks in parts:
+            assert isinstance(blocks, tuple) and all(isinstance(b, tuple) for b in blocks)
+            flat = [i for b in blocks for i in b]
             assert sorted(flat) == list(range(1, 6))
-            assert all(list(b) == sorted(b) for b in sp.blocks)
-            firsts = [b[0] for b in sp.blocks]
+            assert all(list(b) == sorted(b) for b in blocks)
+            firsts = [b[0] for b in blocks]
             assert firsts == sorted(firsts)
-            assert sp.blocks not in seen
-            seen.add(sp.blocks)
+            assert blocks not in seen
+            seen.add(blocks)
 
     def test_grouped_by_block_count(self):
-        counts = [sp.block_count for sp in set_partitions(6)]
+        counts = [len(blocks) for blocks in set_partitions(6)]
         assert counts == sorted(counts)
 
     def test_histogram_is_stirling_row(self):
         for k in (3, 5, 7):
-            hist = Counter(sp.block_count for sp in set_partitions(k))
+            hist = Counter(len(blocks) for blocks in set_partitions(k))
             row = stirling2_row(k)
             assert hist == {p: row[p] for p in range(1, k + 1) if row[p]}
 
     def test_by_block_count(self):
-        hist = Counter(sp.block_count for sp in set_partitions(4))
+        hist = Counter(len(blocks) for blocks in set_partitions(4))
         assert (hist[1], hist[2], hist[3], hist[4]) == (1, 7, 6, 1)
 
     def test_capacity(self):

@@ -135,7 +135,7 @@ def pair_gap_histogram(pts, circumference, delta_max, edges):
     """Gap histogram of one configuration through estimate_pair_correlation,
     one entry per unordered pair."""
     cfg = RescaledConfig(points=pts, circumference=circumference)
-    return estimate_pair_correlation([cfg], delta_max, edges.size - 1, n_batches=1).counts / 2
+    return estimate_pair_correlation([cfg], delta_max, edges.size - 1).counts / 2
 
 
 def pair_gap_histogram_loop(pts, circumference, delta_max, edges):
@@ -280,7 +280,6 @@ class TestSpacings:
     def test_normalized_mean_one(self):
         samples = poisson_configs(30.0, 50, seed=21)
         sh = pooled_spacings(samples)
-        assert sh.normalized
         assert sh.spacings.mean() == pytest.approx(1.0, rel=1e-12)
         assert np.all(np.diff(sh.spacings) >= 0)
         assert sh.density() @ np.diff(sh.bin_edges) == pytest.approx(1.0, rel=1e-12)
@@ -301,7 +300,7 @@ class TestSpacings:
 
     def test_rejects_unsorted_spacings(self):
         with pytest.raises(ValueError):
-            SpacingHistogram(np.linspace(0.0, 2.0, 3), np.ones(2), 3, True, np.array([1.0, 0.5, 1.5]))
+            SpacingHistogram(np.linspace(0.0, 2.0, 3), np.ones(2), 3, np.array([1.0, 0.5, 1.5]))
 
     def test_all_too_small(self):
         with pytest.raises(ValueError):
@@ -457,9 +456,12 @@ def circular_gaps_reference(pts, L):
     return np.concatenate([np.diff(pts), [L - (pts[-1] - pts[0])]])
 
 
-def accumulate_in_blocks(rows, L, blocks, order, **parts):
-    """Add rows[a:b] for (a, b) in blocks, in the given order, to one accumulator."""
-    acc = Accumulator(L, len(rows), **parts)
+def accumulate_in_blocks(rows, L, blocks, order, n_batches, **parts):
+    """Add rows[a:b] for (a, b) in blocks, in the given order, to one
+    accumulator built with DEFAULT_N_BATCHES patched to n_batches."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "DEFAULT_N_BATCHES", n_batches)
+        acc = Accumulator(L, len(rows), **parts)
     for k in order:
         a, b = blocks[k]
         acc.add_block(rows[a:b], a)
@@ -623,6 +625,37 @@ class TestAccumulator:
         got = acc.finalize()
         assert got.pair.n_samples == 4
         assert got.spacings.n_spacings == 64
+
+    def test_add_block_sorts_each_row(self):
+        # an unsorted row counts as its sorted points, as RescaledConfig reads it
+        parts = dict(pair=(2.0, 4), spacing_bins=4)
+        got, want = Accumulator(8.0, 1, **parts), Accumulator(8.0, 1, **parts)
+        block = np.array([[1.0, -1.0, 0.5]])
+        got.add_block(block, 0)
+        want.add_block(np.sort(block), 0)
+        assert np.array_equal(block, [[1.0, -1.0, 0.5]])
+        assert np.array_equal(got.batch_counts.sum(axis=0), [0.0, 2.0, 0.0, 4.0])
+        assert np.array_equal(got.gaps, [[1.5, 0.5, 6.0]])
+        assert np.array_equal(got.batch_counts, want.batch_counts)
+
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            ([[0.0, 9.0]], r"circle points must lie in \[-L/2, L/2\)"),
+            ([[0.0, 4.0]], r"circle points must lie in \[-L/2, L/2\)"),
+            ([[-4.5, 0.0]], r"circle points must lie in \[-L/2, L/2\)"),
+            ([[0.0, np.nan]], "circle points must be finite"),
+            ([[-np.inf, 0.0]], "circle points must be finite"),
+            ([0.0, 1.0], r"add_block: points must be a \(B, P\) block"),
+            (np.zeros((1, 1, 2)), r"add_block: points must be a \(B, P\) block"),
+        ],
+        ids=["beyond L/2", "at L/2", "below -L/2", "nan", "-inf", "1-d", "3-d"],
+    )
+    def test_add_block_rejects_points_off_the_circle(self, block, message):
+        acc = Accumulator(8.0, 2, pair=(2.0, 4), spacing_bins=4)
+        with pytest.raises(ValueError, match=message):
+            acc.add_block(block, 0)
+        assert not acc.added.any()
 
     @pytest.mark.parametrize("circumference", [np.nan, np.inf, 0.0, -1.0])
     def test_rejects_circumference_not_positive_and_finite(self, circumference):

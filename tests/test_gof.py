@@ -3,7 +3,6 @@ import pytest
 
 from kronphase.acceptance import poisson_configs
 from kronphase.estimators import (
-    SpacingHistogram,
     circular_gaps,
     estimate_pair_correlation,
     spacing_histogram_from_gaps,
@@ -74,17 +73,6 @@ class TestKsExponential:
 
     def test_min_sample_size(self):
         sh = spacing_histogram_from_gaps([np.linspace(0.1, 2.0, 99)], n_bins=5)
-        with pytest.raises(ValueError):
-            ks_against_exponential(sh)
-
-    def test_requires_normalized(self):
-        sh = SpacingHistogram(
-            bin_edges=np.linspace(0, 2, 6),
-            counts=np.ones(5),
-            n_spacings=5,
-            normalized=False,
-            spacings=np.linspace(0.1, 1.9, 5),
-        )
         with pytest.raises(ValueError):
             ks_against_exponential(sh)
 

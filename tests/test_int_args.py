@@ -33,7 +33,6 @@ from kronphase.runner import (
     emit_reference_curve,
     run_convergence_sweep,
     sample_phase_block,
-    sample_rescaled_config,
     sample_rescaled_rows,
 )
 from kronphase.sampler import RngStream, sample_haar_block
@@ -70,7 +69,6 @@ SITES = [
     ("rho_superposed_pair m", lambda v: rho_superposed_pair(v, 1.0), 2),
     ("Accumulator n_samples", lambda v: Accumulator(8.0, v), 2),
     ("Accumulator n_bins", lambda v: Accumulator(8.0, 2, pair=(2.0, v)), 4),
-    ("Accumulator n_batches", lambda v: Accumulator(8.0, 2, pair=(2.0, 4), n_batches=v), 2),
     ("Accumulator n_offsets", lambda v: Accumulator(8.0, 2, lengths=(1.0,), n_offsets=v), 4),
     ("Accumulator spacing_bins", lambda v: Accumulator(8.0, 2, spacing_bins=v), 4),
     ("add_block first_index", lambda v: Accumulator(8.0, 2).add_block(CIRCLE.points[None], v), 1),
@@ -86,7 +84,7 @@ SITES = [
     ("emit_reference_curve m", lambda v: emit_reference_curve("superposed_pair", [1.0], os.devnull, m=v), 2),
     ("sample_phase_block start", lambda v: sample_phase_block(_config(), v, 2), 1),
     ("sample_rescaled_rows stop", lambda v: sample_rescaled_rows(_config(), 1, v), 3),
-    ("sample_rescaled_config sample_index", lambda v: sample_rescaled_config(_config(), v), 2),
+    ("sample_rescaled_rows start", lambda v: sample_rescaled_rows(_config(), v, 3), 2),
     ("run_convergence_sweep n_values", lambda v: run_convergence_sweep(_config(dims=(2, 3), delta_max=1.0), [v]), 3),
     ("run_criteria ids", lambda v: run_criteria([v]), 7),
     ("poisson_configs n_samples", lambda v: poisson_configs(8.0, v, 0), 2),

@@ -23,11 +23,10 @@ from kronphase.runner import (
     run_convergence_sweep,
     run_experiment,
     sample_blocks,
-    sample_rescaled_config,
     sample_rescaled_rows,
     target_curve,
 )
-from kronphase import sampler
+from kronphase import estimators, runner, sampler
 from kronphase.sampler import RngStream, sample_cue_phases
 from test_estimators import (
     circular_gaps_reference,
@@ -49,6 +48,13 @@ def run_cli(*args):
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def test_public_names_are_unique_and_resolve():
+    assert len(set(kronphase.__all__)) == len(kronphase.__all__)
+    namespace = {}
+    exec("from kronphase import *", namespace)  # a stale name raises AttributeError
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(kronphase.__all__)
 
 
 class TestExperimentConfig:
@@ -204,12 +210,12 @@ class TestOutput:
 class TestRunner:
     def test_stream_policy(self):
         cfg = ExperimentConfig(mode="pair", dims=(2, 12), n_samples=4, seed=9)
-        rc = sample_rescaled_config(cfg, 3)
+        row = sample_rescaled_rows(cfg, 3, 4)[0]
         gen = RngStream(9, 3).generator()
         a = sample_cue_phases(2, gen)
         b = sample_cue_phases(12, gen)
         expect = rescale_center(tensor_phases(a, b), 24)
-        assert np.array_equal(rc.points, expect.points)
+        assert np.array_equal(row, expect.points)
 
     def test_target_curve_auto(self):
         single = ExperimentConfig(mode="single", dims=(30,), n_samples=1, seed=0)
@@ -259,7 +265,7 @@ class TestRunner:
         rows = sample_rescaled_rows(cfg, 2, 9)
         assert rows.shape == (7, 24)
         for s, row in enumerate(rows, 2):
-            assert np.array_equal(row, sample_rescaled_config(cfg, s).points)
+            assert np.array_equal(row, sample_rescaled_rows(cfg, s, s + 1)[0])
 
     @pytest.mark.parametrize("mode, dims", [("single", (12,)), ("pair", (2, 12)), ("triple", (2, 3, 4))])
     def test_block_size_invariance(self, mode, dims, tmp_path, monkeypatch):
@@ -278,6 +284,24 @@ class TestRunner:
             outputs.append((files, manifest.summary))
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
+
+    def test_run_checks_each_block_once(self, monkeypatch):
+        # the rescaled rows go to add_block unchecked, and add_block checks them
+        cfg = ExperimentConfig(mode="pair", dims=(2, 12), n_samples=30, seed=23)
+        monkeypatch.setattr(sampler, "BLOCK_BYTES", 7 * 16 * 12 ** 2)
+        calls = []
+
+        def spy(check):
+            def counted(points, circumference):
+                calls.append(len(points))
+                return check(points, circumference)
+
+            return counted
+
+        for module in (estimators, runner):
+            monkeypatch.setattr(module, "circle_rows", spy(module.circle_rows))
+        run_experiment(cfg)
+        assert calls == [b - a for a, b in sample_blocks(cfg)] == [7, 7, 7, 7, 2]
 
     def test_run_builds_no_per_sample_configs(self, monkeypatch):
         # the blocks go from the sampler to the accumulator as (B, P) arrays
@@ -317,8 +341,8 @@ class TestRunner:
             cfg = ExperimentConfig(mode="pair", dims=(2, 12), n_samples=30, seed=seed, k_analytic=3)
             bundle, manifest = run_experiment(cfg)
             # against the per-sample references, which share no code with the run
-            configs = [sample_rescaled_config(cfg, s) for s in range(cfg.n_samples)]
             L, edges = float(cfg.factor_product), np.linspace(0.0, cfg.delta_max, cfg.n_bins + 1)
+            configs = [RescaledConfig(sample_rescaled_rows(cfg, s, s + 1)[0], L) for s in range(cfg.n_samples)]
             batch_counts = np.zeros_like(bundle.pair.batch_counts)
             for s, c in enumerate(configs):
                 hist = pair_gap_histogram_loop(c.points, L, cfg.delta_max, edges)
@@ -579,6 +603,14 @@ class TestCli:
         r = run_cli("refcurve", "--kind", "superposed_pair",
                     "--delta-max", "1", "--points", "4", "--out", str(tmp_path / "r.csv"))
         assert r.returncode == 1
+
+    @pytest.mark.parametrize("kind", ["sine_pair", "poisson"])
+    def test_refcurve_rejects_m_for_kinds_without_one(self, tmp_path, kind):
+        out = tmp_path / "r.csv"
+        r = run_cli("refcurve", "--kind", kind, "--m", "3", "--points", "4", "--out", str(out))
+        assert r.returncode == 1
+        assert "error: %s takes no m" % kind in r.stderr
+        assert not out.exists()
 
     def test_verify_pass_and_fail(self):
         r7 = run_cli("verify", "--criteria", "7")
