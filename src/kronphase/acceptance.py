@@ -123,15 +123,7 @@ def thin_spacings(spacing_hist, max_count, seed):
         return spacing_hist
     gen = np.random.Generator(np.random.PCG64(seed))
     idx = gen.choice(s.size, size=max_count, replace=False)
-    sub = np.sort(s[idx])
-    edges = np.linspace(0.0, float(sub.max()), spacing_hist.bin_edges.size)
-    return SpacingHistogram(
-        bin_edges=edges,
-        counts=np.histogram(sub, bins=edges)[0].astype(float),
-        n_spacings=sub.size,
-        spacings=sub,
-        n_skipped=spacing_hist.n_skipped,
-    )
+    return SpacingHistogram(np.sort(s[idx]), spacing_hist.n_bins, spacing_hist.n_skipped)
 
 
 def _fmt(x):

@@ -1,9 +1,15 @@
 """Empirical statistics of rescaled circle configurations.
 
 Estimators for intensity, pair and triple correlations, nearest-neighbor
-spacings, and interval count variance.  Everything is circular: the only
-geometry used is the signed difference in (-L/2, L/2], so every
-estimator is exactly invariant under rotations of its input.
+spacings, and interval count variance.  Everything is circular: a
+configuration enters through the gaps between its points around the
+circle and through its point counts in arcs of a fixed translation grid,
+so the estimates of a rotated process have the same law.  In floating
+point a rotation is not exact: rotated coordinates round, the triple
+windows compare absolute positions (ext <= rows + c), and the arc grid
+does not turn with the points.  Points on a dyadic grid, turned by a
+multiple of the arc-grid step, avoid all three and give bit-identical
+estimates.
 
 One Accumulator computes all of them from (B, P) blocks of sorted rows,
 one configuration per row; estimate_pair_correlation and the
@@ -37,19 +43,32 @@ _GAP_MATRIX_MAX = 1 << 18
 class CorrelationHistogram:
     """Binned pair-correlation estimate on distances (0, delta_max].
 
-    counts holds ordered-pair counts (both orientations of each
-    unordered pair), so estimate = counts / (n_samples * 2 * L * width)
-    is 1 for a unit-intensity Poisson process.  batch_counts splits the
-    same counts by global sample batch for error bars and exact merging.
+    batch_counts holds ordered-pair counts (both orientations of each
+    unordered pair) per global sample batch, and batch_samples the samples
+    of each batch; split by batch, they give error bars and exact merging.
+    Their totals are counts and n_samples, and estimate = counts /
+    (n_samples * 2 * L * width) is 1 for a unit-intensity Poisson process.
     """
 
     bin_edges: np.ndarray
-    counts: np.ndarray
-    n_samples: int
     circumference: float
-    estimate: np.ndarray
     batch_counts: np.ndarray
     batch_samples: np.ndarray
+
+    @property
+    def counts(self):
+        return self.batch_counts.sum(axis=0)
+
+    @property
+    def n_samples(self):
+        return int(self.batch_samples.sum())
+
+    @property
+    def estimate(self):
+        counts, n = self.counts, self.n_samples
+        if not n:
+            return np.zeros_like(counts)
+        return counts / (n * 2.0 * self.circumference * self.bin_widths())
 
     @property
     def n_bins(self):
@@ -75,16 +94,6 @@ class CorrelationHistogram:
         )
         means = self.batch_counts[live] / denom
         return np.std(means, axis=0, ddof=1) / np.sqrt(b)
-
-
-def _pair_histogram(edges, batch_counts, batch_samples, n_samples, circumference):
-    counts = batch_counts.sum(axis=0)
-    estimate = np.zeros_like(counts)
-    if n_samples:
-        estimate = counts / (n_samples * 2.0 * circumference * np.diff(edges))
-    return CorrelationHistogram(
-        edges, counts, n_samples, circumference, estimate, batch_counts, batch_samples
-    )
 
 
 def _reach(ext, rows, delta_max):
@@ -204,18 +213,29 @@ class SpacingHistogram:
     """Nearest-neighbor spacings normalized to mean 1.
 
     spacings keeps the raw normalized values, sorted ascending (checked),
-    for distribution tests; the binned density integrates to 1.
+    for distribution tests.  Their histogram has n_bins equal bins from 0
+    to the largest spacing, and its density integrates to 1.
     """
 
-    bin_edges: np.ndarray
-    counts: np.ndarray
-    n_spacings: int
     spacings: np.ndarray
+    n_bins: int
     n_skipped: int = 0
 
     def __post_init__(self):
         if not np.all(self.spacings[:-1] <= self.spacings[1:]):
             raise ValueError("spacings must be sorted ascending")
+
+    @property
+    def n_spacings(self):
+        return self.spacings.size
+
+    @property
+    def bin_edges(self):
+        return np.linspace(0.0, float(self.spacings[-1]), self.n_bins + 1)
+
+    @property
+    def counts(self):
+        return np.histogram(self.spacings, bins=self.bin_edges)[0].astype(float)
 
     def density(self):
         return self.counts / (self.n_spacings * np.diff(self.bin_edges))
@@ -338,8 +358,7 @@ class Accumulator:
             raise ValueError("estimator input must contain at least one configuration")
         pair = spacings = triple = None
         if self.pair is not None:
-            batches = (self.batch_counts.copy(), self.batch_samples.copy())
-            pair = _pair_histogram(self.edges, *batches, n, L)
+            pair = CorrelationHistogram(self.edges, L, self.batch_counts.copy(), self.batch_samples.copy())
         if self.spacing_bins is not None:
             if n != self.n_samples or self.gaps.shape[1] < 2:
                 raise ValueError("spacings need every sample, each with at least 2 points")
@@ -397,12 +416,8 @@ def merge(h1, h2):
         raise ValueError("merge: circumferences differ")
     if h1.batch_counts.shape != h2.batch_counts.shape:
         raise ValueError("merge: batch layouts differ")
-    return _pair_histogram(
-        h1.bin_edges,
-        h1.batch_counts + h2.batch_counts,
-        h1.batch_samples + h2.batch_samples,
-        h1.n_samples + h2.n_samples,
-        h1.circumference,
+    return CorrelationHistogram(
+        h1.bin_edges, h1.circumference, h1.batch_counts + h2.batch_counts, h1.batch_samples + h2.batch_samples
     )
 
 
@@ -427,7 +442,7 @@ def circular_gaps(cfg):
 
 def spacing_histogram_from_gaps(gap_arrays, n_bins=40):
     """Pool per-sample gap arrays (a list, or the rows of a 2-d array),
-    rescale to mean 1, and bin.
+    rescale to mean 1, and sort them into an n_bins SpacingHistogram.
 
     The pooled mean is computed from per-array sums in list order, so
     the result depends only on the arrays and their order.
@@ -445,10 +460,8 @@ def spacing_histogram_from_gaps(gap_arrays, n_bins=40):
     if mean <= 0:
         raise ValueError("spacings must have positive mean")
     pooled = flat / mean
-    edges = np.linspace(0.0, float(pooled.max()), as_int("n_bins", n_bins, 1) + 1)
-    counts = np.histogram(pooled, bins=edges)[0].astype(float)
     pooled.sort()
-    return SpacingHistogram(edges, counts, count, pooled)
+    return SpacingHistogram(pooled, as_int("n_bins", n_bins, 1))
 
 
 def interval_counts(cfg, lengths, n_offsets=DEFAULT_COUNT_OFFSETS):

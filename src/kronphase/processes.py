@@ -1,10 +1,10 @@
 """Tensor products of eigenphase configurations and circle rescaling.
 
-The tensor product of two (or three) phase configurations is the
-multiset of all pairwise (triple) sums mod 2pi: the eigenphases of the
-Kronecker product of the underlying matrices.  Recentring at pi and
-scaling by P/2pi, with P the number of points, puts the configuration
-on a circle of circumference P with mean intensity exactly 1.
+The tensor product of phase configurations is the multiset of all sums
+mod 2pi over one phase of each: the eigenphases of the Kronecker product
+of the underlying matrices.  Recentring at pi and scaling by P/2pi, with
+P the number of points, puts the configuration on a circle of
+circumference P with mean intensity exactly 1.
 
 The tensor sums and the rescale also take (..., n) stacks, one
 configuration per row, so that a block of samples shares one numpy call
@@ -33,7 +33,7 @@ class RescaledConfig:
     circumference: float
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)
         if pts.ndim != 1:
             raise ValueError("RescaledConfig: points must be 1-d")
         object.__setattr__(self, "points", circle_rows(pts, self.circumference))
@@ -43,21 +43,23 @@ class RescaledConfig:
         return self.points.size
 
 
-def _sorted_sums(name, factors):
-    """Sorted sums mod 2pi over one point of each factor, row by row.
+def tensor_phases(*factors):
+    """All sums over one phase of each factor mod 2pi, sorted; repeats are
+    kept as repeats.  These are the eigenphases of the Kronecker product.
 
-    Each factor is (..., n_i) with the same leading shape; the result is
-    (..., prod n_i), summed left to right with the first factor's index
-    slowest.
+    Each factor may be a (..., n_i) stack, all with the same leading shape;
+    each row of the (..., prod n_i) result is then the tensor phases of the
+    matching rows, summed left to right with the first factor's index
+    slowest.  One factor gives its own rows, reduced and sorted.
     """
     arrs = [np.asarray(f, dtype=float) for f in factors]
-    if any(a.ndim == 0 or a.shape[-1] < 1 for a in arrs):
-        raise ValueError("%s: factors must be nonempty" % name)
+    if not arrs or any(a.ndim == 0 or a.shape[-1] < 1 for a in arrs):
+        raise ValueError("tensor_phases: factors must be nonempty")
     total = 1
     for a in arrs:
         total *= a.shape[-1]
     if total > DEFAULT_TENSOR_CAPACITY:
-        raise CapacityError("%s: %d points exceed capacity %d" % (name, total, DEFAULT_TENSOR_CAPACITY))
+        raise CapacityError("tensor_phases: %d points exceed capacity %d" % (total, DEFAULT_TENSOR_CAPACITY))
     k = len(arrs)
     sums = None
     for i, a in enumerate(arrs):
@@ -69,22 +71,9 @@ def _sorted_sums(name, factors):
     return sums
 
 
-def tensor_phases(a, b):
-    """All sums a_i + b_j mod 2pi, sorted; repeats are kept as repeats.
-
-    a and b may be (..., na) and (..., nb) stacks with equal leading
-    shapes; each row of the (..., na * nb) result is then the tensor
-    phases of the matching rows.
-    """
-    return _sorted_sums("tensor_phases", (a, b))
-
-
 def triple_tensor(a, b, c):
-    """All sums a_i + b_j + c_k mod 2pi, sorted; repeats are kept.
-
-    Stacks are taken row by row, as in tensor_phases.
-    """
-    return _sorted_sums("triple_tensor", (a, b, c))
+    """tensor_phases(a, b, c): all sums a_i + b_j + c_k mod 2pi, sorted."""
+    return tensor_phases(a, b, c)
 
 
 def rescale_points(phases, factor_product):
@@ -106,13 +95,15 @@ def rescale_points(phases, factor_product):
 
 
 def circle_rows(points, circumference):
-    """Checked, sorted copy of one circle configuration or a (..., P) stack of them.
+    """Checked one circle configuration or (..., P) stack of them, sorted row by row.
 
-    Points must be finite and lie in [-L/2, L/2).  A row out of order is
-    sorted, as RescaledConfig sorts its points: rescale_points moves a
-    phase that rounds onto +P/2 to -P/2 without moving it to the front.
+    Points must be finite and lie in [-L/2, L/2).  The input comes back
+    as it is when every row is in order; otherwise a copy with each row
+    out of order sorted, as RescaledConfig sorts its points: rescale_points
+    moves a phase that rounds onto +P/2 to -P/2 without moving it to the
+    front.
     """
-    pts = np.array(points, dtype=float)
+    pts = np.asarray(points, dtype=float)
     L = float(circumference)
     if not 0.0 < L < np.inf:
         raise ValueError("circle points: circumference must be positive and finite")
@@ -122,6 +113,7 @@ def circle_rows(points, circumference):
         raise ValueError("circle points must lie in [-L/2, L/2)")
     unsorted = (pts[..., 1:] < pts[..., :-1]).any(axis=-1)
     if unsorted.any():
+        pts = pts.copy()
         pts[unsorted] = np.sort(pts[unsorted], axis=-1)
     return pts
 

@@ -28,7 +28,7 @@ from .estimators import DEFAULT_COUNT_OFFSETS, DEFAULT_TRIPLE_TOL, Accumulator
 from .gof import KS_MIN_N, compare_to_curve, ks_against_exponential
 from .kernels import as_int, rho_sine, sine_q
 from .output import write_csv, write_manifest
-from .processes import circle_rows, rescale_points, tensor_phases, triple_tensor
+from .processes import circle_rows, rescale_points, tensor_phases
 from .sampler import RngStream, block_length, eigenphases, sample_haar_block
 
 STREAM_POLICY = "sample index s uses stream_id = s"
@@ -89,12 +89,7 @@ def sample_phase_block(cfg, start, stop):
     """
     start, stop = as_int("start", start), as_int("stop", stop)
     streams = [RngStream(cfg.seed, s) for s in range(start, stop)]
-    factors = [eigenphases(u) for u in sample_haar_block(cfg.dims, streams)]
-    if cfg.mode == "single":
-        return factors[0]
-    if cfg.mode == "pair":
-        return tensor_phases(*factors)
-    return triple_tensor(*factors)
+    return tensor_phases(*(eigenphases(u) for u in sample_haar_block(cfg.dims, streams)))
 
 
 def sample_rescaled_rows(cfg, start, stop):
@@ -114,27 +109,52 @@ def _accumulate_samples(cfg, **parts):
     return acc.finalize()
 
 
+# The limit law of each mode's rescaled process: one factor gives the sine
+# process, U (x) V with an m x m first factor the superposition of m sine
+# processes, and three factors the Poisson process.
+MODE_LAWS = {"single": "sine_pair", "pair": "superposed", "triple": "poisson"}
+
+
+def limit_law(kind, m):
+    """(name, pair correlation at d, k-point correlation at pts) of a limit law.
+
+    kind is a config curve: "sine_pair", "superposed" (m superposed sine
+    processes, each dilated by m) or "poisson".  The pair correlation
+    takes a scalar or an array of distances.
+    """
+    if kind == "sine_pair":
+        return "sine_pair", lambda d: 1.0 - sine_q(d) ** 2, rho_sine
+    if kind == "superposed":
+        return (
+            "superposed_pair(m=%d)" % m,
+            lambda d: rho_superposed_pair(m, d),
+            lambda pts: rho_superposed_sine(m, pts),
+        )
+    if kind == "poisson":
+        return "poisson", lambda d: np.ones_like(d, dtype=float), lambda pts: 1.0
+    raise ValueError("unknown limit law %r" % (kind,))
+
+
 def target_curve(cfg):
     """(name, callable) analytic pair-correlation target for a config."""
-    kind = cfg.curve
-    if kind == "auto":
-        kind = {"single": "sine_pair", "pair": "superposed", "triple": "poisson"}[cfg.mode]
-    if kind == "sine_pair":
-        return "sine_pair", lambda d: 1.0 - sine_q(d) ** 2
-    if kind == "superposed":
-        m = cfg.dims[0]
-        return "superposed_pair(m=%d)" % m, lambda d: rho_superposed_pair(m, d)
-    return "poisson", lambda d: 1.0
+    return limit_law(MODE_LAWS[cfg.mode] if cfg.curve == "auto" else cfg.curve, cfg.dims[0])[:2]
 
 
-def run_experiment(cfg, out_dir=None, emit=("pair", "spacings", "counts")):
+# The observables run_experiment can write, one CSV each.
+EMIT_NAMES = ("pair", "spacings", "counts")
+
+
+def run_experiment(cfg, out_dir=None, emit=EMIT_NAMES):
     """Run one Monte Carlo campaign; optionally persist results.
 
     Returns (EstimateBundle, RunManifest).  When out_dir is given, one
-    CSV per requested observable plus manifest.json are written there.
+    CSV per observable named in emit, a collection of EMIT_NAMES, plus
+    manifest.json are written there.
     """
     if not isinstance(cfg, ExperimentConfig):
         raise ValueError("run_experiment needs an ExperimentConfig")
+    if isinstance(emit, str) or not set(emit) <= set(EMIT_NAMES):
+        raise ValueError("emit must be a collection of names from %s" % (EMIT_NAMES,))
     started = _utc_now()
     L = float(cfg.factor_product)
     lengths = tuple(ell for ell in COUNT_LENGTHS if ell <= L / 2)
@@ -170,35 +190,19 @@ def run_experiment(cfg, out_dir=None, emit=("pair", "spacings", "counts")):
         summary["ks_threshold_05"] = ks.threshold_05
         summary["ks_pass"] = ks.passed
     if want_triple:
-        pts3 = [0.0, TRIPLE_R1, TRIPLE_R2]
-        if cfg.mode == "single":
-            tgt3 = rho_sine(pts3)
-        elif cfg.mode == "pair":
-            tgt3 = rho_superposed_sine(cfg.dims[0], pts3)
-        else:
-            tgt3 = 1.0
+        triple_law = limit_law(MODE_LAWS[cfg.mode], cfg.dims[0])[2]
         summary["triple_estimate"] = bundle.triple
         summary["triple_gaps"] = [TRIPLE_R1, TRIPLE_R2]
         summary["triple_tol"] = DEFAULT_TRIPLE_TOL
-        summary["triple_target"] = float(tgt3)
+        summary["triple_target"] = float(triple_law([0.0, TRIPLE_R1, TRIPLE_R2]))
 
     outputs = []
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         preamble = csv_preamble(cfg)
         if "pair" in emit:
-            se = hist.standard_errors()
-            mids = hist.bin_midpoints()
-            rows = [
-                (
-                    float(mids[i]),
-                    float(hist.estimate[i]),
-                    float(se[i]),
-                    float(curve_fn(mids[i])),
-                    float(hist.counts[i]),
-                )
-                for i in range(hist.n_bins)
-            ]
+            columns = zip(hist.bin_midpoints(), hist.estimate, hist.standard_errors(), hist.counts)
+            rows = [(float(d), float(e), float(se), float(curve_fn(d)), float(c)) for d, e, se, c in columns]
             path = os.path.join(out_dir, "pair_correlation.csv")
             write_csv(
                 path,
@@ -208,12 +212,9 @@ def run_experiment(cfg, out_dir=None, emit=("pair", "spacings", "counts")):
             )
             outputs.append("pair_correlation.csv")
         if "spacings" in emit:
-            smids = 0.5 * (spacings.bin_edges[:-1] + spacings.bin_edges[1:])
-            dens = spacings.density()
-            rows = [
-                (float(smids[i]), float(dens[i]), float(np.exp(-smids[i])))
-                for i in range(smids.size)
-            ]
+            edges = spacings.bin_edges
+            smids = 0.5 * (edges[:-1] + edges[1:])
+            rows = [(float(s), float(dens), float(np.exp(-s))) for s, dens in zip(smids, spacings.density())]
             path = os.path.join(out_dir, "spacings.csv")
             write_csv(path, preamble, ("s", "density", "poisson_density"), rows)
             outputs.append("spacings.csv")
@@ -292,17 +293,11 @@ def emit_reference_curve(kind, grid, path, m=None):
         raise ValueError("grid must be finite")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly ascending")
-    if kind == "sine_pair":
-        rho = 1.0 - sine_q(grid) ** 2
-        preamble = {"kind": kind}
-    elif kind == "superposed_pair":
+    preamble = {"kind": kind}
+    if kind == "superposed_pair":
         if m is None:
             raise ValueError("superposed_pair needs m >= 1")
-        m = as_int("m", m, 1)
-        rho = rho_superposed_pair(m, grid)
-        preamble = {"kind": kind, "m": m}
-    else:
-        rho = np.ones_like(grid)
-        preamble = {"kind": kind}
-    write_csv(path, preamble, ("delta", "rho"), zip(grid.tolist(), np.asarray(rho).tolist()))
+        preamble["m"] = m = as_int("m", m, 1)
+    rho = limit_law("superposed" if kind == "superposed_pair" else kind, m)[1](grid)
+    write_csv(path, preamble, ("delta", "rho"), zip(grid.tolist(), rho.tolist()))
     return path

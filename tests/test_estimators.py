@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kronphase import estimators
-from kronphase.acceptance import poisson_configs
+from kronphase.acceptance import poisson_configs, thin_spacings
 from kronphase.estimators import (
     Accumulator,
     CorrelationHistogram,
@@ -232,13 +232,22 @@ class TestMerge:
         samples = poisson_configs(30.0, 8, seed=11)
         h = estimate_pair_correlation(samples, 5.0, 10, sample_indices=np.arange(8),
                                       n_samples_total=12)
-        nb = h.n_bins
-        zero = CorrelationHistogram(
-            h.bin_edges, np.zeros(nb), 0, 30.0, np.zeros(nb), np.zeros((12, nb)), np.zeros(12, dtype=np.int64)
-        )
+        zero = CorrelationHistogram(h.bin_edges, 30.0, np.zeros((12, h.n_bins)), np.zeros(12, dtype=np.int64))
+        assert zero.n_samples == 0
+        assert np.array_equal(zero.counts, np.zeros(h.n_bins))
+        assert np.array_equal(zero.estimate, np.zeros(h.n_bins))
         m = merge(h, zero)
         assert np.array_equal(m.counts, h.counts)
+        assert np.array_equal(m.estimate, h.estimate)
         assert m.n_samples == 8
+
+    def test_totals_derive_from_the_batches(self):
+        samples = poisson_configs(30.0, 25, seed=12)
+        h = estimate_pair_correlation(samples, 5.0, 10)
+        counts = h.batch_counts.sum(axis=0)
+        assert np.array_equal(h.counts, counts)
+        assert h.n_samples == int(h.batch_samples.sum()) == 25
+        assert np.array_equal(h.estimate, counts / (25 * 2.0 * 30.0 * np.diff(h.bin_edges)))
 
     def test_grid_mismatch(self):
         samples = poisson_configs(30.0, 4, seed=1)
@@ -300,7 +309,30 @@ class TestSpacings:
 
     def test_rejects_unsorted_spacings(self):
         with pytest.raises(ValueError):
-            SpacingHistogram(np.linspace(0.0, 2.0, 3), np.ones(2), 3, np.array([1.0, 0.5, 1.5]))
+            SpacingHistogram(np.array([1.0, 0.5, 1.5]), 2)
+
+    def test_bins_derive_from_the_pool(self):
+        # the binning spacing_histogram_from_gaps stored before the histogram
+        # derived it: n_bins equal bins up to the largest pooled spacing
+        gaps = [np.array([1.0, 2.0, 0.5]), np.array([3.0, 0.25]), np.array([1.25, 0.75])]
+        sh = spacing_histogram_from_gaps(gaps, n_bins=5)
+        pooled = np.concatenate(gaps) / (np.sum([g.sum() for g in gaps]) / 7)
+        edges = np.linspace(0.0, float(pooled.max()), 6)
+        assert np.array_equal(sh.bin_edges, edges)
+        assert np.array_equal(sh.counts, np.histogram(pooled, bins=edges)[0].astype(float))
+        assert sh.n_spacings == 7 and sh.n_bins == 5 and sh.n_skipped == 0
+
+    def test_thin_spacings_bins_as_by_hand(self):
+        sh = pooled_spacings(poisson_configs(30.0, 20, seed=23), n_bins=12)
+        thin = thin_spacings(sh, 50, seed=3)
+        # the subsample and the binning thin_spacings wrote out by hand
+        idx = np.random.Generator(np.random.PCG64(3)).choice(sh.n_spacings, size=50, replace=False)
+        sub = np.sort(sh.spacings[idx])
+        edges = np.linspace(0.0, float(sub.max()), sh.bin_edges.size)
+        assert np.array_equal(thin.spacings, sub)
+        assert np.array_equal(thin.bin_edges, edges)
+        assert np.array_equal(thin.counts, np.histogram(sub, bins=edges)[0].astype(float))
+        assert thin.n_spacings == 50 and thin.n_bins == 12
 
     def test_all_too_small(self):
         with pytest.raises(ValueError):
@@ -667,3 +699,33 @@ class TestAccumulator:
         acc.add_block(np.zeros((3, 1)), 0)
         with pytest.raises(ValueError):
             acc.finalize()
+
+
+@st.composite
+def dyadic_rotations(draw):
+    """(n, P) rows on the 2^-8 grid of the circle of circumference 32, and
+    a turn by k steps of the 32-offset arc grid, whose step is 1."""
+    n, P = draw(st.integers(2, 5)), draw(st.integers(3, 30))
+    ticks = st.lists(st.integers(-16 * 256, 16 * 256 - 1), min_size=P, max_size=P)
+    rows = np.array(draw(st.lists(ticks, min_size=n, max_size=n)), dtype=float) / 256
+    return rows, draw(st.integers(1, 31))
+
+
+class TestRotation:
+    @settings(max_examples=300, deadline=None)
+    @given(dyadic_rotations())
+    def test_exact_rotations_give_identical_estimates(self, case):
+        # every coordinate, gap and window bound is exact on the grid, and
+        # the turn maps the arc grid onto itself, so nothing rounds
+        rows, k = case
+        turned = rows + k * (32.0 / 32)
+        turned = np.where(turned >= 16.0, turned - 32.0, turned)
+        parts = dict(
+            pair=(4.0, 16), lengths=(1.0, 2.5, 4.0), n_offsets=32, triple=(1.0, 2.0, 0.25), spacing_bins=8
+        )
+        a, b = (estimators._accumulate([RescaledConfig(r, 32.0) for r in x], **parts) for x in (rows, turned))
+        assert np.array_equal(a.pair.batch_counts, b.pair.batch_counts)
+        assert np.array_equal(a.spacings.spacings, b.spacings.spacings)
+        assert a.count_var == b.count_var
+        assert a.triple == b.triple
+        assert a.intensity == b.intensity

@@ -76,6 +76,15 @@ class TestTensorPhases:
         b = np.array([0.7, 3.3])
         assert np.allclose(tensor_phases(a, b), tensor_phases(b, a))
 
+    def test_any_number_of_factors(self):
+        # one factor's sorted phases in [0, 2pi) come back bit for bit
+        a = sample_cue_phases(5, RngStream(3, 0))
+        assert np.array_equal(tensor_phases(a), a)
+        assert np.array_equal(tensor_phases([6.0, 1.0, TWO_PI]), [0.0, 1.0, 6.0])
+        assert np.array_equal(tensor_phases(a, a, a), triple_tensor(a, a, a))
+        with pytest.raises(ValueError):
+            tensor_phases()
+
     def test_capacity(self):
         with pytest.raises(CapacityError):
             tensor_phases(np.zeros(1100), np.zeros(1000))
@@ -202,7 +211,16 @@ class TestCircleRows:
 
     def test_checks_every_row(self):
         good = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.5, 1.5]])
-        assert circle_rows(good, 4.0) is not good
+        # a sorted block comes back unmodified; an unsorted one as a sorted
+        # copy, leaving the caller's array as it was
+        assert circle_rows(good, 4.0) is good
+        assert np.array_equal(good, [[-1.0, 0.0, 1.0], [-2.0, 0.5, 1.5]])
+        unsorted = good[:, ::-1].copy()
+        rows = circle_rows(unsorted, 4.0)
+        assert np.array_equal(rows, good)
+        assert np.array_equal(unsorted, good[:, ::-1])
+        # RescaledConfig copies its own input
+        assert not np.shares_memory(RescaledConfig(points=good[0], circumference=4.0).points, good)
         for bad in (np.nan, np.inf, 2.0, -2.5):
             block = good.copy()
             block[1, 2] = bad
