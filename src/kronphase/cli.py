@@ -17,7 +17,6 @@ import numpy as np
 from .acceptance import run_criteria
 from .config import CONFIG_PARSERS, CURVES, MODES, build_config, parse_config_file, parse_int_list
 from .output import write_csv
-from .processes import RescaledConfig, window
 from .runner import (
     REFERENCE_KINDS,
     csv_preamble,
@@ -83,11 +82,10 @@ def _build_config_from_args(args):
 
 def _cmd_sample(args):
     cfg = _build_config_from_args(args)
-    os.makedirs(args.out, exist_ok=True)
     w = cfg.window_half_width
     if cfg.mode == "single" and w is not None:
         raise ValueError("--window applies to the rescaled pair and triple modes, not to single mode")
-    L = float(cfg.factor_product)
+    os.makedirs(args.out, exist_ok=True)
     rows = []
     for start, stop in sample_blocks(cfg):
         if cfg.mode == "single":
@@ -95,7 +93,8 @@ def _cmd_sample(args):
         else:
             block = sample_rescaled_rows(cfg, start, stop)
             if w is not None:
-                block = [window(RescaledConfig(row, L), w) for row in block]
+                # ExperimentConfig has checked 0 < 2w <= P
+                block = [row[np.abs(row) <= w] for row in block]
         for s, pts in enumerate(block, start):
             rows.extend((s, i, float(p)) for i, p in enumerate(pts))
     path = os.path.join(args.out, "phases.csv")

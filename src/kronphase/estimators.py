@@ -14,6 +14,8 @@ estimates.
 One Accumulator computes all of them from (B, P) blocks of sorted rows,
 one configuration per row; estimate_pair_correlation and the
 one-configuration helpers run the same code on a list or a single row.
+The pair histogram and the triple windows share one walk over the
+offsets k = 1, 2, ... of every point to its k-th next point.
 Every count is an exact integer, so any split into blocks, added in any
 order, gives the bytes of one pass; merge() adds pair histograms of
 disjoint sample slices.
@@ -33,9 +35,8 @@ DEFAULT_N_BATCHES = 20
 DEFAULT_TRIPLE_TOL = 0.2
 DEFAULT_COUNT_OFFSETS = 32
 
-# Cap on the entries of one slab of the (rows, P, K) gap tensor; only
-# near-degenerate configurations, where many points crowd within
-# delta_max of each other, need more than one slab of offsets.
+# Pair gaps a block holds before it bins them; only near-degenerate
+# configurations, with many points within delta_max, bin in chunks.
 _GAP_MATRIX_MAX = 1 << 18
 
 
@@ -96,73 +97,69 @@ class CorrelationHistogram:
         return np.std(means, axis=0, ddof=1) / np.sqrt(b)
 
 
-def _reach(ext, rows, delta_max):
-    """Last offset K <= P - 1 at which some row has a gap ext[:, i + K] -
-    rows[:, i] <= delta_max.
+def _walk_offsets(rows, ext, pair=None, triple=None):
+    """Pair gap counts and triple window count of a (B, P) block of sorted
+    rows, ext = [rows, rows + L], from one walk over the offsets k = 1, 2, ...
 
-    The gaps grow with the offset, so the condition holds up to K and not
-    past it; K is found by galloping, then bisecting, over the offsets.
+    At offset k, w = ext[:, k : k + P] holds the k-th next point of every
+    point and grows with k, so each part stops at the first offset that no
+    row reaches; offset P (w = rows + L) is past both reaches.
+    pair = (delta_max, edges, segments) bins the gaps w - rows in (0,
+    delta_max] of each segment a:b of rows, one per unordered pair, in one
+    np.histogram call, or in chunks once the block's pending gaps reach
+    _GAP_MATRIX_MAX.  triple = (r1, r2, tol) counts ordered triples with
+    gaps r1 +- tol/2 and r2 +- tol/2 from the base as searchsorted(ext_row,
+    pts + (r + tol/2), "right") - searchsorted(ext_row, pts + (r - tol/2),
+    "left") does.  A part not asked for returns None.
     """
     P = rows.shape[-1]
-
-    def holds(k):
-        return ((ext[:, k : k + P] - rows) <= delta_max).any()
-
-    lo, hi = 0, 1
-    while hi < P and holds(hi):
-        lo, hi = hi, 2 * hi
-    hi = min(hi, P)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
-    return lo
-
-
-def _pair_gap_counts(rows, ext, K, segments, delta_max, edges):
-    """Histogram of the gaps in (0, delta_max] of each segment of rows
-    r0:r1, one entry per unordered pair, from the (B, P, K) tensor of gaps
-    ext[:, i + k] - rows[:, i], k = 1..K, in slabs of <= _GAP_MATRIX_MAX entries."""
-    P = rows.shape[-1]
-    hists = np.zeros((len(segments), edges.size - 1))
-    if K == 0:
-        return hists
-    windows = np.lib.stride_tricks.sliding_window_view(ext[:, 1:], K, axis=-1)
-    step_k = min(K, max(1, _GAP_MATRIX_MAX // P))
-    step_r = max(1, _GAP_MATRIX_MAX // (P * step_k))
-    for j, (r0, r1) in enumerate(segments):
-        for a, k in itertools.product(range(r0, r1, step_r), range(0, K, step_k)):
-            b = min(a + step_r, r1)
-            d = windows[a:b, :P, k : k + step_k] - rows[a:b, :, None]
-            hists[j] += np.histogram(d[(d > 0.0) & (d <= delta_max)], bins=edges)[0]
-    return hists
-
-
-def _triple_count(rows, ext, r1, r2, tol):
-    """Ordered triples of each (B, P) block with gaps r1 +- tol/2 and
-    r2 +- tol/2 (r1 < r2) from the base, counted exactly as the comparisons
-    of searchsorted(ext_row, pts + (r + tol/2), "right") - searchsorted(ext_row,
-    pts + (r - tol/2), "left") make them, offset by offset from 1 until no
-    point reaches the r2 window."""
-    P = rows.shape[-1]
-    bounds = [(rows + (r - tol / 2), rows + (r + tol / 2)) for r in (r1, r2)]
-    inside = np.zeros((2,) + rows.shape, dtype=np.int64)
-    for k in range(1, P):
-        w = ext[:, k : k + P]
-        for m, (lower, upper) in enumerate(bounds):
-            reached = w <= upper
-            inside[m] += reached
-            inside[m] -= w < lower
-        if not reached.any():
-            # ext grows with the offset: no later point reaches either window
+    hists = triples = None
+    if pair is not None:
+        delta_max, edges, segments = pair
+        hists = np.zeros((len(segments), edges.size - 1))
+        pending, n_pending = [[] for _ in segments], 0
+    if triple is not None:
+        r1, r2, tol = triple
+        # (lower, upper) of the r1 and r2 windows in one array; four arrays fragment the heap
+        bounds = rows + np.array([[r1 - tol / 2, r1 + tol / 2], [r2 - tol / 2, r2 + tol / 2]])[:, :, None, None]
+        inside = np.zeros((2,) + rows.shape, dtype=np.int64)
+    pair_on, triple_on = pair is not None, triple is not None
+    for k in range(1, P + 1):
+        if not (pair_on or triple_on):
             break
-    for m, (lower, _) in enumerate(bounds):
-        # a lower bound that rounds onto its point also takes the copies of
-        # the point at or before it, which no offset >= 1 reaches
-        if (lower <= rows).any():
-            idx = np.arange(P)
-            first = np.maximum.accumulate(np.where(np.diff(rows, prepend=-np.inf) > 0, idx, 0), axis=-1)
-            inside[m] += np.where(lower <= rows, idx + 1 - first, 0)
-    return int(np.sum(inside[0] * inside[1]))
+        w = ext[:, k : k + P]
+        if pair_on:
+            d = w - rows
+            near = d <= delta_max
+            pair_on = near.any()
+            near &= d > 0.0
+            for (a, b), gaps in zip(segments, pending):
+                g = d[a:b][near[a:b]]
+                if g.size:
+                    gaps.append(g)
+                    n_pending += g.size
+            if n_pending >= _GAP_MATRIX_MAX or not pair_on:
+                for h, gaps in zip(hists, pending):
+                    if gaps:
+                        h += np.histogram(np.concatenate(gaps), bins=edges)[0]
+                        gaps.clear()
+                n_pending = 0
+        if triple_on:
+            for m, (lower, upper) in enumerate(bounds):
+                reached = w <= upper
+                inside[m] += reached
+                inside[m] -= w < lower
+            triple_on = reached.any()
+    if triple is not None:
+        for m, (lower, _) in enumerate(bounds):
+            # a lower bound that rounds onto its point also takes the copies of
+            # the point at or before it, which no offset >= 1 reaches
+            if (lower <= rows).any():
+                idx = np.arange(P)
+                first = np.maximum.accumulate(np.where(np.diff(rows, prepend=-np.inf) > 0, idx, 0), axis=-1)
+                inside[m] += np.where(lower <= rows, idx + 1 - first, 0)
+        triples = int(np.sum(inside[0] * inside[1]))
+    return hists, triples
 
 
 def _arc_grid(circumference, lengths, n_offsets):
@@ -259,12 +256,12 @@ class Accumulator:
     Rows are configurations in [-L/2, L/2), which add_block checks and
     sorts through processes.circle_rows; it takes them as samples
     first_index, first_index + 1, ...  Per block one ext = [pts, pts + L]
-    serves all parts: the points at offsets 1, 2, ... of each point, up to
-    each part's own reach, give the pair gaps (one histogram per batch
-    segment of the block) and the triple windows, one searchsorted into
-    the fixed translation grid gives the arc counts, and the gaps go to
-    the spacing pool.  Blocks may come in any order and be of any size;
-    the result is the same bit for bit.
+    serves all parts.  One walk over the offsets 1, 2, ... of each point
+    gives the pair gaps, binned once per batch segment of the block, and
+    the triple windows, each part up to its own reach.  One searchsorted
+    into the fixed translation grid gives the arc counts, and the gaps go
+    to the spacing pool.  Blocks may come in any order and be of any
+    size; the result is the same bit for bit.
 
     Memory is O(n_samples * P), from the spacing pool only: the gaps of
     every sample, kept for the spacing histogram and its KS test.  All
@@ -329,18 +326,19 @@ class Accumulator:
         self.added[index] = True
         self.n_points += B * P
         ext = np.concatenate([rows, rows + self.L], axis=-1)
+        pair = None
         if self.pair is not None:
-            K = _reach(ext, rows, self.delta_max)
             nb = self.batch_samples.size
             batch = (index * nb) // self.n_samples
             self.batch_samples += np.bincount(batch, minlength=nb)
             cuts = [0, *(np.flatnonzero(np.diff(batch)) + 1), B]
-            segments = list(zip(cuts[:-1], cuts[1:]))
-            hists = _pair_gap_counts(rows, ext, K, segments, self.delta_max, self.edges)
-            for (r0, _), h in zip(segments, hists):
+            pair = (self.delta_max, self.edges, list(zip(cuts[:-1], cuts[1:])))
+        hists, triples = _walk_offsets(rows, ext, pair, self.triple if P >= 3 else None)
+        if pair is not None:
+            for (r0, _), h in zip(pair[2], hists):
                 self.batch_counts[batch[r0]] += 2.0 * h
-        if self.triple is not None and P >= 3:
-            self.triples += _triple_count(rows, ext, *self.triple)
+        if triples is not None:
+            self.triples += triples
         if self.lengths:
             counts = _arc_counts(ext, *self.arc_grid)
             for i in range(len(self.lengths)):
@@ -430,7 +428,7 @@ def triple_window_count(cfg, r1, r2, tol=DEFAULT_TRIPLE_TOL):
     if rows.size < 3:
         return 0
     ext = np.concatenate([rows, rows + cfg.circumference], axis=-1)
-    return _triple_count(rows, ext, r1, r2, tol)
+    return _walk_offsets(rows, ext, triple=(r1, r2, tol))[1]
 
 
 def circular_gaps(cfg):

@@ -66,7 +66,7 @@ def tensor_phases(*factors):
         # factor i on axis i of the grid, broadcast along the others
         g = a.reshape(a.shape[:-1] + (1,) * i + a.shape[-1:] + (1,) * (k - 1 - i))
         sums = g if sums is None else sums + g
-    sums = reduce_phases(sums.reshape(sums.shape[:-k] + (-1,)))
+    sums = reduce_phases(sums.reshape(sums.shape[:-k] + (total,)))
     sums.sort(axis=-1)
     return sums
 

@@ -85,9 +85,11 @@ def sample_phase_block(cfg, start, stop):
 
     Sample s draws its factors, in order, from stream (seed, s); the
     factors' stacks go through the eigensolve and the tensor sum
-    together.
+    together.  An empty range gives a (0, P) block.
     """
     start, stop = as_int("start", start), as_int("stop", stop)
+    if stop < start:
+        raise ValueError("sample range: stop %d is below start %d" % (stop, start))
     streams = [RngStream(cfg.seed, s) for s in range(start, stop)]
     return tensor_phases(*(eigenphases(u) for u in sample_haar_block(cfg.dims, streams)))
 

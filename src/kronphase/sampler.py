@@ -224,13 +224,13 @@ def _phases_stack(u):
 
 
 def _unitarity_residual(u):
-    """max|U U* - I| over a (..., n, n) stack, with I subtracted in place on
-    the diagonal of U U* (off the diagonal, x - 0 is x)."""
+    """max|U U* - I| over a (..., n, n) stack, 0 if empty, with I subtracted
+    in place on the diagonal of U U* (off the diagonal, x - 0 is x)."""
     gram = u @ u.conj().swapaxes(-1, -2)
     gram = gram.astype(np.result_type(gram, 1.0), copy=False)  # bool and int stacks
     diag = np.arange(u.shape[-1])
     gram[..., diag, diag] -= 1
-    return np.max(np.abs(gram))
+    return np.max(np.abs(gram), initial=0.0)
 
 
 def eigenphases(u):

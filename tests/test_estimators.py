@@ -156,6 +156,27 @@ def pair_gap_histogram_loop(pts, circumference, delta_max, edges):
     return hist
 
 
+def spy_on_histogram(monkeypatch):
+    """Record the size of every array np.histogram bins from now on."""
+    sizes = []
+    histogram = np.histogram
+
+    def spy(values, bins):
+        sizes.append(values.size)
+        return histogram(values, bins=bins)
+
+    monkeypatch.setattr(np, "histogram", spy)
+    return sizes
+
+
+def first_offset_past(rows, circumference, gap):
+    """First offset k at which no point of the rows has its k-th next point
+    within gap, or None if some point still has at offset P - 1."""
+    P = rows.shape[-1]
+    ext = np.concatenate([rows, rows + circumference], axis=-1)
+    return next((k for k in range(1, P) if not (ext[:, k : k + P] - rows <= gap).any()), None)
+
+
 @st.composite
 def circle_configs(draw):
     """(sorted points in [-L/2, L/2), L, delta_max, edges), with repeated points."""
@@ -199,14 +220,20 @@ class TestPairGapHistogram:
         assert np.array_equal(got, [0.0, 0.0, 0.0, 1.0])
         assert np.array_equal(got, pair_gap_histogram_loop(pts, 20.0, delta_max, edges))
 
-    def test_slabs_of_offsets(self, monkeypatch):
-        # all points equal within delta_max: every offset is needed
+    def test_pending_gaps_in_chunks(self, monkeypatch):
+        # all points equal within delta_max: every offset is needed, and at a
+        # cap of 100 the pending gaps go to np.histogram in several chunks
         pts = np.sort(np.concatenate([np.zeros(30), np.linspace(0.5, 2.0, 30)]))
         edges = np.linspace(0.0, 3.0, 7)
         want = pair_gap_histogram_loop(pts, 8.0, 3.0, edges)
         assert np.array_equal(pair_gap_histogram(pts, 8.0, 3.0, edges), want)
+        sizes = spy_on_histogram(monkeypatch)
         monkeypatch.setattr(estimators, "_GAP_MATRIX_MAX", 100)
-        assert np.array_equal(pair_gap_histogram(pts, 8.0, 3.0, edges), want)
+        got = pair_gap_histogram(pts, 8.0, 3.0, edges)
+        assert sum(sizes) == want.sum()
+        # each chunk holds at most the cap plus one offset's gaps
+        assert len(sizes) >= 2 and max(sizes) <= 100 + pts.size
+        assert np.array_equal(got, want)
 
 
 class TestMerge:
@@ -604,40 +631,51 @@ class TestAccumulator:
         settings_ = dict(
             delta_max=1.5, n_bins=15, n_batches=5, lengths=(1.0, 2.5), n_offsets=16, triple=(1.0, 2.0, 0.2)
         )
+        assert first_offset_past(rows, 40.0, 1.5) < first_offset_past(rows, 40.0, 2.1)
         blocks = [(0, 7), (7, 16), (16, 23)]
         acc = accumulate_in_blocks(rows, 40.0, blocks, [2, 0, 1], **parts_of(settings_))
         check_against_references(rows, 40.0, acc=acc, **settings_)
 
-    def test_degenerate_triple_product_takes_the_slab_path(self, monkeypatch):
+    def test_blocks_across_batches_with_long_pair_reach(self):
+        # delta_max > r2 + tol/2: the pair gaps reach further than the triple
+        # windows, so the walk goes on after the triple part has stopped
+        samples = poisson_configs(40.0, 23, seed=17, intensity=1.5)
+        rows = np.stack([cfg.points[:38] for cfg in samples])
+        settings_ = dict(
+            delta_max=4.0, n_bins=20, n_batches=5, lengths=(1.0, 2.5), n_offsets=16, triple=(1.0, 2.0, 0.2)
+        )
+        assert first_offset_past(rows, 40.0, 4.0) > first_offset_past(rows, 40.0, 2.1)
+        blocks = [(0, 7), (7, 16), (16, 23)]
+        acc = accumulate_in_blocks(rows, 40.0, blocks, [1, 2, 0], **parts_of(settings_))
+        check_against_references(rows, 40.0, acc=acc, **settings_)
+
+    def test_degenerate_triple_product_bins_in_chunks(self, monkeypatch):
         # identical factors with clustered phases: every sum repeats under
         # permutation, and the whole product fits inside delta_max, so the
-        # window reaches offset P - 1
+        # pair walk reaches offset P - 1 and its gaps pass the cap
         a = np.array([0.0, 0.1, 0.2, 0.4])
         theta = rescale_center(triple_tensor(a, a, a), 64).points
-        shifts = np.linspace(0.0, 64.0, 70, endpoint=False)[:, None]
+        shifts = np.linspace(0.0, 64.0, 150, endpoint=False)[:, None]
         rows = circle_rows(np.mod(theta + shifts + 32.0, 64.0) - 32.0, 64.0)
         assert np.count_nonzero(np.diff(rows[0]) == 0.0) > 20
         settings_ = dict(
             delta_max=16.0, n_bins=32, n_batches=1, lengths=(4.0,), n_offsets=8, triple=(1.0, 2.0, 0.2)
         )
+        assert first_offset_past(rows, 64.0, 16.0) is None
         ext = np.concatenate([rows, rows + 64.0], axis=-1)
-        assert estimators._reach(ext, rows, 16.0) == 63
-        assert rows.size * 63 > estimators._GAP_MATRIX_MAX
-        sizes = []
-        histogram = np.histogram
-
-        def spy(values, bins):
-            sizes.append(values.size)
-            return histogram(values, bins=bins)
-
-        monkeypatch.setattr(estimators.np, "histogram", spy)
+        gaps = [ext[:, k : k + 64] - rows for k in range(1, 64)]
+        per_offset = [np.count_nonzero((d > 0.0) & (d <= 16.0)) for d in gaps]
+        assert sum(per_offset) > estimators._GAP_MATRIX_MAX
+        sizes = spy_on_histogram(monkeypatch)
         for cap in (estimators._GAP_MATRIX_MAX, 1000):
             monkeypatch.setattr(estimators, "_GAP_MATRIX_MAX", cap)
             sizes.clear()
-            acc = accumulate_in_blocks(rows, 64.0, [(0, 70)], [0], **parts_of(settings_))
-            # one histogram per slab of at most cap gaps
-            assert len(sizes) >= -(-rows.size * 63 // cap) >= 2
-            assert max(sizes) <= cap
+            acc = accumulate_in_blocks(rows, 64.0, [(0, 150)], [0], **parts_of(settings_))
+            # every gap is binned once, in chunks of at most the cap plus
+            # one offset's gaps
+            assert sum(sizes) == sum(per_offset)
+            assert len(sizes) >= 2
+            assert max(sizes) <= cap + max(per_offset)
             check_against_references(rows, 64.0, acc=acc, **settings_)
 
     def test_rejects_overlap_and_missing_rows(self):

@@ -3,7 +3,7 @@
 Each case pins the SHA-256 of `pair_correlation.csv` and
 `count_variance.csv` and of the manifest summary (as JSON with sorted
 keys) of one `run_experiment` call, and of `phases.csv` from
-`kronphase sample`.  MANIFESTS pins the whole manifest of each run, as
+`kronphase sample`, with and without `--window`.  MANIFESTS pins the whole manifest of each run, as
 JSON with sorted keys and without its two timestamps, so that the
 recorded config and stream layout cannot drift either.  A refactor of
 the sampler, the tensor step or the estimators must leave all of them
@@ -59,6 +59,12 @@ SAMPLES = {
     "triple": ("2,4,4", "ee53dbb2845fe5f9c0d165331c69d87638a97daeb1f1e2aedfa8f8b9731f3eb7"),
 }
 
+# mode -> (dims, SHA-256 of phases.csv from `kronphase sample --window 3.5`)
+WINDOW_SAMPLES = {
+    "pair": ("2,12", "d4cdca8b4ce71e2dfee8dabf93b672959274983908ed859836a583b98471f4bb"),
+    "triple": ("2,4,4", "12a22d1f63629d243b1bd58fddf19903be4b1937f654d00059e79f26b78afdda"),
+}
+
 
 def sha256(data):
     return hashlib.sha256(data).hexdigest()
@@ -85,5 +91,13 @@ def test_manifest_bytes(name, tmp_path):
 def test_sample_command_bytes(mode, tmp_path, capsys):
     dims, phases_sha = SAMPLES[mode]
     argv = ["sample", "--mode", mode, "--dims", dims, "--samples", "40", "--seed", "74"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    assert sha256((tmp_path / "phases.csv").read_bytes()) == phases_sha
+
+
+@pytest.mark.parametrize("mode", sorted(WINDOW_SAMPLES))
+def test_sample_window_command_bytes(mode, tmp_path, capsys):
+    dims, phases_sha = WINDOW_SAMPLES[mode]
+    argv = ["sample", "--mode", mode, "--dims", dims, "--samples", "40", "--seed", "74", "--window", "3.5"]
     assert cli.main(argv + ["--out", str(tmp_path)]) == 0
     assert sha256((tmp_path / "phases.csv").read_bytes()) == phases_sha

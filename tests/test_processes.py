@@ -85,6 +85,10 @@ class TestTensorPhases:
         with pytest.raises(ValueError):
             tensor_phases()
 
+    def test_empty_stacks(self):
+        assert tensor_phases(np.zeros((0, 2)), np.zeros((0, 3))).shape == (0, 6)
+        assert tensor_phases(np.zeros((0, 2)), np.zeros((0, 3)), np.zeros((0, 4))).shape == (0, 24)
+
     def test_capacity(self):
         with pytest.raises(CapacityError):
             tensor_phases(np.zeros(1100), np.zeros(1000))

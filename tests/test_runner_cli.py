@@ -268,6 +268,20 @@ class TestRunner:
             assert np.array_equal(row, sample_rescaled_rows(cfg, s, s + 1)[0])
 
     @pytest.mark.parametrize("mode, dims", [("single", (12,)), ("pair", (2, 12)), ("triple", (2, 3, 4))])
+    def test_empty_sample_range_gives_an_empty_block(self, mode, dims):
+        cfg = ExperimentConfig(mode=mode, dims=dims, n_samples=5, seed=3)
+        P = int(np.prod(dims))
+        for start in (0, 3, 5):
+            assert runner.sample_phase_block(cfg, start, start).shape == (0, P)
+            assert sample_rescaled_rows(cfg, start, start).shape == (0, P)
+
+    def test_sample_range_rejects_stop_below_start(self):
+        cfg = ExperimentConfig(mode="pair", dims=(2, 12), n_samples=5, seed=3)
+        for fn in (runner.sample_phase_block, sample_rescaled_rows):
+            with pytest.raises(ValueError, match="stop 2 is below start 4"):
+                fn(cfg, 4, 2)
+
+    @pytest.mark.parametrize("mode, dims", [("single", (12,)), ("pair", (2, 12)), ("triple", (2, 3, 4))])
     def test_block_size_invariance(self, mode, dims, tmp_path, monkeypatch):
         # The block-size analogue of test_worker_invariance_in_memory: the
         # default block, one sample per block, and 7 per block (which does
@@ -539,6 +553,12 @@ class TestCli:
         assert r.returncode == 1
         assert "single mode" in r.stderr
         assert not (tmp_path / "phases.csv").exists()
+
+    def test_sample_rejects_window_before_making_the_directory(self, tmp_path):
+        out = tmp_path / "not-made"
+        argv = ["sample", "--mode", "single", "--dims", "6", "--samples", "3", "--seed", "2", "--delta-max", "3"]
+        assert cli.main(argv + ["--window", "2.0", "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_sample_pair_window(self, tmp_path):
         r = run_cli(

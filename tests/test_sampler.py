@@ -212,6 +212,12 @@ class TestEigenphases:
         with pytest.raises(ValueError):
             eigenphases(np.ones((2, 3)))
 
+    def test_empty_stack_has_no_phases(self):
+        # an empty stack has unitarity residual 0
+        assert sampler._unitarity_residual(np.zeros((0, 4, 4), dtype=complex)) == 0.0
+        assert eigenphases(np.zeros((0, 4, 4), dtype=complex)).shape == (0, 4)
+        assert eigenphases(np.zeros((3, 0, 2, 2))).shape == (3, 0, 2)
+
     def test_tolerance_override(self, monkeypatch):
         u = np.eye(2) * (1.0 + 5e-7)
         with pytest.raises(ValueError):
