@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import itertools
 import os
 import sys
 
@@ -80,23 +81,34 @@ def _build_config_from_args(args):
     return build_config(file_values, overrides)
 
 
-def _cmd_sample(args):
-    cfg = _build_config_from_args(args)
+def _phase_blocks(cfg):
+    """(first sample index, rows) of each block the sample command writes."""
     w = cfg.window_half_width
-    if cfg.mode == "single" and w is not None:
-        raise ValueError("--window applies to the rescaled pair and triple modes, not to single mode")
-    os.makedirs(args.out, exist_ok=True)
-    rows = []
     for start, stop in sample_blocks(cfg):
         if cfg.mode == "single":
-            block = sample_phase_block(cfg, start, stop)
+            yield start, sample_phase_block(cfg, start, stop)
+        elif w is None:
+            yield start, sample_rescaled_rows(cfg, start, stop)
         else:
-            block = sample_rescaled_rows(cfg, start, stop)
-            if w is not None:
-                # ExperimentConfig has checked 0 < 2w <= P
-                block = [row[np.abs(row) <= w] for row in block]
-        for s, pts in enumerate(block, start):
-            rows.extend((s, i, float(p)) for i, p in enumerate(pts))
+            # ExperimentConfig has checked 0 < 2w <= P
+            yield start, [row[np.abs(row) <= w] for row in sample_rescaled_rows(cfg, start, stop)]
+
+
+def _cmd_sample(args):
+    cfg = _build_config_from_args(args)
+    if cfg.mode == "single" and cfg.window_half_width is not None:
+        raise ValueError("--window applies to the rescaled pair and triple modes, not to single mode")
+    os.makedirs(args.out, exist_ok=True)
+    # the first block is drawn before phases.csv is opened, so a config the
+    # sampler rejects leaves no file; then one block is held at a time
+    blocks = _phase_blocks(cfg)
+    first = next(blocks)
+    rows = (
+        (s, i, float(p))
+        for start, block in itertools.chain([first], blocks)
+        for s, pts in enumerate(block, start)
+        for i, p in enumerate(pts)
+    )
     path = os.path.join(args.out, "phases.csv")
     name = "phase" if cfg.mode == "single" else "theta"
     write_csv(path, csv_preamble(cfg), ("sample", "index", name), rows)

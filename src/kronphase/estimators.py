@@ -265,7 +265,9 @@ class Accumulator:
 
     Memory is O(n_samples * P), from the spacing pool only: the gaps of
     every sample, kept for the spacing histogram and its KS test.  All
-    other parts have a fixed size.
+    other parts have a fixed size.  finalize normalizes and sorts the pool
+    in place and hands it to the SpacingHistogram, so it makes no second
+    pool-sized array; it consumes the pool, and a second finalize raises.
 
     Parts: pair = (delta_max, n_bins) in DEFAULT_N_BATCHES sample batches, arc
     lengths for count variances over n_offsets translations, triple =
@@ -307,6 +309,7 @@ class Accumulator:
         self.n_points = self.triples = 0
         self.s1, self.s2 = [0] * len(self.lengths), [0] * len(self.lengths)
         self.gaps = None
+        self.finalized = False
 
     def add_block(self, points, first_index):
         """Add a (B, P) block, checked and sorted by circle_rows, as samples first_index, ..."""
@@ -350,7 +353,10 @@ class Accumulator:
             self.gaps[index] = _gaps(rows, self.L)
 
     def finalize(self):
-        """EstimateBundle of the samples added; the spacing pool needs all of them."""
+        """EstimateBundle of the samples added; the spacing pool needs all of
+        them.  Consumes the pool, so an Accumulator finalizes once."""
+        if self.finalized:
+            raise ValueError("finalize: the accumulator was already finalized")
         n, L = int(np.count_nonzero(self.added)), self.L
         if n == 0:
             raise ValueError("estimator input must contain at least one configuration")
@@ -360,10 +366,14 @@ class Accumulator:
         if self.spacing_bins is not None:
             if n != self.n_samples or self.gaps.shape[1] < 2:
                 raise ValueError("spacings need every sample, each with at least 2 points")
-            spacings = spacing_histogram_from_gaps(self.gaps, n_bins=self.spacing_bins)
         m = n * self.n_offsets
         if self.lengths and m < 2:
             raise ValueError("count variance needs at least 2 observations")
+        if self.spacing_bins is not None:
+            # checked above, so a finalize that raises leaves the pool intact
+            spacings = _pool_spacings(self.gaps.reshape(-1), self.gaps.sum(axis=1), self.spacing_bins)
+            self.gaps = None
+        self.finalized = True
         moments = zip(self.lengths, self.s1, self.s2)
         count_var = tuple((ell, float((s2 - s1 * s1 / m) / (m - 1))) for ell, s1, s2 in moments)
         if self.triple is not None:
@@ -438,28 +448,37 @@ def circular_gaps(cfg):
     return _gaps(cfg.points[None], cfg.circumference)[0]
 
 
-def spacing_histogram_from_gaps(gap_arrays, n_bins=40):
-    """Pool per-sample gap arrays (a list, or the rows of a 2-d array),
-    rescale to mean 1, and sort them into an n_bins SpacingHistogram.
-
-    The pooled mean is computed from per-array sums in list order, so
-    the result depends only on the arrays and their order.
-    """
-    if isinstance(gap_arrays, np.ndarray) and gap_arrays.ndim == 2:
-        sums, flat = gap_arrays.sum(axis=1), gap_arrays.ravel()
-    else:
-        gap_arrays = [np.asarray(g, dtype=float) for g in gap_arrays]
-        sums = np.array([np.sum(g) for g in gap_arrays])
-        flat = np.concatenate(gap_arrays) if gap_arrays else sums
-    count = flat.size
+def _pool_spacings(pool, sums, n_bins):
+    """SpacingHistogram of a 1-d pool of gaps with per-sample sums: divides
+    the pool by the pooled mean and sorts it, both in place, so the caller
+    hands over a pool it does not keep."""
+    n_bins = as_int("n_bins", n_bins, 1)
+    count = pool.size
     if count < 1:
         raise ValueError("no spacings to pool")
     mean = float(np.sum(sums)) / count
     if mean <= 0:
         raise ValueError("spacings must have positive mean")
-    pooled = flat / mean
-    pooled.sort()
-    return SpacingHistogram(pooled, as_int("n_bins", n_bins, 1))
+    pool /= mean
+    pool.sort()
+    return SpacingHistogram(pool, n_bins)
+
+
+def spacing_histogram_from_gaps(gap_arrays, n_bins=40):
+    """Pool per-sample gap arrays (a list, or the rows of a 2-d array),
+    rescale to mean 1, and sort them into an n_bins SpacingHistogram.
+
+    The pooled mean is computed from per-array sums in list order, so
+    the result depends only on the arrays and their order.  The input is
+    not changed: the pool is a new array.
+    """
+    if isinstance(gap_arrays, np.ndarray) and gap_arrays.ndim == 2:
+        # the dtype gap_arrays / mean would have
+        pool = gap_arrays.astype(np.result_type(gap_arrays, 1.0)).reshape(-1)
+        return _pool_spacings(pool, gap_arrays.sum(axis=1), n_bins)
+    gap_arrays = [np.asarray(g, dtype=float) for g in gap_arrays]
+    sums = np.array([np.sum(g) for g in gap_arrays])
+    return _pool_spacings(np.concatenate(gap_arrays) if gap_arrays else sums, sums, n_bins)
 
 
 def interval_counts(cfg, lengths, n_offsets=DEFAULT_COUNT_OFFSETS):

@@ -19,6 +19,9 @@ KS_MIN_N = 100
 # statistic: D_crit = 1.36 / sqrt(n).  Adequate for n >= 100.
 KS_COEFF_05 = 1.36
 
+# Spacings per step of the KS walk: its temporaries are a few of these.
+_KS_CHUNK = 1 << 15
+
 
 @dataclass(frozen=True)
 class CurveComparison:
@@ -61,17 +64,22 @@ def compare_to_curve(hist, target):
 def ks_against_exponential(spacing_hist):
     """One-sample KS test of normalized spacings against 1 - exp(-s).
 
-    Reads the spacings in the ascending order SpacingHistogram keeps them."""
+    Reads the spacings in the ascending order SpacingHistogram keeps them,
+    in fixed chunks of _KS_CHUNK, so its temporaries do not grow with the
+    pool.  Per element it computes the one-sided deviations i/n - cdf and
+    cdf - (i-1)/n; rounded subtraction is antisymmetric and monotone, so
+    their maximum is max(|i/n - cdf|, |(i-1)/n - cdf|) bit for bit.
+    """
     s = np.asarray(spacing_hist.spacings, dtype=float)
     n = s.size
     if n < KS_MIN_N:
         raise ValueError("ks_against_exponential: need at least %d spacings" % KS_MIN_N)
-    cdf = 1.0 - np.exp(-s)
-    i = np.arange(1, n + 1)
-    d = max(
-        float(np.max(np.abs(i / n - cdf))),
-        float(np.max(np.abs((i - 1) / n - cdf))),
-    )
+    peaks = []
+    for start in range(0, n, _KS_CHUNK):
+        cdf = 1.0 - np.exp(-s[start : start + _KS_CHUNK])
+        i = np.arange(start + 1, start + 1 + cdf.size)
+        peaks += [np.max(i / n - cdf), np.max(cdf - (i - 1) / n)]
+    d = float(np.max(peaks))
     thr = KS_COEFF_05 / math.sqrt(n)
     return KsResult(d_statistic=d, n=int(n), threshold_05=thr, passed=d < thr)
 

@@ -334,6 +334,19 @@ class TestSpacings:
         frac = np.mean(sh.spacings <= 1.0)
         assert abs(frac - ONE_MINUS_EXP_MINUS_1) < 0.02
 
+    def test_pooling_leaves_the_input_unchanged(self):
+        rows = np.array([[1.0, 2.0, 0.5], [3.0, 0.25, 1.25]])
+        as_list = [row.copy() for row in rows]
+        from_rows = spacing_histogram_from_gaps(rows, n_bins=4)
+        from_list = spacing_histogram_from_gaps(as_list, n_bins=4)
+        spacing_histogram_from_gaps([rows[0]], n_bins=4)  # a view into rows
+        assert np.array_equal(rows, [[1.0, 2.0, 0.5], [3.0, 0.25, 1.25]])
+        assert all(np.array_equal(a, b) for a, b in zip(as_list, rows))
+        assert np.array_equal(from_rows.spacings, from_list.spacings)
+        ints = np.array([[2, 1, 3], [1, 1, 4]])
+        assert np.array_equal(spacing_histogram_from_gaps(ints, n_bins=4).spacings, [0.5, 0.5, 0.5, 1.0, 1.5, 2.0])
+        assert np.array_equal(ints, [[2, 1, 3], [1, 1, 4]])
+
     def test_rejects_unsorted_spacings(self):
         with pytest.raises(ValueError):
             SpacingHistogram(np.array([1.0, 0.5, 1.5]), 2)
@@ -531,6 +544,9 @@ def check_against_references(rows, L, delta_max, n_bins, n_batches, lengths, n_o
     """The accumulator, and the one-configuration estimators, equal the
     per-sample references bit for bit."""
     n, P = rows.shape
+    # finalize consumes the gap pool, so the pool is compared first
+    gaps = [circular_gaps_reference(pts, L) for pts in rows]
+    assert np.array_equal(acc.gaps, np.stack(gaps))
     got = acc.finalize()
     cfgs = [RescaledConfig(points=pts, circumference=L) for pts in rows]
 
@@ -558,8 +574,6 @@ def check_against_references(rows, L, delta_max, n_bins, n_batches, lengths, n_o
     assert acc.s2 == [sum(int((mat[i] * mat[i]).sum()) for mat in mats) for i in range(len(lengths))]
     assert list(got.count_var) == count_variance_reference(cfgs, lengths, n_offsets)
 
-    gaps = [circular_gaps_reference(pts, L) for pts in rows]
-    assert np.array_equal(acc.gaps, np.stack(gaps))
     for cfg, g in zip(cfgs, gaps):
         assert np.array_equal(circular_gaps(cfg), g)
     pooled = spacing_histogram_from_gaps(gaps, n_bins=n_bins)
@@ -688,13 +702,36 @@ class TestAccumulator:
             acc.add_block(rows[:1], 4)
         with pytest.raises(ValueError):
             acc.add_block(rows[:1], -1)
+        pool = acc.gaps.copy()
         with pytest.raises(ValueError):
             acc.finalize()  # the spacing pool lacks samples 2 and 3
-        # rejected blocks leave no trace
+        # rejected blocks, and the finalize that raised, leave no trace
+        assert np.array_equal(acc.gaps, pool)
         acc.add_block(rows[2:], 2)
         got = acc.finalize()
         assert got.pair.n_samples == 4
         assert got.spacings.n_spacings == 64
+
+    def test_finalize_consumes_the_pool_once(self):
+        rows = np.stack([lattice_sample(16.0).points] * 2)
+        acc = Accumulator(16.0, 2, pair=(4.0, 8), spacing_bins=8)
+        acc.add_block(rows, 0)
+        want = spacing_histogram_from_gaps(acc.gaps, n_bins=8)
+        got = acc.finalize()
+        assert acc.gaps is None
+        assert np.array_equal(got.spacings.spacings, want.spacings)
+        with pytest.raises(ValueError, match="already finalized"):
+            acc.finalize()
+
+    def test_finalize_that_raises_late_leaves_the_pool(self):
+        # the count variance is checked after the spacing pool: one sample
+        # over one offset gives it a single observation
+        acc = Accumulator(8.0, 1, lengths=(1.0,), n_offsets=1, spacing_bins=4)
+        acc.add_block(np.array([[-1.0, 0.5, 2.0]]), 0)
+        pool = acc.gaps.copy()
+        with pytest.raises(ValueError, match="count variance needs at least 2 observations"):
+            acc.finalize()
+        assert np.array_equal(acc.gaps, pool)
 
     def test_add_block_sorts_each_row(self):
         # an unsorted row counts as its sorted points, as RescaledConfig reads it

@@ -3,12 +3,15 @@ import pytest
 
 from kronphase.acceptance import poisson_configs
 from kronphase.estimators import (
+    SpacingHistogram,
     circular_gaps,
     estimate_pair_correlation,
     spacing_histogram_from_gaps,
 )
+from kronphase import gof
 from kronphase.gof import (
     KS_COEFF_05,
+    KS_MIN_N,
     chi_square_uniformity,
     compare_to_curve,
     ks_against_exponential,
@@ -82,6 +85,41 @@ class TestKsExponential:
         a = spacing_histogram_from_gaps([s], n_bins=10)
         b = spacing_histogram_from_gaps([s[::-1].copy()], n_bins=10)
         assert ks_against_exponential(a) == ks_against_exponential(b)
+
+
+def ks_whole_pool(s):
+    """The KS distance as one expression over the whole sorted pool."""
+    n = s.size
+    cdf = 1.0 - np.exp(-s)
+    i = np.arange(1, n + 1)
+    return max(float(np.max(np.abs(i / n - cdf))), float(np.max(np.abs((i - 1) / n - cdf))))
+
+
+CHUNK = gof._KS_CHUNK
+
+
+class TestKsChunks:
+    @pytest.mark.parametrize(
+        "n, kind",
+        [
+            (CHUNK - 3, "exponential"),
+            (2 * CHUNK, "exponential"),
+            (3 * CHUNK + 1, "tied"),
+            (3 * CHUNK + 1, "uniform"),
+            (KS_MIN_N, "exponential"),
+            (KS_MIN_N, "tied"),
+        ],
+    )
+    def test_chunked_walk_equals_the_whole_pool_expression(self, n, kind):
+        s = np.random.default_rng(n).exponential(size=n) * 1.05
+        if kind == "tied":
+            s = np.round(s, 2)
+        elif kind == "uniform":
+            # D is 1 - cdf at the largest spacing, alone in the last chunk
+            s = np.linspace(0.0, 1.0, n)
+        s.sort()
+        assert (kind == "tied") == bool(np.any(np.diff(s) == 0))
+        assert ks_against_exponential(SpacingHistogram(s, 10)).d_statistic == ks_whole_pool(s)
 
 
 class TestChiSquareUniformity:

@@ -554,6 +554,16 @@ class TestCli:
         assert "single mode" in r.stderr
         assert not (tmp_path / "phases.csv").exists()
 
+    def test_sample_rejected_by_the_sampler_writes_no_file(self, tmp_path):
+        # the first block is drawn before phases.csv is opened, so a factor
+        # the sampler rejects neither creates nor truncates the file
+        argv = ["sample", "--mode", "pair", "--dims", "600,2", "--samples", "1", "--seed", "1"]
+        assert cli.main(argv + ["--out", str(tmp_path / "new")]) == 1
+        assert not (tmp_path / "new" / "phases.csv").exists()
+        (tmp_path / "phases.csv").write_text("kept\n")
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 1
+        assert (tmp_path / "phases.csv").read_text() == "kept\n"
+
     def test_sample_rejects_window_before_making_the_directory(self, tmp_path):
         out = tmp_path / "not-made"
         argv = ["sample", "--mode", "single", "--dims", "6", "--samples", "3", "--seed", "2", "--delta-max", "3"]
@@ -693,3 +703,56 @@ class TestMallocThresholds:
         for fake in (no_library, lambda name: object()):
             monkeypatch.setattr(ctypes, "CDLL", fake)
             assert cli.main(args + ["--out", str(tmp_path)]) == 0
+
+
+# Peak resident memory of one command, in ru_maxrss units.  A process's
+# ru_maxrss survives exec and starts from the RSS of the process that forked
+# it, so the command runs in a grandchild of the tests, forked by LAUNCH, a
+# small python process.
+PEAK_PROBE = """
+import contextlib, io, resource, sys
+from kronphase import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(sys.argv[2:] + ["--out", sys.argv[1]])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(rc)
+"""
+LAUNCH = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+
+
+def peak_rss_bytes(tmp_path, *commands):
+    """Peak RSS in bytes of each command, each in its own process; the
+    processes run side by side."""
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kronphase.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", LAUNCH, sys.executable, "-c", PEAK_PROBE, str(tmp_path / str(i)), *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        for i, argv in enumerate(commands)
+    ]
+    peaks = []
+    for p in procs:
+        out, err = p.communicate()
+        assert p.returncode == 0, err
+        peaks.append(int(out.split()[-1]))
+    # ru_maxrss is in bytes on macOS and in KiB elsewhere
+    unit = 1 if sys.platform == "darwin" else 1024
+    return [peak * unit for peak in peaks]
+
+
+class TestPeakMemory:
+    def test_correlate_grows_with_its_spacing_pool_only(self, tmp_path):
+        # 1,500 more samples of 512 points add 6.1 MB of gaps to the pool;
+        # the normalized, sorted pool and the KS walk add no second copy
+        argv = ["correlate", "--mode", "triple", "--dims", "2,16,16", "--k-analytic", "3", "--seed", "3"]
+        small, large = peak_rss_bytes(tmp_path, argv + ["--samples", "500"], argv + ["--samples", "2000"])
+        pool_growth = (2000 - 500) * 512 * 8
+        assert large - small <= 1.5 * pool_growth + 2_000_000, (small, large)
+
+    def test_sample_holds_one_block(self, tmp_path):
+        argv = ["sample", "--mode", "pair", "--dims", "24,24", "--seed", "3"]
+        small, large = peak_rss_bytes(tmp_path, argv + ["--samples", "200"], argv + ["--samples", "1000"])
+        assert large - small <= 2_000_000, (small, large)
