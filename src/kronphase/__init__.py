@@ -68,13 +68,11 @@ from .runner import (
     run_experiment,
     target_curve,
 )
-from .acceptance import CriterionResult, run_criteria
 
 __all__ = [
     "Accumulator",
     "CapacityError",
     "CorrelationHistogram",
-    "CriterionResult",
     "CurveComparison",
     "EstimateBundle",
     "ExperimentConfig",
@@ -108,7 +106,6 @@ __all__ = [
     "rho_superposed_pair",
     "rho_superposed_sine",
     "run_convergence_sweep",
-    "run_criteria",
     "run_experiment",
     "sample_cue_phases",
     "sample_haar_block",

@@ -15,9 +15,8 @@ import sys
 
 import numpy as np
 
-from .acceptance import run_criteria
 from .config import CONFIG_PARSERS, CURVES, MODES, build_config, parse_config_file, parse_int_list
-from .output import write_csv
+from .output import _write_lines
 from .runner import (
     REFERENCE_KINDS,
     csv_preamble,
@@ -81,17 +80,20 @@ def _build_config_from_args(args):
     return build_config(file_values, overrides)
 
 
-def _phase_blocks(cfg):
-    """(first sample index, rows) of each block the sample command writes."""
+def _phase_lines(cfg):
+    """The rows of phases.csv, one sample at a time; one format per row,
+    whose %d and %.17g are write_csv's bytes for an int and a float."""
     w = cfg.window_half_width
     for start, stop in sample_blocks(cfg):
         if cfg.mode == "single":
-            yield start, sample_phase_block(cfg, start, stop)
+            block = sample_phase_block(cfg, start, stop)
         elif w is None:
-            yield start, sample_rescaled_rows(cfg, start, stop)
+            block = sample_rescaled_rows(cfg, start, stop)
         else:
             # ExperimentConfig has checked 0 < 2w <= P
-            yield start, [row[np.abs(row) <= w] for row in sample_rescaled_rows(cfg, start, stop)]
+            block = [row[np.abs(row) <= w] for row in sample_rescaled_rows(cfg, start, stop)]
+        for s, pts in enumerate(block, start):
+            yield "".join(map("%d,%d,%.17g\n".__mod__, zip(itertools.repeat(s), range(len(pts)), pts.tolist())))
 
 
 def _cmd_sample(args):
@@ -101,17 +103,11 @@ def _cmd_sample(args):
     os.makedirs(args.out, exist_ok=True)
     # the first block is drawn before phases.csv is opened, so a config the
     # sampler rejects leaves no file; then one block is held at a time
-    blocks = _phase_blocks(cfg)
-    first = next(blocks)
-    rows = (
-        (s, i, float(p))
-        for start, block in itertools.chain([first], blocks)
-        for s, pts in enumerate(block, start)
-        for i, p in enumerate(pts)
-    )
+    lines = _phase_lines(cfg)
+    first = next(lines)
     path = os.path.join(args.out, "phases.csv")
     name = "phase" if cfg.mode == "single" else "theta"
-    write_csv(path, csv_preamble(cfg), ("sample", "index", name), rows)
+    _write_lines(path, csv_preamble(cfg), ("sample", "index", name), itertools.chain([first], lines))
     print("wrote %s" % path)
     return 0
 
@@ -169,6 +165,7 @@ def _cmd_refcurve(args):
 
 
 def _cmd_verify(args):
+    from .acceptance import run_criteria  # no other command loads the suite
     results = run_criteria(args.criteria)
     failed = 0
     for r in results:

@@ -324,7 +324,7 @@ class Accumulator:
             return
         if index.min() < 0 or index.max() >= self.n_samples:
             raise ValueError("sample indices must lie in [0, n_samples)")
-        if self.added[index].any() or np.unique(index).size < B:
+        if self.added[index].any() or not np.diff(np.sort(index)).all():  # np.unique imports numpy.ma
             raise ValueError("a sample was added twice")
         self.added[index] = True
         self.n_points += B * P

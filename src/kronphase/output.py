@@ -30,13 +30,17 @@ def write_csv(path, preamble, header, rows):
     preamble is an ordered mapping written as `# key=value` lines;
     header is the column-name row; rows are value tuples.
     """
+    _write_lines(path, preamble, header, (",".join(_fmt_cell(v) for v in row) + "\n" for row in rows))
+
+
+def _write_lines(path, preamble, header, lines):
+    """write_csv of rows already formatted, each ending in LF."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for key, value in preamble.items():
                 fh.write("# %s=%s\n" % (key, _fmt_cell(value)))
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
+            fh.writelines(lines)
     except OSError as exc:
         raise OSError("failed writing %s: %s" % (path, exc)) from exc
 

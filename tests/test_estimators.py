@@ -712,6 +712,23 @@ class TestAccumulator:
         assert got.pair.n_samples == 4
         assert got.spacings.n_spacings == 64
 
+    def test_duplicate_inside_one_block_is_rejected(self):
+        samples = [lattice_sample(16.0)] * 2
+        with pytest.raises(ValueError, match="added twice"):
+            estimate_pair_correlation(samples, 4.0, 8, sample_indices=[0, 0], n_samples_total=2)
+
+    def test_block_added_twice_is_rejected_before_it_counts(self):
+        rows = np.stack([lattice_sample(16.0).points] * 2)
+        acc = Accumulator(16.0, 3, pair=(4.0, 8), lengths=(2.0,), spacing_bins=8)
+        acc.add_block(rows, 1)
+        before = [acc.added.copy(), acc.batch_counts.copy(), acc.batch_samples.copy(), acc.gaps.copy()]
+        scalars = (acc.n_points, list(acc.s1), list(acc.s2))
+        with pytest.raises(ValueError, match="added twice"):
+            acc.add_block(rows, 1)
+        after = [acc.added, acc.batch_counts, acc.batch_samples, acc.gaps]
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+        assert (acc.n_points, acc.s1, acc.s2) == scalars
+
     def test_finalize_consumes_the_pool_once(self):
         rows = np.stack([lattice_sample(16.0).points] * 2)
         acc = Accumulator(16.0, 2, pair=(4.0, 8), spacing_bins=8)

@@ -756,3 +756,33 @@ class TestPeakMemory:
         argv = ["sample", "--mode", "pair", "--dims", "24,24", "--seed", "3"]
         small, large = peak_rss_bytes(tmp_path, argv + ["--samples", "200"], argv + ["--samples", "1000"])
         assert large - small <= 2_000_000, (small, large)
+
+
+# a correlate, spacings and sample command in one process, then the modules
+# of the list that they loaded
+STARTUP_PROBE = """
+import contextlib, io, sys
+from kronphase import cli
+for command in ("correlate", "spacings", "sample"):
+    argv = [command, "--mode", "pair", "--dims", "2,6", "--samples", "3", "--seed", "1", "--out", sys.argv[1]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, command
+print(" ".join(name for name in sys.argv[2:] if name in sys.modules))
+"""
+
+
+class TestStartup:
+    def test_commands_import_only_what_they_run(self, tmp_path):
+        # numpy.ma costs about 15 ms and 1.3 MB peak RSS, the verification suite about 5 ms
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kronphase.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        unused = ["numpy.ma", "kronphase.acceptance"]
+        r = subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE, str(tmp_path), *unused], capture_output=True, text=True, env=env
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.split() == []
+        # verify imports the suite when it runs
+        r7 = run_cli("verify", "--criteria", "7")
+        assert r7.returncode == 0, r7.stderr
+        assert r7.stdout.splitlines()[-1] == "1/1 criteria passed"
