@@ -29,29 +29,20 @@ from .combinatorics import (
 from .sampler import (
     RngStream,
     eigenphases,
-    sample_cue_phases,
     sample_haar_block,
     sample_haar_unitary,
 )
 from .processes import (
-    RescaledConfig,
     circle_rows,
     reduce_phases,
-    rescale_center,
     rescale_points,
     tensor_phases,
-    triple_tensor,
-    window,
 )
 from .estimators import (
     Accumulator,
     CorrelationHistogram,
     EstimateBundle,
     SpacingHistogram,
-    circular_gaps,
-    estimate_pair_correlation,
-    interval_counts,
-    merge,
 )
 from .gof import (
     CurveComparison,
@@ -77,7 +68,6 @@ __all__ = [
     "EstimateBundle",
     "ExperimentConfig",
     "KsResult",
-    "RescaledConfig",
     "RngStream",
     "RunManifest",
     "SpacingHistogram",
@@ -85,21 +75,16 @@ __all__ = [
     "build_config",
     "chi_square_uniformity",
     "circle_rows",
-    "circular_gaps",
     "compare_to_curve",
     "cue_s",
     "eigenphases",
     "emit_reference_curve",
-    "estimate_pair_correlation",
     "falling_factorial",
     "hadamard_bound",
-    "interval_counts",
     "ks_against_exponential",
-    "merge",
     "parse_config_file",
     "reduce_phases",
     "reduce_to_pi",
-    "rescale_center",
     "rescale_points",
     "rho_cue",
     "rho_sine",
@@ -107,7 +92,6 @@ __all__ = [
     "rho_superposed_sine",
     "run_convergence_sweep",
     "run_experiment",
-    "sample_cue_phases",
     "sample_haar_block",
     "sample_haar_unitary",
     "set_partitions",
@@ -116,7 +100,5 @@ __all__ = [
     "stirling_identity_residual",
     "target_curve",
     "tensor_phases",
-    "triple_tensor",
-    "window",
     "__version__",
 ]

@@ -33,7 +33,7 @@ from .combinatorics import (
     stirling_identity_residual,
 )
 from .config import ExperimentConfig
-from .estimators import SpacingHistogram, estimate_pair_correlation, merge
+from .estimators import Accumulator, SpacingHistogram
 from .gof import chi_square_uniformity, compare_to_curve, ks_against_exponential
 from .kernels import TWO_PI, as_int, cue_s, hadamard_bound, rho_cue, rho_sine
 from .processes import RescaledConfig
@@ -296,26 +296,29 @@ def criterion_8():
 
 
 def criterion_9():
-    """Estimator oracle equivalence and exact merge invariance."""
+    """Estimator oracle equivalence and exact split invariance."""
     samples = poisson_configs(100.0, 400, seed=901)
-    serial = estimate_pair_correlation(samples, 4.0, 40)
+
+    def pair_histogram(order):
+        acc = Accumulator(100.0, len(samples), pair=(4.0, 40))
+        for s in order:
+            acc.add_block(samples[s].points[None], s)
+        return acc.finalize().pair
+
+    serial = pair_histogram(range(len(samples)))
     se = serial.standard_errors()
     worst_z = float(np.max(np.abs(serial.estimate - 1.0) / se))
-    # the same samples split across 4 uneven chunks, merged pairwise
+    # the same samples cut into 4 uneven chunks, the chunks and the samples
+    # inside each chunk added in a shuffled order
+    shuffle = np.random.Generator(np.random.PCG64(903))
     bounds = [0, 90, 180, 300, 400]
-    partials = [
-        estimate_pair_correlation(
-            samples[a:b], 4.0, 40,
-            sample_indices=np.arange(a, b), n_samples_total=400,
-        )
-        for a, b in zip(bounds[:-1], bounds[1:])
-    ]
-    merged = merge(merge(partials[0], partials[1]), merge(partials[2], partials[3]))
+    chunks = [shuffle.permutation(np.arange(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
+    split = pair_histogram(np.concatenate([chunks[k] for k in shuffle.permutation(len(chunks))]))
     exact = (
-        np.array_equal(merged.counts, serial.counts)
-        and np.array_equal(merged.batch_counts, serial.batch_counts)
-        and np.array_equal(merged.estimate, serial.estimate)
-        and merged.n_samples == serial.n_samples
+        np.array_equal(split.counts, serial.counts)
+        and np.array_equal(split.batch_counts, serial.batch_counts)
+        and np.array_equal(split.estimate, serial.estimate)
+        and split.n_samples == serial.n_samples
     )
     gen = np.random.Generator(np.random.PCG64(902))
     dup_dev = 0.0
@@ -328,8 +331,8 @@ def criterion_9():
         )
     passed = worst_z <= 4.0 and exact and dup_dev <= 1e-12
     return CriterionResult(
-        "9", "Poisson oracle, bit-exact merge, duplicate partition sums",
-        passed, "worst |z| vs 1: %s (gate 4); merge bit-exact: %s; partition-sum dev %.2e (gate 1e-12)"
+        "9", "Poisson oracle, bit-exact split, duplicate partition sums",
+        passed, "worst |z| vs 1: %s (gate 4); split bit-exact: %s; partition-sum dev %.2e (gate 1e-12)"
         % (_fmt(worst_z), exact, dup_dev),
     )
 

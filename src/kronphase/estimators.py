@@ -12,13 +12,14 @@ multiple of the arc-grid step, avoid all three and give bit-identical
 estimates.
 
 One Accumulator computes all of them from (B, P) blocks of sorted rows,
-one configuration per row; estimate_pair_correlation and the
-one-configuration helpers run the same code on a list or a single row.
-The pair histogram and the triple windows share one walk over the
-offsets k = 1, 2, ... of every point to its k-th next point.
-Every count is an exact integer, so any split into blocks, added in any
-order, gives the bytes of one pass; merge() adds pair histograms of
-disjoint sample slices.
+one configuration per row.  The pair histogram and the triple windows
+share one walk over the offsets k = 1, 2, ... of every point to its k-th
+next point.  Every count is an exact integer, so any split into blocks,
+added in any order, gives the bytes of one pass.
+
+The per-configuration functions after Accumulator run the same code on a
+list or a single row; only the benchmark's traced pipeline
+(bench/tracing.py) calls them.
 """
 
 from __future__ import annotations
@@ -264,8 +265,8 @@ class Accumulator:
     size; the result is the same bit for bit.
 
     Memory is O(n_samples * P), from the spacing pool only: the gaps of
-    every sample, kept for the spacing histogram and its KS test.  All
-    other parts have a fixed size.  finalize normalizes and sorts the pool
+    every sample, kept for the spacing histogram and its KS test, so every
+    block must have the pool's P.  All other parts have a fixed size.  finalize normalizes and sorts the pool
     in place and hands it to the SpacingHistogram, so it makes no second
     pool-sized array; it consumes the pool, and a second finalize raises.
 
@@ -326,6 +327,8 @@ class Accumulator:
             raise ValueError("sample indices must lie in [0, n_samples)")
         if self.added[index].any() or not np.diff(np.sort(index)).all():  # np.unique imports numpy.ma
             raise ValueError("a sample was added twice")
+        if self.gaps is not None and P != self.gaps.shape[1]:
+            raise ValueError("the spacing pool holds %d points per sample, this block %d" % (self.gaps.shape[1], P))
         self.added[index] = True
         self.n_points += B * P
         ext = np.concatenate([rows, rows + self.L], axis=-1)
@@ -381,35 +384,30 @@ class Accumulator:
         return EstimateBundle(self.n_points / (n * L), pair, spacings, count_var, triple)
 
 
-def _accumulate(samples, index=None, n_samples=None, **parts):
-    """Finalized Accumulator of a list of configurations, each run of equal
-    length read as one block; row i is sample index[i] (default i)."""
-    circumferences = {cfg.circumference for cfg in samples}
-    if len(circumferences) != 1:
-        raise ValueError("estimator input must be configurations on one circumference")
-    acc = Accumulator(circumferences.pop(), len(samples) if n_samples is None else n_samples, **parts)
-    index = np.arange(len(samples)) if index is None else index
-    pos = 0
-    for _, run in itertools.groupby(samples, key=len):
-        rows = np.stack([cfg.points for cfg in run])
-        acc._add(rows, index[pos : pos + len(rows)])
-        pos += len(rows)
-    return acc.finalize()
-
-
 def estimate_pair_correlation(samples, delta_max, n_bins, sample_indices=None, n_samples_total=None):
-    """Pair-correlation histogram over distances (0, delta_max].
+    """Pair-correlation histogram over distances (0, delta_max] of a list
+    of configurations, each run of equal length read as one block.
 
     For a slice of a larger experiment, pass the global sample_indices
     of the slice and the global n_samples_total; merging such partials
     is then bit-identical to one pass over all samples.
     """
-    index = None
+    index = np.arange(len(samples))
     if sample_indices is not None:
         index = np.array([as_int("sample_indices", i) for i in sample_indices], dtype=np.int64)
         if index.size != len(samples):
             raise ValueError("sample_indices must match samples")
-    return _accumulate(samples, index, n_samples_total, pair=(delta_max, n_bins)).pair
+    circumferences = {cfg.circumference for cfg in samples}
+    if len(circumferences) != 1:
+        raise ValueError("estimator input must be configurations on one circumference")
+    n = len(samples) if n_samples_total is None else n_samples_total
+    acc = Accumulator(circumferences.pop(), n, pair=(delta_max, n_bins))
+    pos = 0
+    for _, run in itertools.groupby(samples, key=len):
+        rows = np.stack([cfg.points for cfg in run])
+        acc._add(rows, index[pos : pos + len(rows)])
+        pos += len(rows)
+    return acc.finalize().pair
 
 
 def merge(h1, h2):
@@ -472,10 +470,6 @@ def spacing_histogram_from_gaps(gap_arrays, n_bins=40):
     the result depends only on the arrays and their order.  The input is
     not changed: the pool is a new array.
     """
-    if isinstance(gap_arrays, np.ndarray) and gap_arrays.ndim == 2:
-        # the dtype gap_arrays / mean would have
-        pool = gap_arrays.astype(np.result_type(gap_arrays, 1.0)).reshape(-1)
-        return _pool_spacings(pool, gap_arrays.sum(axis=1), n_bins)
     gap_arrays = [np.asarray(g, dtype=float) for g in gap_arrays]
     sums = np.array([np.sum(g) for g in gap_arrays])
     return _pool_spacings(np.concatenate(gap_arrays) if gap_arrays else sums, sums, n_bins)

@@ -6,9 +6,12 @@ of the underlying matrices.  Recentring at pi and scaling by P/2pi, with
 P the number of points, puts the configuration on a circle of
 circumference P with mean intensity exactly 1.
 
-The tensor sums and the rescale also take (..., n) stacks, one
-configuration per row, so that a block of samples shares one numpy call
-per step; each row equals the result for that configuration alone.
+The tensor sums and the rescale take (..., n) stacks, one configuration
+per row, so that a block of samples shares one numpy call per step; each
+row equals the result for that configuration alone.  circle_rows checks a
+stack of rescaled rows before it reaches estimators.Accumulator.
+RescaledConfig, rescale_center and triple_tensor, the one-configuration
+forms, remain only for the benchmark's traced pipeline (bench/tracing.py).
 """
 
 from __future__ import annotations
@@ -83,10 +86,10 @@ def rescale_points(phases, factor_product):
     rows are not re-sorted.  P must equal the number of phases per row.
     """
     phases = np.atleast_1d(np.asarray(phases, dtype=float))
-    P = as_int("rescale_center: factor_product", factor_product)
+    P = as_int("rescale_points: factor_product", factor_product)
     if P != phases.shape[-1]:
         raise ValueError(
-            "rescale_center: factor product %d does not match %d phases" % (P, phases.shape[-1])
+            "rescale_points: factor product %d does not match %d phases" % (P, phases.shape[-1])
         )
     theta = (P / TWO_PI) * (phases - np.pi)
     # Rounding can land exactly on +P/2, which is the same circle point
@@ -126,17 +129,3 @@ def rescale_center(phases, factor_product):
     """
     pts = rescale_points(phases, factor_product)
     return RescaledConfig(points=pts, circumference=float(pts.shape[-1]))
-
-
-def window(config, half_width):
-    """Points of the configuration with |theta| <= half_width, sorted."""
-    w = float(half_width)
-    if not w > 0:
-        raise ValueError("window: half_width must be positive")
-    if 2.0 * w > config.circumference:
-        raise ValueError(
-            "window: width %.3g exceeds circumference %.3g"
-            % (2.0 * w, config.circumference)
-        )
-    pts = config.points
-    return pts[np.abs(pts) <= w]

@@ -266,8 +266,3 @@ def eigenphases(u):
     ang = reduce_phases(_phases_stack(u.reshape(-1, n, n)))
     ang.sort(axis=-1)
     return ang.reshape(u.shape[:-1])
-
-
-def sample_cue_phases(n, rng):
-    """Eigenphases of one Haar draw: a sample of the n-point circular process."""
-    return eigenphases(sample_haar_unitary(n, rng))

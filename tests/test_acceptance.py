@@ -66,7 +66,7 @@ def test_criterion_08(verdicts):
 
 
 def test_criterion_09(verdicts):
-    """Poisson oracle within 4 sigma; merge bit-exact; duplicate sums to 1e-12."""
+    """Poisson oracle within 4 sigma; split bit-exact; duplicate sums to 1e-12."""
     _check(verdicts, 9)
 
 

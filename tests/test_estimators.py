@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -18,7 +20,7 @@ from kronphase.estimators import (
 )
 from kronphase.gof import ks_against_exponential
 from kronphase.processes import RescaledConfig, circle_rows, rescale_center, triple_tensor
-from kronphase.sampler import RngStream, sample_cue_phases
+from kronphase.sampler import RngStream, eigenphases, sample_haar_unitary
 
 import oracle
 
@@ -35,9 +37,21 @@ def pooled_spacings(samples, n_bins=40):
     return spacing_histogram_from_gaps([circular_gaps(cfg) for cfg in samples], n_bins=n_bins)
 
 
+def accumulate(samples, **parts):
+    """Finalized Accumulator of a list of configurations on one circle,
+    each run of equal length added as one block."""
+    acc = Accumulator(samples[0].circumference, len(samples), **parts)
+    start = 0
+    for _, run in itertools.groupby(samples, key=len):
+        rows = np.stack([cfg.points for cfg in run])
+        acc.add_block(rows, start)
+        start += len(rows)
+    return acc.finalize()
+
+
 def count_variance(samples, lengths, n_offsets=estimators.DEFAULT_COUNT_OFFSETS):
     """The run's count variances of a list of configurations of any lengths."""
-    return list(estimators._accumulate(samples, lengths=lengths, n_offsets=n_offsets).count_var)
+    return list(accumulate(samples, lengths=lengths, n_offsets=n_offsets).count_var)
 
 
 def count_variance_reference(samples, lengths, n_offsets=estimators.DEFAULT_COUNT_OFFSETS):
@@ -53,7 +67,7 @@ def count_variance_reference(samples, lengths, n_offsets=estimators.DEFAULT_COUN
 
 
 def triple_estimate(samples, r1, r2, tol):
-    return estimators._accumulate(samples, triple=(r1, r2, tol)).triple
+    return accumulate(samples, triple=(r1, r2, tol)).triple
 
 
 class TestPairCorrelation:
@@ -90,7 +104,7 @@ class TestPairCorrelation:
     def test_single_factor_matches_exact_curve(self):
         n = 30
         gen = RngStream(88).generator()
-        samples = [rescale_center(sample_cue_phases(n, gen), n) for _ in range(600)]
+        samples = [rescale_center(eigenphases(sample_haar_unitary(n, gen)), n) for _ in range(600)]
         h = estimate_pair_correlation(samples, 4.0, 40)
         target = oracle.pair_correlation_bin_averages((n,), h.bin_edges)
         rms = np.sqrt(np.mean((h.estimate - target) ** 2))
@@ -201,7 +215,7 @@ class TestPairGapHistogram:
     def test_degenerate_triple_product(self):
         # identical factors repeat every sum i + j + k under permutation,
         # so the product has many zero gaps, which are not pairs at distance > 0
-        a = sample_cue_phases(4, RngStream(61))
+        a = eigenphases(sample_haar_unitary(4, RngStream(61)))
         cfg = rescale_center(triple_tensor(a, a, a), 64)
         assert np.count_nonzero(np.diff(cfg.points) == 0.0) > 20
         edges = np.linspace(0.0, 4.0, 41)
@@ -290,16 +304,16 @@ class TestIntensity:
             RescaledConfig(points=np.array([-1.0, 0.0, 2.0]), circumference=8.0),
             RescaledConfig(points=np.array([0.5]), circumference=8.0),
         ]
-        assert estimators._accumulate(cfgs).intensity == pytest.approx(4 / 16.0)
+        assert accumulate(cfgs).intensity == pytest.approx(4 / 16.0)
 
     def test_rescaled_tensor_is_unit(self):
         gen = RngStream(6).generator()
         from kronphase.processes import tensor_phases
 
-        a = sample_cue_phases(4, gen)
-        b = sample_cue_phases(6, gen)
+        a = eigenphases(sample_haar_unitary(4, gen))
+        b = eigenphases(sample_haar_unitary(6, gen))
         cfg = rescale_center(tensor_phases(a, b), 24)
-        assert estimators._accumulate([cfg]).intensity == 1.0
+        assert accumulate([cfg]).intensity == 1.0
 
 
 class TestSpacings:
@@ -379,7 +393,7 @@ class TestSpacings:
             circular_gaps(RescaledConfig(points=np.array([0.5]), circumference=8.0))
         with pytest.raises(ValueError):
             spacing_histogram_from_gaps([])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no spacings to pool"):
             spacing_histogram_from_gaps(np.zeros((0, 3)))
 
 
@@ -476,8 +490,8 @@ class TestAgainstExactCurves:
 
         samples = []
         for _ in range(800):
-            a = sample_cue_phases(m, gen)
-            b = sample_cue_phases(n, gen)
+            a = eigenphases(sample_haar_unitary(m, gen))
+            b = eigenphases(sample_haar_unitary(n, gen))
             samples.append(rescale_center(tensor_phases(a, b), m * n))
         h = estimate_pair_correlation(samples, 4.0, 20)
         target = oracle.pair_correlation_bin_averages((m, n), h.bin_edges)
@@ -491,8 +505,8 @@ class TestAgainstExactCurves:
 
         samples = []
         for _ in range(1200):
-            a = sample_cue_phases(m, gen)
-            b = sample_cue_phases(n, gen)
+            a = eigenphases(sample_haar_unitary(m, gen))
+            b = eigenphases(sample_haar_unitary(n, gen))
             samples.append(rescale_center(tensor_phases(a, b), m * n))
         out = count_variance(samples, [1.0, 4.0])
         for ell, var in out:
@@ -786,6 +800,18 @@ class TestAccumulator:
         with pytest.raises(ValueError, match="circumference must be positive and finite"):
             Accumulator(circumference, 1, pair=(1.0, 4))
 
+    @pytest.mark.parametrize("second", [[[0.5]], [[-1.0, 2.0]]], ids=["1 point", "2 points"])
+    def test_spacing_pool_rejects_another_point_count(self, second):
+        # the one-point row once broadcast its gap over the pool's four
+        acc = Accumulator(8.0, 2, pair=(2.0, 4), spacing_bins=4)
+        acc.add_block(np.array([[-3.0, -1.0, 1.0, 3.0]]), 0)
+        before = [acc.added.copy(), acc.batch_counts.copy(), acc.gaps.copy()]
+        message = "the spacing pool holds 4 points per sample, this block %d" % len(second[0])
+        with pytest.raises(ValueError, match=message):
+            acc.add_block(np.array(second), 1)
+        assert all(np.array_equal(a, b) for a, b in zip([acc.added, acc.batch_counts, acc.gaps], before))
+        assert acc.n_points == 4
+
     def test_one_point_rows_have_no_spacings(self):
         acc = Accumulator(2.0, 3, pair=(1.0, 4), spacing_bins=4)
         acc.add_block(np.zeros((3, 1)), 0)
@@ -815,7 +841,7 @@ class TestRotation:
         parts = dict(
             pair=(4.0, 16), lengths=(1.0, 2.5, 4.0), n_offsets=32, triple=(1.0, 2.0, 0.25), spacing_bins=8
         )
-        a, b = (estimators._accumulate([RescaledConfig(r, 32.0) for r in x], **parts) for x in (rows, turned))
+        a, b = (accumulate([RescaledConfig(r, 32.0) for r in x], **parts) for x in (rows, turned))
         assert np.array_equal(a.pair.batch_counts, b.pair.batch_counts)
         assert np.array_equal(a.spacings.spacings, b.spacings.spacings)
         assert a.count_var == b.count_var

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from kronphase import CapacityError, processes
+from kronphase import CapacityError, cli, processes
+from kronphase.config import ExperimentConfig
 from kronphase.processes import (
     RescaledConfig,
     circle_rows,
@@ -10,9 +11,8 @@ from kronphase.processes import (
     rescale_points,
     tensor_phases,
     triple_tensor,
-    window,
 )
-from kronphase.sampler import RngStream, sample_cue_phases
+from kronphase.sampler import RngStream, eigenphases, sample_haar_unitary
 
 TWO_PI = 2.0 * np.pi
 
@@ -59,8 +59,8 @@ class TestTensorPhases:
         assert np.allclose(out, [np.pi / 2, 3 * np.pi / 2])
 
     def test_size_and_sorted(self):
-        a = sample_cue_phases(6, RngStream(1, 0))
-        b = sample_cue_phases(7, RngStream(1, 1))
+        a = eigenphases(sample_haar_unitary(6, RngStream(1, 0)))
+        b = eigenphases(sample_haar_unitary(7, RngStream(1, 1)))
         t = tensor_phases(a, b)
         assert t.size == 42
         assert np.all(np.diff(t) >= 0)
@@ -78,7 +78,7 @@ class TestTensorPhases:
 
     def test_any_number_of_factors(self):
         # one factor's sorted phases in [0, 2pi) come back bit for bit
-        a = sample_cue_phases(5, RngStream(3, 0))
+        a = eigenphases(sample_haar_unitary(5, RngStream(3, 0)))
         assert np.array_equal(tensor_phases(a), a)
         assert np.array_equal(tensor_phases([6.0, 1.0, TWO_PI]), [0.0, 1.0, 6.0])
         assert np.array_equal(tensor_phases(a, a, a), triple_tensor(a, a, a))
@@ -98,9 +98,9 @@ class TestTensorPhases:
 
 class TestTripleTensor:
     def test_matches_iterated_pair(self):
-        a = sample_cue_phases(2, RngStream(2, 0))
-        b = sample_cue_phases(3, RngStream(2, 1))
-        c = sample_cue_phases(4, RngStream(2, 2))
+        a = eigenphases(sample_haar_unitary(2, RngStream(2, 0)))
+        b = eigenphases(sample_haar_unitary(3, RngStream(2, 1)))
+        c = eigenphases(sample_haar_unitary(4, RngStream(2, 2)))
         direct = triple_tensor(a, b, c)
         iterated = tensor_phases(tensor_phases(a, b), c)
         assert direct.size == 24
@@ -113,7 +113,7 @@ class TestTripleTensor:
 
 class TestStackedRows:
     def factor_stack(self, n, seed):
-        return np.stack([sample_cue_phases(n, RngStream(seed, s)) for s in range(5)])
+        return np.stack([eigenphases(sample_haar_unitary(n, RngStream(seed, s))) for s in range(5)])
 
     def test_tensor_rows_equal_single_calls(self):
         a = self.factor_stack(2, 6)
@@ -147,7 +147,7 @@ class TestStackedRows:
 
 class TestRescaleCenter:
     def test_intensity_one(self):
-        phases = sample_cue_phases(30, RngStream(4))
+        phases = eigenphases(sample_haar_unitary(30, RngStream(4)))
         cfg = rescale_center(phases, 30)
         assert cfg.circumference == 30.0
         assert len(cfg) == 30
@@ -234,19 +234,47 @@ class TestCircleRows:
             circle_rows(good, 0.0)
 
 
+class TestRescalePoints:
+    def test_errors_name_rescale_points(self):
+        with pytest.raises(ValueError, match="^rescale_points: factor product 3 does not match 2 phases$"):
+            rescale_points(np.array([0.1, 0.2]), 3)
+        with pytest.raises(ValueError, match="^rescale_points: factor_product must be an integer, got 2.5$"):
+            rescale_points(np.array([0.1, 0.2]), 2.5)
+
+
+def sample_thetas(argv, out):
+    """Run `kronphase sample` and read phases.csv back as {sample: thetas}."""
+    base = ["sample", "--mode", "pair", "--dims", "2,12", "--samples", "3", "--seed", "2"]
+    assert cli.main(base + argv + ["--out", str(out)]) == 0
+    rows = {}
+    for line in (out / "phases.csv").read_text().splitlines()[4:]:
+        s, _, theta = line.split(",")
+        rows.setdefault(int(s), []).append(float(theta))
+    return rows
+
+
 class TestWindow:
-    def test_selects_symmetric_interval(self):
-        cfg = RescaledConfig(points=np.array([-2.0, -0.5, 0.0, 0.5, 1.9]), circumference=6.0)
-        out = window(cfg, 0.5)
-        assert np.array_equal(out, [-0.5, 0.0, 0.5])
+    """`kronphase sample --window w` keeps the points with |theta| <= w;
+    ExperimentConfig checks that 0 < 2w <= P."""
+
+    def test_selects_symmetric_interval(self, tmp_path):
+        full = sample_thetas([], tmp_path / "full")
+        # a half-width that one point sits on exactly, which the window keeps
+        w = sorted(abs(t) for t in full[0])[12]
+        kept = sample_thetas(["--window", repr(w)], tmp_path / "window")
+        assert w in map(abs, kept[0])
+        for s, thetas in full.items():
+            assert kept.get(s, []) == [t for t in thetas if abs(t) <= w]
+        assert sum(map(len, kept.values())) < sum(map(len, full.values()))
 
     def test_width_check(self):
-        cfg = RescaledConfig(points=np.array([0.0]), circumference=2.0)
-        with pytest.raises(ValueError):
-            window(cfg, 1.5)
+        cfg = dict(mode="pair", dims=(2, 3), n_samples=1, seed=0, delta_max=3.0)
+        assert ExperimentConfig(**cfg, window_half_width=3.0).window_half_width == 3.0
+        with pytest.raises(ValueError, match="window_half_width must satisfy"):
+            ExperimentConfig(**cfg, window_half_width=3.5)
 
     def test_spec_validation(self):
-        cfg = RescaledConfig(points=np.array([0.0]), circumference=2.0)
+        cfg = dict(mode="pair", dims=(2, 3), n_samples=1, seed=0, delta_max=3.0)
         for w in (0.0, -0.5, np.nan):
-            with pytest.raises(ValueError):
-                window(cfg, w)
+            with pytest.raises(ValueError, match="window_half_width must satisfy"):
+                ExperimentConfig(**cfg, window_half_width=w)

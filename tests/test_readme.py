@@ -6,14 +6,9 @@ import re
 
 import numpy as np
 
-from kronphase import (
-    RngStream,
-    estimate_pair_correlation,
-    rescale_center,
-    rho_superposed_pair,
-    sample_cue_phases,
-    tensor_phases,
-)
+from kronphase import RngStream, eigenphases, rho_superposed_pair, sample_haar_unitary, tensor_phases
+from kronphase.estimators import estimate_pair_correlation
+from kronphase.processes import rescale_center
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 
@@ -31,8 +26,8 @@ def test_library_example_matches_the_per_configuration_path():
     configs = []
     for s in range(200):
         gen = RngStream(seed=7, stream_id=s).generator()
-        a = sample_cue_phases(2, gen)
-        b = sample_cue_phases(40, gen)
+        a = eigenphases(sample_haar_unitary(2, gen))
+        b = eigenphases(sample_haar_unitary(40, gen))
         configs.append(rescale_center(tensor_phases(a, b), 80))
     want = estimate_pair_correlation(configs, delta_max=4.0, n_bins=40)
     for field in ("bin_edges", "batch_counts", "batch_samples", "counts", "estimate"):

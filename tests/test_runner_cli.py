@@ -27,7 +27,7 @@ from kronphase.runner import (
     target_curve,
 )
 from kronphase import estimators, runner, sampler
-from kronphase.sampler import RngStream, sample_cue_phases
+from kronphase.sampler import RngStream, eigenphases, sample_haar_unitary
 from test_estimators import (
     circular_gaps_reference,
     count_variance_reference,
@@ -212,8 +212,8 @@ class TestRunner:
         cfg = ExperimentConfig(mode="pair", dims=(2, 12), n_samples=4, seed=9)
         row = sample_rescaled_rows(cfg, 3, 4)[0]
         gen = RngStream(9, 3).generator()
-        a = sample_cue_phases(2, gen)
-        b = sample_cue_phases(12, gen)
+        a = eigenphases(sample_haar_unitary(2, gen))
+        b = eigenphases(sample_haar_unitary(12, gen))
         expect = rescale_center(tensor_phases(a, b), 24)
         assert np.array_equal(row, expect.points)
 

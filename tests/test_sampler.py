@@ -10,7 +10,6 @@ from kronphase.sampler import (
     DEFAULT_MAX_DIM,
     RngStream,
     eigenphases,
-    sample_cue_phases,
     sample_haar_block,
     sample_haar_unitary,
 )
@@ -163,7 +162,7 @@ class TestHaarUnitary:
         with pytest.raises(CapacityError):
             sample_haar_unitary(5, RngStream(0))
         with pytest.raises(CapacityError):
-            sample_cue_phases(5, RngStream(0))
+            eigenphases(sample_haar_unitary(5, RngStream(0)))
         with pytest.raises(ValueError):
             sample_haar_unitary(0, RngStream(0))
 
@@ -421,8 +420,8 @@ class TestUnitarityResidual:
 
 class TestCuePhases:
     def test_shape_and_determinism(self):
-        a = sample_cue_phases(12, RngStream(5, 3))
-        b = sample_cue_phases(12, RngStream(5, 3))
+        a = eigenphases(sample_haar_unitary(12, RngStream(5, 3)))
+        b = eigenphases(sample_haar_unitary(12, RngStream(5, 3)))
         assert a.shape == (12,)
         assert np.array_equal(a, b)
         assert np.all((a >= 0.0) & (a < TWO_PI))
@@ -433,7 +432,7 @@ class TestCuePhases:
         arc = (1.0, 2.5)
         counts = np.array([
             np.count_nonzero((p >= arc[0]) & (p < arc[1]))
-            for p in (sample_cue_phases(10, gen) for _ in range(3000))
+            for p in (eigenphases(sample_haar_unitary(10, gen)) for _ in range(3000))
         ])
         expect = 10 * (arc[1] - arc[0]) / TWO_PI
         se = counts.std(ddof=1) / np.sqrt(counts.size)
