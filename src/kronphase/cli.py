@@ -66,7 +66,7 @@ def _add_experiment_args(p):
     p.add_argument("--seed", type=int, help="base seed (64-bit)")
     p.add_argument("--delta-max", type=float, dest="delta_max", help="pair-correlation range, mean-spacing units")
     p.add_argument("--bins", type=int, dest="n_bins", help="histogram bin count (>= 4)")
-    p.add_argument("--window", type=float, dest="window_half_width", help="half-width of the dump window (sample subcommand)")
+    p.add_argument("--window", type=float, dest="window_half_width", help="half-width of the dump window (sample only; an error elsewhere)")
     p.add_argument("--workers", type=int, help="checked (>= 1) and recorded in the manifest; runs are serial")
     p.add_argument("--k-analytic", type=int, dest="k_analytic", help="max analytic correlation order (<= 8); >= 3 adds a triple-correlation probe")
     p.add_argument("--curve", choices=CURVES, help="pair-correlation reference curve")
@@ -77,7 +77,11 @@ def _build_config_from_args(args):
     file_values = parse_config_file(args.config) if args.config else {}
     # every experiment flag's dest is its config key
     overrides = {key: getattr(args, key) for key in CONFIG_PARSERS}
-    return build_config(file_values, overrides)
+    cfg = build_config(file_values, overrides)
+    # checked before any command makes its output directory
+    if cfg.window_half_width is not None and args.command != "sample":
+        raise ValueError("--window (window_half_width) applies to the sample command only, not to %s" % args.command)
+    return cfg
 
 
 def _phase_lines(cfg):

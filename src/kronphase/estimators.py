@@ -111,7 +111,10 @@ def _walk_offsets(rows, ext, pair=None, triple=None):
     _GAP_MATRIX_MAX.  triple = (r1, r2, tol) counts ordered triples with
     gaps r1 +- tol/2 and r2 +- tol/2 from the base as searchsorted(ext_row,
     pts + (r + tol/2), "right") - searchsorted(ext_row, pts + (r - tol/2),
-    "left") does.  A part not asked for returns None.
+    "left") does: rounding keeps lower <= upper, so counting lower <= w <=
+    upper at each offset, for both windows at once, adds (w <= upper) -
+    (w < lower).  A count is at most 2P, so int32 holds it.  A part not
+    asked for returns None.
     """
     P = rows.shape[-1]
     hists = triples = None
@@ -119,19 +122,23 @@ def _walk_offsets(rows, ext, pair=None, triple=None):
         delta_max, edges, segments = pair
         hists = np.zeros((len(segments), edges.size - 1))
         pending, n_pending = [[] for _ in segments], 0
+        d, near = np.empty(rows.shape), np.empty(rows.shape, dtype=bool)
     if triple is not None:
         r1, r2, tol = triple
-        # (lower, upper) of the r1 and r2 windows in one array; four arrays fragment the heap
-        bounds = rows + np.array([[r1 - tol / 2, r1 + tol / 2], [r2 - tol / 2, r2 + tol / 2]])[:, :, None, None]
-        inside = np.zeros((2,) + rows.shape, dtype=np.int64)
+        # lower and upper bounds of the r1 and r2 windows in one array; four arrays fragment the heap
+        lower, upper = rows + np.array([[r1 - tol / 2, r2 - tol / 2], [r1 + tol / 2, r2 + tol / 2]])[:, :, None, None]
+        inside = np.zeros(lower.shape, dtype=np.int32)
+        hit, below = np.empty(lower.shape, dtype=bool), np.empty(lower.shape, dtype=bool)
     pair_on, triple_on = pair is not None, triple is not None
+    w = np.empty(rows.shape)
     for k in range(1, P + 1):
         if not (pair_on or triple_on):
             break
-        w = ext[:, k : k + P]
+        # a contiguous copy lets every ufunc below run over the block as one loop
+        np.copyto(w, ext[:, k : k + P])
         if pair_on:
-            d = w - rows
-            near = d <= delta_max
+            np.subtract(w, rows, out=d)
+            np.less_equal(d, delta_max, out=near)
             pair_on = near.any()
             near &= d > 0.0
             for (a, b), gaps in zip(segments, pending):
@@ -146,20 +153,19 @@ def _walk_offsets(rows, ext, pair=None, triple=None):
                         gaps.clear()
                 n_pending = 0
         if triple_on:
-            for m, (lower, upper) in enumerate(bounds):
-                reached = w <= upper
-                inside[m] += reached
-                inside[m] -= w < lower
-            triple_on = reached.any()
+            np.less_equal(w, upper, out=below)
+            np.less_equal(lower, w, out=hit)
+            hit &= below
+            inside += hit
+            triple_on = below[1].any()
     if triple is not None:
-        for m, (lower, _) in enumerate(bounds):
+        if (lower <= rows).any():
             # a lower bound that rounds onto its point also takes the copies of
             # the point at or before it, which no offset >= 1 reaches
-            if (lower <= rows).any():
-                idx = np.arange(P)
-                first = np.maximum.accumulate(np.where(np.diff(rows, prepend=-np.inf) > 0, idx, 0), axis=-1)
-                inside[m] += np.where(lower <= rows, idx + 1 - first, 0)
-        triples = int(np.sum(inside[0] * inside[1]))
+            idx = np.arange(P)
+            first = np.maximum.accumulate(np.where(np.diff(rows, prepend=-np.inf) > 0, idx, 0), axis=-1)
+            inside += np.where(lower <= rows, idx + 1 - first, 0)
+        triples = int(np.multiply(inside[0], inside[1], dtype=np.int64).sum())
     return hists, triples
 
 
@@ -182,9 +188,12 @@ def _arc_counts(ext, grid, rank):
     """(B, len(lengths), n_offsets) point counts of the rows of ext in the
     arcs [t, t + length): one searchsorted into the sorted ends, a bincount
     and a cumsum give the points below each end, as searchsorted(ext_row,
-    end, "left") does."""
-    B, G = ext.shape[0], grid.size + 1
-    pos = np.searchsorted(grid, ext, side="right") + G * np.arange(B)[:, None]
+    end, "left") does.  A point at or past the last end lands in bucket
+    G - 1, which no end reads, so the search skips the columns of rows + L
+    where every (sorted) row is past it."""
+    B, G, P = ext.shape[0], grid.size + 1, ext.shape[1] // 2
+    reach = P + int(np.searchsorted(ext[:, P:].min(axis=0), grid[-1]))
+    pos = np.searchsorted(grid, ext[:, :reach], side="right") + G * np.arange(B)[:, None]
     below = np.cumsum(np.bincount(pos.ravel(), minlength=B * G).reshape(B, G), axis=-1)[:, rank]
     return below[:, 1:] - below[:, :1]
 
@@ -259,16 +268,20 @@ class Accumulator:
     first_index, first_index + 1, ...  Per block one ext = [pts, pts + L]
     serves all parts.  One walk over the offsets 1, 2, ... of each point
     gives the pair gaps, binned once per batch segment of the block, and
-    the triple windows, each part up to its own reach.  One searchsorted
-    into the fixed translation grid gives the arc counts, and the gaps go
-    to the spacing pool.  Blocks may come in any order and be of any
-    size; the result is the same bit for bit.
+    the triple windows, each part up to its own reach; a window counts
+    the points between its bounds at each offset.  One searchsorted of the
+    rows, and of the wrapped points below the last arc end, into the fixed
+    translation grid gives the arc counts, and the gaps go to the spacing
+    pool.  Every count is an exact integer, so blocks may come in any
+    order and be of any size; the result is the same bit for bit.
 
     Memory is O(n_samples * P), from the spacing pool only: the gaps of
     every sample, kept for the spacing histogram and its KS test, so every
-    block must have the pool's P.  All other parts have a fixed size.  finalize normalizes and sorts the pool
-    in place and hands it to the SpacingHistogram, so it makes no second
-    pool-sized array; it consumes the pool, and a second finalize raises.
+    block must have the pool's P.  All other parts have a fixed size.
+
+    finalize normalizes and sorts the pool in place and hands it to the
+    SpacingHistogram, so it makes no second pool-sized array; it consumes
+    the pool, and a second finalize raises.
 
     Parts: pair = (delta_max, n_bins) in DEFAULT_N_BATCHES sample batches, arc
     lengths for count variances over n_offsets translations, triple =

@@ -44,13 +44,15 @@ class KsResult:
 def compare_to_curve(hist, target):
     """Compare a pair-correlation histogram to a target function.
 
-    target is evaluated at the bin midpoints; z-scores use the batch
-    standard errors of the histogram (bins whose standard error is zero
-    get z = 0, which only happens on degenerate deterministic input).
+    target is called once, with the array of bin midpoints, and returns one
+    value per midpoint or one value for all (a constant); z-scores use the
+    batch standard errors of the histogram (bins whose standard error is
+    zero get z = 0, which only happens on degenerate deterministic input).
     """
     se = hist.standard_errors()
     mids = hist.bin_midpoints()
-    f = np.array([float(target(x)) for x in mids])
+    # a result of another shape does not broadcast to the midpoints: ValueError
+    f = np.broadcast_to(np.asarray(target(mids), dtype=float), mids.shape)
     dev = hist.estimate - f
     z = np.where(se > 0, dev / np.where(se > 0, se, 1.0), 0.0)
     return CurveComparison(

@@ -26,7 +26,7 @@ from .combinatorics import rho_superposed_pair, rho_superposed_sine
 from .config import ExperimentConfig
 from .estimators import DEFAULT_COUNT_OFFSETS, DEFAULT_TRIPLE_TOL, Accumulator
 from .gof import KS_MIN_N, compare_to_curve, ks_against_exponential
-from .kernels import as_int, rho_sine, sine_q
+from .kernels import as_int, rho_sine
 from .output import write_csv, write_manifest
 from .processes import circle_rows, rescale_points, tensor_phases
 from .sampler import RngStream, block_length, eigenphases, sample_haar_block
@@ -125,7 +125,9 @@ def limit_law(kind, m):
     takes a scalar or an array of distances.
     """
     if kind == "sine_pair":
-        return "sine_pair", lambda d: 1.0 - sine_q(d) ** 2, rho_sine
+        # the 1-fold superposition: its q * q rounds alike for a scalar and
+        # an array, where a float's q ** 2 goes through the C library's pow
+        return "sine_pair", lambda d: rho_superposed_pair(1, d), rho_sine
     if kind == "superposed":
         return (
             "superposed_pair(m=%d)" % m,
@@ -203,8 +205,9 @@ def run_experiment(cfg, out_dir=None, emit=EMIT_NAMES):
         os.makedirs(out_dir, exist_ok=True)
         preamble = csv_preamble(cfg)
         if "pair" in emit:
-            columns = zip(hist.bin_midpoints(), hist.estimate, hist.standard_errors(), hist.counts)
-            rows = [(float(d), float(e), float(se), float(curve_fn(d)), float(c)) for d, e, se, c in columns]
+            mids = hist.bin_midpoints()
+            columns = zip(mids, hist.estimate, hist.standard_errors(), curve_fn(mids), hist.counts)
+            rows = [(float(d), float(e), float(se), float(f), float(c)) for d, e, se, f, c in columns]
             path = os.path.join(out_dir, "pair_correlation.csv")
             write_csv(
                 path,

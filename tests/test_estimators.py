@@ -819,6 +819,55 @@ class TestAccumulator:
             acc.finalize()
 
 
+class TestKernelEdges:
+    @pytest.mark.parametrize("spread", [0.0, 0.05], ids=["ties", "cluster"])
+    def test_triple_window_holding_more_than_255_points(self, spread):
+        # 300 points in each window of the base at 0, so an 8-bit window
+        # counter would wrap
+        L, r1, r2, tol = 64.0, 1.0, 2.0, 0.2
+        near = np.linspace(-spread, spread, 300)
+        pts = np.sort(np.concatenate([[0.0], r1 + near, r2 + near, [10.0, 20.0]]))
+        want = triple_window_count_searchsorted(pts, L, r1, r2, tol)
+        assert want >= 300 * 300
+        assert triple_window_count(RescaledConfig(pts, L), r1, r2, tol) == want
+        acc = Accumulator(L, 2, triple=(r1, r2, tol))
+        acc.add_block(np.stack([pts, pts[::-1].copy()]), 0)
+        assert acc.triples == 2 * want
+
+    @pytest.mark.parametrize("P", [2, 3, 4])
+    def test_half_circle_arcs_count_the_wrapped_points(self, P):
+        # arcs of length exactly L/2 end past L/2, where only the wrapped
+        # copies pts + L lie; the first row puts points on arc starts and
+        # on -L/2, so wrapped points fall exactly on arc ends
+        L, n_offsets = 8.0, 4
+        starts = (np.arange(n_offsets) + 0.5) * (L / n_offsets) - L / 2
+        rng = np.random.default_rng(P)
+        rows = np.sort(np.vstack([np.concatenate([[-L / 2], starts])[:P], rng.uniform(-L / 2, L / 2, (5, P))]), axis=-1)
+        assert (rows[0] + L < starts[-1] + L / 2).any()
+        mats = [interval_counts_searchsorted(pts, L, [L / 2], n_offsets) for pts in rows]
+        for pts, mat in zip(rows, mats):
+            assert np.array_equal(interval_counts(RescaledConfig(pts, L), [L / 2], n_offsets), mat)
+        acc = Accumulator(L, len(rows), lengths=(L / 2,), n_offsets=n_offsets)
+        acc.add_block(rows, 0)
+        assert acc.s1 == [sum(int(mat.sum()) for mat in mats)]
+        assert acc.s2 == [sum(int((mat * mat).sum()) for mat in mats)]
+        cfgs = [RescaledConfig(pts, L) for pts in rows]
+        assert list(acc.finalize().count_var) == count_variance_reference(cfgs, [L / 2], n_offsets)
+
+    def test_pair_gaps_of_blocks_with_and_without_ties(self):
+        # the zero gaps of repeated points are left out, next to a block
+        # without any
+        L, edges = 24.0, np.linspace(0.0, 3.0, 13)
+        free = np.stack([cfg.points[:20] for cfg in poisson_configs(L, 3, seed=21)])
+        tied = np.sort(np.concatenate([free[:, :14], free[:, 3:9]], axis=-1), axis=-1)
+        assert np.diff(free, axis=-1).all() and not np.diff(tied, axis=-1).all()
+        acc = Accumulator(L, 6, pair=(3.0, 12))
+        acc.add_block(free, 0)
+        acc.add_block(tied, 3)
+        want = sum(pair_gap_histogram_loop(pts, L, 3.0, edges) for pts in np.vstack([free, tied]))
+        assert np.array_equal(acc.batch_counts.sum(axis=0), 2.0 * want)
+
+
 @st.composite
 def dyadic_rotations(draw):
     """(n, P) rows on the 2^-8 grid of the circle of circumference 32, and

@@ -32,8 +32,7 @@ class TestCompareToCurve:
     def test_exact_match_gives_zero(self):
         h = estimate_pair_correlation(poisson_configs(40.0, 50, seed=2), 4.0, 10)
         est = h.estimate.copy()
-        mids = h.bin_midpoints()
-        cmp = compare_to_curve(h, lambda d: est[np.argmin(np.abs(mids - d))])
+        cmp = compare_to_curve(h, lambda d: est)
         assert cmp.max_abs_dev == 0.0
         assert cmp.rms_dev == 0.0
         assert cmp.n_bins_over_4sigma == 0
@@ -48,6 +47,30 @@ class TestCompareToCurve:
         h = estimate_pair_correlation(poisson_configs(40.0, 1, seed=4), 4.0, 10)
         with pytest.raises(ValueError):
             compare_to_curve(h, lambda d: 1.0)
+
+    def test_target_is_called_once_on_the_midpoints(self):
+        h = estimate_pair_correlation(poisson_configs(40.0, 50, seed=2), 4.0, 10)
+        calls = []
+
+        def target(d):
+            calls.append(d.copy())
+            return np.ones_like(d)
+
+        compare_to_curve(h, target)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], h.bin_midpoints())
+
+    def test_array_and_constant_targets_agree(self):
+        h = estimate_pair_correlation(poisson_configs(40.0, 50, seed=2), 4.0, 10)
+        a, b = compare_to_curve(h, np.ones_like), compare_to_curve(h, lambda d: 1.0)
+        assert (a.max_abs_dev, a.rms_dev, a.n_bins_over_4sigma) == (b.max_abs_dev, b.rms_dev, b.n_bins_over_4sigma)
+        assert np.array_equal(a.per_bin_z, b.per_bin_z)
+
+    @pytest.mark.parametrize("target", [lambda d: np.ones(3), lambda d: np.ones((2, d.size))], ids=["length", "rows"])
+    def test_rejects_a_target_of_another_shape(self, target):
+        h = estimate_pair_correlation(poisson_configs(40.0, 50, seed=2), 4.0, 10)
+        with pytest.raises(ValueError):
+            compare_to_curve(h, target)
 
 
 class TestKsExponential:

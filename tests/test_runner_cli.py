@@ -230,6 +230,17 @@ class TestRunner:
         assert target_curve(forced)[0] == "poisson"
         assert target_curve(forced)[1](2.2) == 1.0
 
+    @pytest.mark.parametrize("kind, m", [("sine_pair", None), ("superposed", 1), ("superposed", 3), ("poisson", None)])
+    def test_limit_laws_round_alike_for_a_scalar_and_an_array(self, kind, m):
+        # compare_to_curve and the pair CSV evaluate the target on the array
+        # of midpoints; 0.32265625, a midpoint of 64 bins on (0, 0.7], is
+        # where a float's q ** 2 (the C library's pow) can differ from q * q
+        edges = np.linspace(0.0, 0.7, 65)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        assert 0.32265625 in mids
+        fn = runner.limit_law(kind, m)[1]
+        assert np.array_equal([float(fn(d)) for d in mids], fn(mids))
+
     def test_run_experiment_basics(self):
         cfg = ExperimentConfig(mode="pair", dims=(2, 12), n_samples=60, seed=5, n_bins=8, delta_max=3.0)
         bundle, manifest = run_experiment(cfg)
@@ -569,6 +580,26 @@ class TestCli:
         argv = ["sample", "--mode", "single", "--dims", "6", "--samples", "3", "--seed", "2", "--delta-max", "3"]
         assert cli.main(argv + ["--window", "2.0", "--out", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["correlate", "spacings", "sweep"])
+    def test_only_sample_takes_a_window(self, command, tmp_path, capsys):
+        out = tmp_path / "not-made"
+        argv = [command, "--mode", "pair", "--dims", "2,6", "--samples", "5", "--seed", "1", "--delta-max", "2"]
+        argv += ["--n-values", "6,8"] if command == "sweep" else []
+        assert cli.main(argv + ["--window", "1.0", "--out", str(out)]) == 1
+        assert "applies to the sample command only, not to %s" % command in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_window_is_rejected_outside_sample(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("mode = pair\ndims = 2,6\nn_samples = 5\nseed = 1\ndelta_max = 2\nwindow_half_width = 1.0\n")
+        out = tmp_path / "not-made"
+        assert cli.main(["correlate", "--config", str(conf), "--out", str(out)]) == 1
+        assert not out.exists()
+        # sample reads the same file and applies its window
+        assert cli.main(["sample", "--config", str(conf), "--out", str(out)]) == 0
+        thetas = np.array([float(ln.split(",")[2]) for ln in (out / "phases.csv").read_text().splitlines()[4:]])
+        assert thetas.size > 0 and np.all(np.abs(thetas) <= 1.0)
 
     def test_sample_pair_window(self, tmp_path):
         r = run_cli(
