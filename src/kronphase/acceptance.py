@@ -123,7 +123,7 @@ def thin_spacings(spacing_hist, max_count, seed):
         return spacing_hist
     gen = np.random.Generator(np.random.PCG64(seed))
     idx = gen.choice(s.size, size=max_count, replace=False)
-    return SpacingHistogram(np.sort(s[idx]), spacing_hist.n_bins, spacing_hist.n_skipped)
+    return SpacingHistogram(np.sort(s[idx]), spacing_hist.n_bins)
 
 
 def _fmt(x):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, fields
 
-from .kernels import as_int
+from . import kernels
 from .sampler import RngStream
 
 MODES = ("single", "pair", "triple")
@@ -49,9 +49,9 @@ class ExperimentConfig:
         for key, parse in CONFIG_PARSERS.items():
             value = getattr(self, key)
             if parse is int:
-                value = as_int(key, value)
+                value = kernels.as_int(key, value)
             elif parse is parse_int_list:
-                value = tuple(as_int(key, v) for v in value)
+                value = tuple(kernels.as_int(key, v) for v in value)
             elif parse is float and value is not None:
                 value = float(value)
             object.__setattr__(self, key, value)
@@ -76,8 +76,8 @@ class ExperimentConfig:
             raise ValueError("window_half_width must satisfy 0 < 2w <= product(dims)")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if not 1 <= self.k_analytic <= 8:
-            raise ValueError("k_analytic must lie in [1, 8]")
+        if not 1 <= self.k_analytic <= kernels.DEFAULT_K_CAP:
+            raise ValueError("k_analytic must lie in [1, %d]" % kernels.DEFAULT_K_CAP)
         if self.curve not in CURVES:
             raise ValueError("curve must be one of %s" % (CURVES,))
 

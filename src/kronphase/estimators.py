@@ -11,20 +11,19 @@ does not turn with the points.  Points on a dyadic grid, turned by a
 multiple of the arc-grid step, avoid all three and give bit-identical
 estimates.
 
-One Accumulator computes all of them from (B, P) blocks of sorted rows,
-one configuration per row.  The pair histogram and the triple windows
-share one walk over the offsets k = 1, 2, ... of every point to its k-th
-next point.  Every count is an exact integer, so any split into blocks,
-added in any order, gives the bytes of one pass.
+One Accumulator computes all of them from (B, P) blocks of sorted rows
+added through add_block, one configuration per row.  The pair histogram
+and the triple windows share one walk over the offsets k = 1, 2, ... of
+every point to its k-th next point.  Every count is an exact integer, so
+any split into blocks, added in any order, gives the bytes of one pass.
 
-The per-configuration functions after Accumulator run the same code on a
-list or a single row; only the benchmark's traced pipeline
-(bench/tracing.py) calls them.
+The per-configuration functions after Accumulator add one-row blocks to
+an Accumulator or call its kernels on a single row; only the benchmark's
+traced pipeline (bench/tracing.py) calls them.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,17 +203,6 @@ def _gaps(rows, circumference):
     return np.concatenate([np.diff(rows, axis=-1), wrap], axis=-1)
 
 
-def _validate_triple_geometry(circumference, r1, r2, tol):
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if not 0.0 < r1 < r2 <= circumference / 4:
-        raise ValueError("need 0 < r1 < r2 <= L/4")
-    if r2 - r1 < tol:
-        raise ValueError("degenerate geometry: r1 and r2 closer than tol")
-    if r1 - tol / 2 <= 0:
-        raise ValueError("r1 window reaches zero gap; increase r1 or shrink tol")
-
-
 @dataclass(frozen=True)
 class SpacingHistogram:
     """Nearest-neighbor spacings normalized to mean 1.
@@ -226,7 +214,7 @@ class SpacingHistogram:
 
     spacings: np.ndarray
     n_bins: int
-    n_skipped: int = 0
+    n_skipped = 0  # a class constant: no histogram skips a spacing
 
     def __post_init__(self):
         if not np.all(self.spacings[:-1] <= self.spacings[1:]):
@@ -281,7 +269,7 @@ class Accumulator:
 
     finalize normalizes and sorts the pool in place and hands it to the
     SpacingHistogram, so it makes no second pool-sized array; it consumes
-    the pool, and a second finalize raises.
+    the pool, so a second finalize, or a block added after it, raises.
 
     Parts: pair = (delta_max, n_bins) in DEFAULT_N_BATCHES sample batches, arc
     lengths for count variances over n_offsets translations, triple =
@@ -317,7 +305,16 @@ class Accumulator:
         self.n_offsets = as_int("n_offsets", n_offsets, 1)
         self.arc_grid = _arc_grid(L, self.lengths, self.n_offsets)
         if triple is not None:
-            _validate_triple_geometry(L, *(float(v) for v in triple))
+            # the walk counts with the floats checked here, not a caller's float32
+            self.triple = r1, r2, tol = tuple(float(v) for v in triple)
+            if not tol > 0:
+                raise ValueError("tol must be positive")
+            if not 0.0 < r1 < r2 <= L / 4:
+                raise ValueError("need 0 < r1 < r2 <= L/4")
+            if r2 - r1 < tol:
+                raise ValueError("degenerate geometry: r1 and r2 closer than tol")
+            if r1 - tol / 2 <= 0:
+                raise ValueError("r1 window reaches zero gap; increase r1 or shrink tol")
         self.spacing_bins = None if spacing_bins is None else as_int("spacing_bins", spacing_bins, 1)
         self.added = np.zeros(n, dtype=bool)
         self.n_points = self.triples = 0
@@ -326,29 +323,29 @@ class Accumulator:
         self.finalized = False
 
     def add_block(self, points, first_index):
-        """Add a (B, P) block, checked and sorted by circle_rows, as samples first_index, ..."""
+        """Add a (B, P) block, checked and sorted by circle_rows, as samples
+        first_index .. first_index + B - 1; a finalized Accumulator takes none."""
+        if self.finalized:
+            raise ValueError("add_block: the accumulator was already finalized")
         if np.ndim(points) != 2:
             raise ValueError("add_block: points must be a (B, P) block")
         rows = circle_rows(points, self.L)
-        self._add(rows, as_int("first_index", first_index) + np.arange(len(rows)))
-
-    def _add(self, rows, index):
-        B, P = rows.shape
+        first, (B, P) = as_int("first_index", first_index), rows.shape
         if B == 0:
             return
-        if index.min() < 0 or index.max() >= self.n_samples:
+        if first < 0 or first + B > self.n_samples:
             raise ValueError("sample indices must lie in [0, n_samples)")
-        if self.added[index].any() or not np.diff(np.sort(index)).all():  # np.unique imports numpy.ma
+        if self.added[first : first + B].any():
             raise ValueError("a sample was added twice")
         if self.gaps is not None and P != self.gaps.shape[1]:
             raise ValueError("the spacing pool holds %d points per sample, this block %d" % (self.gaps.shape[1], P))
-        self.added[index] = True
+        self.added[first : first + B] = True
         self.n_points += B * P
         ext = np.concatenate([rows, rows + self.L], axis=-1)
         pair = None
         if self.pair is not None:
             nb = self.batch_samples.size
-            batch = (index * nb) // self.n_samples
+            batch = ((first + np.arange(B)) * nb) // self.n_samples
             self.batch_samples += np.bincount(batch, minlength=nb)
             cuts = [0, *(np.flatnonzero(np.diff(batch)) + 1), B]
             pair = (self.delta_max, self.edges, list(zip(cuts[:-1], cuts[1:])))
@@ -366,7 +363,7 @@ class Accumulator:
         if self.spacing_bins is not None:
             if self.gaps is None:
                 self.gaps = np.zeros((self.n_samples, P))
-            self.gaps[index] = _gaps(rows, self.L)
+            self.gaps[first : first + B] = _gaps(rows, self.L)
 
     def finalize(self):
         """EstimateBundle of the samples added; the spacing pool needs all of
@@ -393,33 +390,30 @@ class Accumulator:
         moments = zip(self.lengths, self.s1, self.s2)
         count_var = tuple((ell, float((s2 - s1 * s1 / m) / (m - 1))) for ell, s1, s2 in moments)
         if self.triple is not None:
-            triple = self.triples / (n * L * float(self.triple[2]) ** 2)
+            triple = self.triples / (n * L * self.triple[2] ** 2)
         return EstimateBundle(self.n_points / (n * L), pair, spacings, count_var, triple)
 
 
 def estimate_pair_correlation(samples, delta_max, n_bins, sample_indices=None, n_samples_total=None):
     """Pair-correlation histogram over distances (0, delta_max] of a list
-    of configurations, each run of equal length read as one block.
+    of configurations, each added to one Accumulator as a one-row block.
 
     For a slice of a larger experiment, pass the global sample_indices
     of the slice and the global n_samples_total; merging such partials
     is then bit-identical to one pass over all samples.
     """
-    index = np.arange(len(samples))
+    index = range(len(samples))
     if sample_indices is not None:
-        index = np.array([as_int("sample_indices", i) for i in sample_indices], dtype=np.int64)
-        if index.size != len(samples):
+        index = [as_int("sample_indices", i) for i in sample_indices]
+        if len(index) != len(samples):
             raise ValueError("sample_indices must match samples")
     circumferences = {cfg.circumference for cfg in samples}
     if len(circumferences) != 1:
         raise ValueError("estimator input must be configurations on one circumference")
     n = len(samples) if n_samples_total is None else n_samples_total
     acc = Accumulator(circumferences.pop(), n, pair=(delta_max, n_bins))
-    pos = 0
-    for _, run in itertools.groupby(samples, key=len):
-        rows = np.stack([cfg.points for cfg in run])
-        acc._add(rows, index[pos : pos + len(rows)])
-        pos += len(rows)
+    for i, cfg in zip(index, samples):
+        acc.add_block(cfg.points[None], i)
     return acc.finalize().pair
 
 
@@ -444,12 +438,9 @@ def triple_window_count(cfg, r1, r2, tol=DEFAULT_TRIPLE_TOL):
     """Ordered triples (x, y, z) of one configuration with circular gaps
     x->y in r1 +- tol/2 and x->z in r2 +- tol/2; every point is a base x.
     Returns an exact integer count."""
-    _validate_triple_geometry(cfg.circumference, float(r1), float(r2), float(tol))
-    rows = cfg.points[None]
-    if rows.size < 3:
-        return 0
-    ext = np.concatenate([rows, rows + cfg.circumference], axis=-1)
-    return _walk_offsets(rows, ext, triple=(r1, r2, tol))[1]
+    acc = Accumulator(cfg.circumference, 1, triple=(r1, r2, tol))
+    acc.add_block(cfg.points[None], 0)
+    return acc.triples
 
 
 def circular_gaps(cfg):

@@ -245,11 +245,11 @@ def run_experiment(cfg, out_dir=None, emit=EMIT_NAMES):
 
 
 def run_convergence_sweep(cfg, n_values, out_dir=None):
-    """Fixed first factor, growing second factor: rms vs the limit curve.
+    """Fixed first factor, growing second factor: rms vs the target curve.
 
     cfg must be in pair mode; its dims[1] is replaced by each value of
-    n_values in turn, and only the pair histogram is accumulated, the
-    same histogram run_experiment compares.  Returns one row dict per n.
+    n_values in turn, and only the pair histogram is accumulated and
+    compared with target_curve, as in run_experiment.  One row dict per n.
     """
     if cfg.mode != "pair":
         raise ValueError("convergence sweep needs a pair-mode config")
@@ -260,7 +260,7 @@ def run_convergence_sweep(cfg, n_values, out_dir=None):
         raise ValueError("n_values must be strictly ascending")
     rows = []
     for n in n_values:
-        sub = replace(cfg, dims=(cfg.dims[0], n), curve="superposed")
+        sub = replace(cfg, dims=(cfg.dims[0], n))
         hist = _accumulate_samples(sub, pair=(sub.delta_max, sub.n_bins)).pair
         comparison = compare_to_curve(hist, target_curve(sub)[1])
         rows.append(

@@ -754,6 +754,21 @@ class TestAccumulator:
         with pytest.raises(ValueError, match="already finalized"):
             acc.finalize()
 
+    def test_block_after_finalize_is_rejected_before_it_counts(self):
+        # sample 2 was never added, so only the finalize refuses it
+        rows = np.stack([lattice_sample(16.0).points] * 2)
+        acc = Accumulator(16.0, 3, pair=(4.0, 8), lengths=(2.0,))
+        acc.add_block(rows, 0)
+        acc.finalize()
+        before = [acc.added.copy(), acc.batch_counts.copy(), acc.batch_samples.copy()]
+        scalars = (acc.n_points, list(acc.s1), list(acc.s2), acc.gaps)
+        for block in (rows[:1], rows[:0]):
+            with pytest.raises(ValueError, match="add_block: the accumulator was already finalized"):
+                acc.add_block(block, 2)
+        after = [acc.added, acc.batch_counts, acc.batch_samples]
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+        assert (acc.n_points, acc.s1, acc.s2, acc.gaps) == scalars
+
     def test_finalize_that_raises_late_leaves_the_pool(self):
         # the count variance is checked after the spacing pool: one sample
         # over one offset gives it a single observation
@@ -833,6 +848,16 @@ class TestKernelEdges:
         acc = Accumulator(L, 2, triple=(r1, r2, tol))
         acc.add_block(np.stack([pts, pts[::-1].copy()]), 0)
         assert acc.triples == 2 * want
+
+    def test_triple_windows_of_float32_gaps_are_those_of_their_values(self):
+        # in float32, r1 - tol/2 rounds above the point at its float64 value
+        r1, r2, tol = np.float32(1.1), np.float32(2.3), np.float32(0.3)
+        rows = np.array([[0.0, float(r1) - float(tol) / 2, float(r2), 5.0]])
+        want = triple_window_count_searchsorted(rows[0], 16.0, float(r1), float(r2), float(tol))
+        assert want == 1
+        acc = Accumulator(16.0, 1, triple=(r1, r2, tol))
+        acc.add_block(rows, 0)
+        assert acc.triples == want
 
     @pytest.mark.parametrize("P", [2, 3, 4])
     def test_half_circle_arcs_count_the_wrapped_points(self, P):

@@ -5,13 +5,14 @@ import os
 import platform
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import kronphase
 from kronphase import cli
-from kronphase.config import ExperimentConfig, build_config, parse_config_file
+from kronphase.config import CONFIG_PARSERS, ExperimentConfig, build_config, parse_config_file
 from kronphase.estimators import DEFAULT_TRIPLE_TOL, spacing_histogram_from_gaps
 from kronphase.output import fmt_real, write_csv, write_manifest
 from kronphase.processes import RescaledConfig, tensor_phases, rescale_center
@@ -105,6 +106,17 @@ class TestExperimentConfig:
             assert type(getattr(cfg, key)) is kind, key
         assert all(type(d) is int for d in cfg.dims)
         assert cfg.to_dict()["window_half_width"] == 3.0
+
+    def test_k_analytic_reads_the_correlation_order_cap(self, monkeypatch, capsys):
+        with pytest.raises(ValueError, match=r"k_analytic must lie in \[1, 8\]"):
+            ExperimentConfig(mode="pair", dims=(2, 20), n_samples=10, seed=1, k_analytic=9)
+        monkeypatch.setattr(kronphase.kernels, "DEFAULT_K_CAP", 4)
+        ExperimentConfig(mode="pair", dims=(2, 20), n_samples=10, seed=1, k_analytic=4)
+        with pytest.raises(ValueError, match=r"k_analytic must lie in \[1, 4\]"):
+            ExperimentConfig(mode="pair", dims=(2, 20), n_samples=10, seed=1, k_analytic=5)
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["correlate", "--help"])
+        assert "(<= 4)" in " ".join(capsys.readouterr().out.split())
 
     def test_frozen(self):
         cfg = ExperimentConfig(mode="single", dims=(30,), n_samples=1, seed=0)
@@ -436,6 +448,17 @@ class TestRunner:
         rows = run_convergence_sweep(cfg, [8, 12, 20])
         assert [(r["n"], r["rms_dev"], r["max_abs_dev"]) for r in rows] == want
 
+    def test_sweep_honours_the_configured_curve(self):
+        cfg = ExperimentConfig(mode="pair", dims=(2, 8), n_samples=60, seed=13, n_bins=12, curve="poisson")
+        rows = run_convergence_sweep(cfg, [8, 12])
+        for r in rows:
+            sub = ExperimentConfig(mode="pair", dims=(2, r["n"]), n_samples=60, seed=13, n_bins=12, curve="poisson")
+            s = run_experiment(sub)[1].summary
+            assert s["curve"] == "poisson"
+            assert (r["rms_dev"], r["max_abs_dev"]) == (s["pair_rms_dev"], s["pair_max_abs_dev"])
+        superposed = run_convergence_sweep(replace(cfg, curve="superposed"), [8, 12])
+        assert [r["rms_dev"] for r in rows] != [r["rms_dev"] for r in superposed]
+
     def test_sweep_csv_bytes(self, tmp_path):
         # recorded when each sweep row came from a full run_experiment
         cfg = ExperimentConfig(mode="pair", dims=(2, 8), n_samples=120, seed=75)
@@ -489,6 +512,16 @@ class TestRunner:
 
 
 class TestCli:
+    @pytest.mark.parametrize(
+        "argv",
+        [["sample"], ["correlate"], ["spacings"], ["sweep", "--n-values", "10"]],
+        ids=["sample", "correlate", "spacings", "sweep"],
+    )
+    def test_every_config_key_has_a_flag(self, argv):
+        # _build_config_from_args reads getattr(args, key) for every key
+        args = cli.build_parser().parse_args(argv)
+        assert set(CONFIG_PARSERS) <= set(vars(args))
+
     def test_correlate_and_worker_env(self, tmp_path):
         d1 = tmp_path / "a"
         d2 = tmp_path / "b"
