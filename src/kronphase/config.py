@@ -53,7 +53,7 @@ class ExperimentConfig:
             elif parse is parse_int_list:
                 value = tuple(kernels.as_int(key, v) for v in value)
             elif parse is float and value is not None:
-                value = float(value)
+                value = kernels.as_float(key, value)
             object.__setattr__(self, key, value)
         if self.mode not in MODES:
             raise ValueError("mode must be one of %s" % (MODES,))

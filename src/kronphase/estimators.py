@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import as_int
+from .kernels import as_float, as_int
 from .processes import circle_rows
 
 DEFAULT_N_BATCHES = 20
@@ -289,11 +289,11 @@ class Accumulator:
         triple=None,
         spacing_bins=None,
     ):
-        L, n = float(circumference), as_int("n_samples", n_samples, 1)
+        L, n = as_float("circumference", circumference), as_int("n_samples", n_samples, 1)
         if not 0.0 < L < np.inf:
             raise ValueError("circumference must be positive and finite")
         self.L, self.n_samples, self.pair, self.triple = L, n, pair, triple
-        self.delta_max = None if pair is None else float(pair[0])
+        self.delta_max = None if pair is None else as_float("delta_max", pair[0])
         self.lengths = tuple(float(ell) for ell in lengths)
         if pair is not None:
             if not 0.0 < self.delta_max <= L / 2:
@@ -306,7 +306,7 @@ class Accumulator:
         self.arc_grid = _arc_grid(L, self.lengths, self.n_offsets)
         if triple is not None:
             # the walk counts with the floats checked here, not a caller's float32
-            self.triple = r1, r2, tol = tuple(float(v) for v in triple)
+            self.triple = r1, r2, tol = tuple(as_float(k, v) for k, v in zip(("r1", "r2", "tol"), triple, strict=True))
             if not tol > 0:
                 raise ValueError("tol must be positive")
             if not 0.0 < r1 < r2 <= L / 4:

@@ -45,6 +45,13 @@ def as_int(name, value, low=None):
     return int(value)
 
 
+def as_float(name, value):
+    """value as a plain float; bools, which float() takes, are refused."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError("%s must be a number, got %r" % (name, value))
+    return float(value)
+
+
 def _check_finite(name, arr):
     if not np.all(np.isfinite(arr)):
         raise ValueError("%s: argument must be finite" % name)

@@ -5,12 +5,14 @@ Reproducibility contract: sample index s always uses the random stream
 pass, so a run's results (and the CSV bytes written from them) depend
 only on its configuration.
 
-The pass draws samples in blocks of consecutive indices (sample_blocks),
-sized by sampler.BLOCK_BYTES, and hands each block of sorted rows to one
-estimators.Accumulator.  Within a block every sample still draws from
-its own stream, every sampling step works sample by sample and every
-accumulated count is an exact integer, so the results do not depend on
-the block size.  No per-sample object outlives its block.
+The pass hands blocks of consecutive samples (sample_blocks) to one
+estimators.Accumulator and draws each in sampler blocks, both sized by
+sampler.BLOCK_BYTES: the one by the Accumulator's (2, 2, B, P) bounds,
+the other by the (B, n, n) matrices, which with P < n^2 / 2 would send
+it few rows at a time.  Every sample still draws from its own stream,
+every sampling step works sample by sample and every accumulated count
+is an exact integer, so the results do not depend on either block size.
+No per-sample object outlives its block.
 """
 
 from __future__ import annotations
@@ -75,23 +77,32 @@ def csv_preamble(cfg):
 
 def sample_blocks(cfg):
     """(start, stop) index ranges that cover samples 0 .. n_samples - 1 in
-    blocks of sampler.block_length samples."""
-    step = block_length(cfg.dims, cfg.factor_product)
+    estimator blocks: the rows that fit in BLOCK_BYTES as the Accumulator's
+    (2, 2, B, P) triple-window bounds, and at least one sampler block."""
+    P = cfg.factor_product
+    step = max(block_length(cfg.dims, P), block_length((), 4 * P))
     return [(s, min(s + step, cfg.n_samples)) for s in range(0, cfg.n_samples, step)]
 
 
 def sample_phase_block(cfg, start, stop):
     """Sorted phases in [0, 2pi) of samples start .. stop - 1, one row each.
 
-    Sample s draws its factors, in order, from stream (seed, s); the
-    factors' stacks go through the eigensolve and the tensor sum
-    together.  An empty range gives a (0, P) block.
+    Sample s draws its factors, in order, from stream (seed, s), in
+    sampler blocks of block_length(dims, P) samples; a factor whose stack
+    for the whole range fits BLOCK_BYTES is solved once, the others per
+    sampler block, before one tensor sum.  An empty range gives (0, P).
     """
     start, stop = as_int("start", start), as_int("stop", stop)
     if stop < start:
         raise ValueError("sample range: stop %d is below start %d" % (stop, start))
-    streams = [RngStream(cfg.seed, s) for s in range(start, stop)]
-    return tensor_phases(*(eigenphases(u) for u in sample_haar_block(cfg.dims, streams)))
+    step = block_length(cfg.dims, cfg.factor_product)
+    once = [block_length([n]) >= stop - start for n in cfg.dims]
+    blocks = []
+    for s in range(start, stop, step) or [start]:  # an empty range draws one empty block
+        streams = [RngStream(cfg.seed, i) for i in range(s, min(s + step, stop))]
+        blocks.append([u if o else eigenphases(u) for u, o in zip(sample_haar_block(cfg.dims, streams), once)])
+    factors = [np.concatenate(f) for f in zip(*blocks)]
+    return tensor_phases(*(eigenphases(f) if o else f for f, o in zip(factors, once)))
 
 
 def sample_rescaled_rows(cfg, start, stop):
@@ -157,6 +168,8 @@ def run_experiment(cfg, out_dir=None, emit=EMIT_NAMES):
     """
     if not isinstance(cfg, ExperimentConfig):
         raise ValueError("run_experiment needs an ExperimentConfig")
+    if cfg.n_samples < 2:  # before any sample is drawn or directory made
+        raise ValueError("n_samples must be >= 2: the error bars need 2 sample batches, got %d" % cfg.n_samples)
     if isinstance(emit, str) or not set(emit) <= set(EMIT_NAMES):
         raise ValueError("emit must be a collection of names from %s" % (EMIT_NAMES,))
     started = _utc_now()
@@ -253,6 +266,8 @@ def run_convergence_sweep(cfg, n_values, out_dir=None):
     """
     if cfg.mode != "pair":
         raise ValueError("convergence sweep needs a pair-mode config")
+    if cfg.n_samples < 2:  # before any sample is drawn or directory made
+        raise ValueError("n_samples must be >= 2: the error bars need 2 sample batches, got %d" % cfg.n_samples)
     n_values = [as_int("n_values", n) for n in n_values]
     if not n_values:
         raise ValueError("n_values must be nonempty")

@@ -97,8 +97,10 @@ def _rekey(bitgen, stream):
 def block_length(dims, points=0):
     """Samples per block, at least one: as many as fit in BLOCK_BYTES in the
     largest stacked array of a block, the (B, n, n) complex matrices of
-    the largest factor in dims or the (B, points) phases of the samples."""
-    per_sample = max(16 * max(int(n) for n in dims) ** 2, 8 * int(points))
+    the largest factor in dims or the (B, points) float64 rows.  A run's
+    sampler blocks pass dims and P; its estimator blocks pass no dims and
+    4P, the Accumulator's triple-window bounds per row."""
+    per_sample = max(16 * max((int(n) for n in dims), default=0) ** 2, 8 * int(points))
     return max(1, BLOCK_BYTES // per_sample)
 
 

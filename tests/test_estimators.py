@@ -815,6 +815,22 @@ class TestAccumulator:
         with pytest.raises(ValueError, match="circumference must be positive and finite"):
             Accumulator(circumference, 1, pair=(1.0, 4))
 
+    @pytest.mark.parametrize(
+        "name, make",
+        [
+            ("circumference", lambda flag: Accumulator(flag, 3)),
+            ("delta_max", lambda flag: Accumulator(16.0, 3, pair=(flag, 4))),
+            ("r1", lambda flag: Accumulator(16.0, 3, triple=(flag, 2.0, 0.2))),
+            ("r2", lambda flag: Accumulator(16.0, 3, triple=(0.5, flag, 0.2))),
+            ("tol", lambda flag: Accumulator(16.0, 3, triple=(1.0, 2.0, flag))),
+        ],
+    )
+    @pytest.mark.parametrize("flag", [True, np.True_], ids=repr)
+    def test_real_settings_refuse_bools(self, name, make, flag):
+        # float() would take True as 1.0, a valid value of each
+        with pytest.raises(ValueError, match=r"%s must be a number, got (np\.)?True" % name):
+            make(flag)
+
     @pytest.mark.parametrize("second", [[[0.5]], [[-1.0, 2.0]]], ids=["1 point", "2 points"])
     def test_spacing_pool_rejects_another_point_count(self, second):
         # the one-point row once broadcast its gap over the pool's four

@@ -73,7 +73,19 @@ class TestCompareToCurve:
             compare_to_curve(h, target)
 
 
+def kolmogorov_cdf(x, terms=100):
+    """K(x) = 1 - 2 sum_{k>=1} (-1)^(k-1) exp(-2 k^2 x^2), the limit law of
+    sqrt(n) D_n under the null."""
+    k = np.arange(1, terms + 1)
+    return 1.0 - 2.0 * float(np.sum((-1.0) ** (k - 1) * np.exp(-2.0 * k**2 * x**2)))
+
+
 class TestKsExponential:
+    def test_coefficient_is_the_kolmogorov_95_percent_point(self):
+        # K(1.36) = 0.9505, while a 20% looser 1.63 gives 0.9902
+        assert kolmogorov_cdf(1.36) == pytest.approx(0.9505, abs=1e-4)
+        assert abs(kolmogorov_cdf(KS_COEFF_05) - 0.95) < 0.002
+
     def test_poisson_spacings_pass(self):
         sh = spacing_histogram_from_gaps([circular_gaps(c) for c in poisson_configs(50.0, 200, seed=5)])
         res = ks_against_exponential(sh)

@@ -94,6 +94,13 @@ class TestExperimentConfig:
             ExperimentConfig(mode="pair", dims=(2, 20), n_samples=10, seed=1 << 64)
         # numbers that are not integers: see the ExperimentConfig rows of test_int_args.SITES
 
+    @pytest.mark.parametrize("key", ["delta_max", "window_half_width"])
+    @pytest.mark.parametrize("flag", [True, np.True_], ids=repr)
+    def test_float_settings_refuse_bools(self, key, flag):
+        # float() would store True as 1.0, a valid delta_max and window
+        with pytest.raises(ValueError, match=r"%s must be a number, got (np\.)?True" % key):
+            ExperimentConfig(mode="pair", dims=(2, 20), n_samples=10, seed=1, **{key: flag})
+
     def test_stored_types(self):
         # numpy numbers are stored as the plain types the manifest records
         cfg = ExperimentConfig(
@@ -280,8 +287,32 @@ class TestRunner:
     def test_blocks_cover_samples_in_order(self, monkeypatch):
         cfg = ExperimentConfig(mode="triple", dims=(2, 16, 16), n_samples=150, seed=1)
         assert sample_blocks(cfg) == [(0, 64), (64, 128), (128, 150)]
+        # 80 points a row: 2^18 // (32 * 80) rows, not the 10 samples of 40 x 40 matrices
+        pair = ExperimentConfig(mode="pair", dims=(2, 40), n_samples=250, seed=1)
+        assert sample_blocks(pair) == [(0, 102), (102, 204), (204, 250)]
         monkeypatch.setattr(sampler, "BLOCK_BYTES", 1)
         assert sample_blocks(cfg) == [(s, s + 1) for s in range(150)]
+        assert sample_blocks(pair) == [(s, s + 1) for s in range(250)]
+
+    def test_sampler_blocks_inside_an_estimator_block(self, monkeypatch):
+        # 7 samples of 12 x 12 matrices a sampler block, 21 rows of 24 points
+        # an estimator block: the 12 x 12 stacks are solved 7 at a time, the
+        # 2 x 2 stacks of the whole block at once, and every row is the row
+        # of that sample drawn alone
+        cfg = ExperimentConfig(mode="pair", dims=(2, 12), n_samples=30, seed=23)
+        monkeypatch.setattr(sampler, "BLOCK_BYTES", 7 * 16 * 12 ** 2)
+        assert sample_blocks(cfg) == [(0, 21), (21, 30)]
+        solved = []
+
+        def spy(u):
+            solved.append(np.shape(u))
+            return eigenphases(u)
+
+        monkeypatch.setattr(runner, "eigenphases", spy)
+        rows = runner.sample_phase_block(cfg, 0, 21)
+        assert solved == [(7, 12, 12)] * 3 + [(21, 2, 2)]
+        for s, row in enumerate(rows):
+            assert np.array_equal(row, runner.sample_phase_block(cfg, s, s + 1)[0])
 
     def test_block_rows_equal_single_samples(self):
         cfg = ExperimentConfig(mode="triple", dims=(2, 3, 4), n_samples=9, seed=12)
@@ -307,14 +338,18 @@ class TestRunner:
     @pytest.mark.parametrize("mode, dims", [("single", (12,)), ("pair", (2, 12)), ("triple", (2, 3, 4))])
     def test_block_size_invariance(self, mode, dims, tmp_path, monkeypatch):
         # The block-size analogue of test_worker_invariance_in_memory: the
-        # default block, one sample per block, and 7 per block (which does
-        # not divide the 30 samples) write the same bytes.
+        # default blocks, one sample per block, and a budget of 7 samples a
+        # sampler block (which does not divide the 30 samples) write the same
+        # bytes.  At that budget an estimator block holds all 30 rows of 12
+        # points (drawn 7, 7, 7, 7, 2), 21 rows of 24 points (which does not
+        # divide 30 either), and at 4 x 4 one sampler block.
         cfg = ExperimentConfig(mode=mode, dims=dims, n_samples=30, seed=23, k_analytic=3)
         per_sample = 16 * max(dims) ** 2
+        odd_blocks = {"single": [30], "pair": [21, 9], "triple": [7, 7, 7, 7, 2]}[mode]
         outputs = []
-        for block_bytes, n_blocks in ((sampler.BLOCK_BYTES, 1), (1, 30), (7 * per_sample, 5)):
+        for block_bytes, blocks in ((sampler.BLOCK_BYTES, [30]), (1, [1] * 30), (7 * per_sample, odd_blocks)):
             monkeypatch.setattr(sampler, "BLOCK_BYTES", block_bytes)
-            assert len(sample_blocks(cfg)) == n_blocks
+            assert [b - a for a, b in sample_blocks(cfg)] == blocks
             out = tmp_path / str(block_bytes)
             _, manifest = run_experiment(cfg, out_dir=str(out))
             files = [(out / name).read_bytes() for name in manifest.outputs]
@@ -323,7 +358,8 @@ class TestRunner:
         assert outputs[2] == outputs[0]
 
     def test_run_checks_each_block_once(self, monkeypatch):
-        # the rescaled rows go to add_block unchecked, and add_block checks them
+        # the rescaled rows go to add_block unchecked, and add_block checks
+        # them once per estimator block, not once per sampler block of 7
         cfg = ExperimentConfig(mode="pair", dims=(2, 12), n_samples=30, seed=23)
         monkeypatch.setattr(sampler, "BLOCK_BYTES", 7 * 16 * 12 ** 2)
         calls = []
@@ -338,7 +374,7 @@ class TestRunner:
         for module in (estimators, runner):
             monkeypatch.setattr(module, "circle_rows", spy(module.circle_rows))
         run_experiment(cfg)
-        assert calls == [b - a for a, b in sample_blocks(cfg)] == [7, 7, 7, 7, 2]
+        assert calls == [b - a for a, b in sample_blocks(cfg)] == [21, 9]
 
     def test_run_builds_no_per_sample_configs(self, monkeypatch):
         # the blocks go from the sampler to the accumulator as (B, P) arrays
@@ -447,6 +483,12 @@ class TestRunner:
         monkeypatch.setattr(kronphase.runner, "run_experiment", refuse)
         rows = run_convergence_sweep(cfg, [8, 12, 20])
         assert [(r["n"], r["rms_dev"], r["max_abs_dev"]) for r in rows] == want
+
+    def test_run_functions_need_two_samples(self):
+        cfg = ExperimentConfig(mode="pair", dims=(2, 12), n_samples=1, seed=3)
+        for run in (run_experiment, lambda c: run_convergence_sweep(c, [12])):
+            with pytest.raises(ValueError, match="n_samples must be >= 2.*got 1"):
+                run(cfg)
 
     def test_sweep_honours_the_configured_curve(self):
         cfg = ExperimentConfig(mode="pair", dims=(2, 8), n_samples=60, seed=13, n_bins=12, curve="poisson")
@@ -613,6 +655,22 @@ class TestCli:
         argv = ["sample", "--mode", "single", "--dims", "6", "--samples", "3", "--seed", "2", "--delta-max", "3"]
         assert cli.main(argv + ["--window", "2.0", "--out", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["correlate", "spacings", "sweep"])
+    def test_one_sample_is_refused_before_the_directory_is_made(self, command, tmp_path, capsys):
+        # the standard errors need two batches, so one sample would fail late
+        # with an internal message
+        out = tmp_path / "not-made"
+        argv = [command, "--mode", "pair", "--dims", "2,12", "--samples", "1", "--seed", "3"]
+        argv += ["--n-values", "12,16"] if command == "sweep" else []
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        assert "n_samples must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sample_takes_one_sample(self, tmp_path):
+        argv = ["sample", "--mode", "pair", "--dims", "2,12", "--samples", "1", "--seed", "3"]
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+        assert len((tmp_path / "phases.csv").read_text().splitlines()) == 4 + 24
 
     @pytest.mark.parametrize("command", ["correlate", "spacings", "sweep"])
     def test_only_sample_takes_a_window(self, command, tmp_path, capsys):

@@ -261,6 +261,29 @@ class TestCayleyGuard:
         eigenphases(with_known_spectrum(theta, sample_haar_unitary(8, RngStream(21, 0))))
         assert calls == [8]
 
+    @pytest.mark.parametrize("lam, fallback", [(1.9e3, False), (2.1e3, True)])
+    def test_guard_sits_at_cayley_max_abs(self, lam, fallback, monkeypatch):
+        # One phase at pi - 2 arctan(1/lam) has the Cayley eigenvalue
+        # tan(theta/2) = lam; the other eleven keep theirs below tan(0.45 pi).
+        # Just inside the guard the Cayley phases hold to 1e-12; just outside
+        # it every draw goes to eigvals.
+        calls = []
+        general = sampler._phases_general
+
+        def spy(u):
+            calls.append(u.shape[0])
+            return general(u)
+
+        monkeypatch.setattr(sampler, "_phases_general", spy)
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for s in range(40):
+            theta = np.append(rng.uniform(-0.9 * np.pi, 0.9 * np.pi, 11), np.pi - 2 * np.arctan(1 / lam))
+            u = with_known_spectrum(theta, sample_haar_unitary(12, RngStream(33, s)))
+            worst = max(worst, circular_mismatch(eigenphases(u), theta))
+        assert calls == ([12] * 40 if fallback else [])
+        assert worst < 1e-12
+
 
 class TestEigvalsOracle:
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 24, 40])
