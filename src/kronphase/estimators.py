@@ -35,11 +35,6 @@ DEFAULT_N_BATCHES = 20
 DEFAULT_TRIPLE_TOL = 0.2
 DEFAULT_COUNT_OFFSETS = 32
 
-# Pair gaps a block holds before it bins them; only near-degenerate
-# configurations, with many points within delta_max, bin in chunks.
-_GAP_MATRIX_MAX = 1 << 18
-
-
 @dataclass(frozen=True)
 class CorrelationHistogram:
     """Binned pair-correlation estimate on distances (0, delta_max].
@@ -105,9 +100,12 @@ def _walk_offsets(rows, ext, pair=None, triple=None):
     point and grows with k, so each part stops at the first offset that no
     row reaches; offset P (w = rows + L) is past both reaches.
     pair = (delta_max, edges, segments) bins the gaps w - rows in (0,
-    delta_max] of each segment a:b of rows, one per unordered pair, in one
-    np.histogram call, or in chunks once the block's pending gaps reach
-    _GAP_MATRIX_MAX.  triple = (r1, r2, tol) counts ordered triples with
+    delta_max] of each segment a:b of rows, one per unordered pair, at the
+    offset that makes them: it sorts them in place and adds the gaps below
+    each edge, the sort and search np.histogram runs on array bins (no gap
+    lies below the first edge, 0, and all lie at or below the last,
+    delta_max), so it holds at most one offset's gaps of one segment, B * P
+    floats, at a time.  triple = (r1, r2, tol) counts ordered triples with
     gaps r1 +- tol/2 and r2 +- tol/2 from the base as searchsorted(ext_row,
     pts + (r + tol/2), "right") - searchsorted(ext_row, pts + (r - tol/2),
     "left") does: rounding keeps lower <= upper, so counting lower <= w <=
@@ -119,8 +117,7 @@ def _walk_offsets(rows, ext, pair=None, triple=None):
     hists = triples = None
     if pair is not None:
         delta_max, edges, segments = pair
-        hists = np.zeros((len(segments), edges.size - 1))
-        pending, n_pending = [[] for _ in segments], 0
+        below_edge = np.zeros((len(segments), edges.size), dtype=np.int64)
         d, near = np.empty(rows.shape), np.empty(rows.shape, dtype=bool)
     if triple is not None:
         r1, r2, tol = triple
@@ -140,17 +137,13 @@ def _walk_offsets(rows, ext, pair=None, triple=None):
             np.less_equal(d, delta_max, out=near)
             pair_on = near.any()
             near &= d > 0.0
-            for (a, b), gaps in zip(segments, pending):
+            for (a, b), c in zip(segments, below_edge):
                 g = d[a:b][near[a:b]]
                 if g.size:
-                    gaps.append(g)
-                    n_pending += g.size
-            if n_pending >= _GAP_MATRIX_MAX or not pair_on:
-                for h, gaps in zip(hists, pending):
-                    if gaps:
-                        h += np.histogram(np.concatenate(gaps), bins=edges)[0]
-                        gaps.clear()
-                n_pending = 0
+                    g.sort()
+                    c[1:-1] += np.searchsorted(g, edges[1:-1])
+                    c[-1] += g.size
+                del g  # so that the next gaps replace these, not join them
         if triple_on:
             np.less_equal(w, upper, out=below)
             np.less_equal(lower, w, out=hit)
@@ -165,6 +158,8 @@ def _walk_offsets(rows, ext, pair=None, triple=None):
             first = np.maximum.accumulate(np.where(np.diff(rows, prepend=-np.inf) > 0, idx, 0), axis=-1)
             inside += np.where(lower <= rows, idx + 1 - first, 0)
         triples = int(np.multiply(inside[0], inside[1], dtype=np.int64).sum())
+    if pair is not None:
+        hists = np.diff(below_edge, axis=-1)
     return hists, triples
 
 
@@ -255,9 +250,9 @@ class Accumulator:
     sorts through processes.circle_rows; it takes them as samples
     first_index, first_index + 1, ...  Per block one ext = [pts, pts + L]
     serves all parts.  One walk over the offsets 1, 2, ... of each point
-    gives the pair gaps, binned once per batch segment of the block, and
-    the triple windows, each part up to its own reach; a window counts
-    the points between its bounds at each offset.  One searchsorted of the
+    gives the pair gaps, binned per batch segment at the offset that
+    makes them, and the triple windows, each part up to its own reach; a
+    window counts the points between its bounds at each offset.  One searchsorted of the
     rows, and of the wrapped points below the last arc end, into the fixed
     translation grid gives the arc counts, and the gaps go to the spacing
     pool.  Every count is an exact integer, so blocks may come in any
@@ -265,7 +260,9 @@ class Accumulator:
 
     Memory is O(n_samples * P), from the spacing pool only: the gaps of
     every sample, kept for the spacing histogram and its KS test, so every
-    block must have the pool's P.  All other parts have a fixed size.
+    block must have the pool's P.  All other parts have a fixed size, and
+    a block's temporaries, the walk's gap buffers among them, are O(B * P)
+    on any points, degenerate ones included.
 
     finalize normalizes and sorts the pool in place and hands it to the
     SpacingHistogram, so it makes no second pool-sized array; it consumes

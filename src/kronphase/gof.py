@@ -19,8 +19,9 @@ KS_MIN_N = 100
 # statistic: D_crit = 1.36 / sqrt(n).  Adequate for n >= 100.
 KS_COEFF_05 = 1.36
 
-# Spacings per step of the KS walk: its temporaries are a few of these.
-_KS_CHUNK = 1 << 15
+# Spacings per step of the KS walk: its temporaries, a few of these, stay
+# below the high-water mark that the estimator blocks set (1 << 15 did not).
+_KS_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,9 @@ UNITARITY_TOL = 1e-8
 # falls back to eigvals.
 CAYLEY_MAX_ABS = 2e3
 
-# Size of one stacked array in a block of draws.  Large enough that numpy's
+# The bytes block_length allows a block's largest factor stack, (B, n, n)
+# complex, or its (B, P) rows; sample_haar_block's uniforms for all factors,
+# 16 * sum(n^2) bytes per sample, may exceed it.  Large enough that numpy's
 # per-call overhead is spread over many small matrices (64 draws of 16 x 16,
 # 10 of 40 x 40), small enough that a block adds little to a run's memory.
 BLOCK_BYTES = 1 << 18
@@ -96,10 +98,12 @@ def _rekey(bitgen, stream):
 
 def block_length(dims, points=0):
     """Samples per block, at least one: as many as fit in BLOCK_BYTES in the
-    largest stacked array of a block, the (B, n, n) complex matrices of
-    the largest factor in dims or the (B, points) float64 rows.  A run's
-    sampler blocks pass dims and P; its estimator blocks pass no dims and
-    4P, the Accumulator's triple-window bounds per row."""
+    (B, n, n) complex matrices of the largest factor in dims or in the
+    (B, points) float64 rows.  A run's sampler blocks pass dims and P; its
+    estimator blocks pass no dims and 4P, the Accumulator's triple-window
+    bounds per row.  The block's uniforms, which sample_haar_block draws
+    for every factor in one (B, sum(2 n^2)) array, are not bounded: with
+    more than one factor they can exceed BLOCK_BYTES, 1.97 times at 24 x 24."""
     per_sample = max(16 * max((int(n) for n in dims), default=0) ** 2, 8 * int(points))
     return max(1, BLOCK_BYTES // per_sample)
 

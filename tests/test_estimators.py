@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,17 +171,25 @@ def pair_gap_histogram_loop(pts, circumference, delta_max, edges):
     return hist
 
 
-def spy_on_histogram(monkeypatch):
-    """Record the size of every array np.histogram bins from now on."""
-    sizes = []
-    histogram = np.histogram
+def spy_on_searchsorted(monkeypatch):
+    """Record a copy of every sorted array np.searchsorted searches from now on."""
+    searched = []
+    searchsorted = np.searchsorted
 
-    def spy(values, bins):
-        sizes.append(values.size)
-        return histogram(values, bins=bins)
+    def spy(a, v, *args, **kwargs):
+        searched.append(np.array(a))
+        return searchsorted(a, v, *args, **kwargs)
 
-    monkeypatch.setattr(np, "histogram", spy)
-    return sizes
+    monkeypatch.setattr(np, "searchsorted", spy)
+    return searched
+
+
+def segment_gaps(rows, circumference, delta_max, k):
+    """The gaps in (0, delta_max] of the rows from each point to its k-th
+    next point, sorted."""
+    P = rows.shape[-1]
+    d = np.concatenate([rows, rows + circumference], axis=-1)[:, k : k + P] - rows
+    return np.sort(d[(d > 0.0) & (d <= delta_max)])
 
 
 def first_offset_past(rows, circumference, gap):
@@ -234,20 +243,44 @@ class TestPairGapHistogram:
         assert np.array_equal(got, [0.0, 0.0, 0.0, 1.0])
         assert np.array_equal(got, pair_gap_histogram_loop(pts, 20.0, delta_max, edges))
 
-    def test_pending_gaps_in_chunks(self, monkeypatch):
-        # all points equal within delta_max: every offset is needed, and at a
-        # cap of 100 the pending gaps go to np.histogram in several chunks
+    def test_bins_each_offset_as_the_walk_makes_it(self, monkeypatch):
+        # all points within delta_max of each other: every offset is needed,
+        # and the walk bins the gaps of each one alone, sorted, before the next
         pts = np.sort(np.concatenate([np.zeros(30), np.linspace(0.5, 2.0, 30)]))
         edges = np.linspace(0.0, 3.0, 7)
         want = pair_gap_histogram_loop(pts, 8.0, 3.0, edges)
-        assert np.array_equal(pair_gap_histogram(pts, 8.0, 3.0, edges), want)
-        sizes = spy_on_histogram(monkeypatch)
-        monkeypatch.setattr(estimators, "_GAP_MATRIX_MAX", 100)
+        searched = spy_on_searchsorted(monkeypatch)
         got = pair_gap_histogram(pts, 8.0, 3.0, edges)
-        assert sum(sizes) == want.sum()
-        # each chunk holds at most the cap plus one offset's gaps
-        assert len(sizes) >= 2 and max(sizes) <= 100 + pts.size
+        per_offset = [segment_gaps(pts[None], 8.0, 3.0, k) for k in range(1, pts.size)]
+        assert len(searched) == len([g for g in per_offset if g.size]) == pts.size - 1
+        for g, want_g in zip(searched, per_offset):
+            assert np.array_equal(g, want_g)
+        assert sum(g.size for g in searched) == want.sum()
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "segments",
+        [
+            [(0, 7)],
+            [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)],
+            [(0, 1), (1, 4), (4, 5), (5, 7)],
+        ],
+    )
+    def test_segments_of_a_block_with_ties(self, segments):
+        # repeated points give zero gaps, which are not pairs; one-row
+        # segments and segments cut inside the block each get their own counts
+        L, delta_max = 16.0, 5.0
+        gen = np.random.default_rng(5)
+        base = np.floor(gen.uniform(-L / 2, L / 2, size=(7, 12)) * 10) / 10
+        rows = circle_rows(np.concatenate([base, base[:, :6]], axis=1), L)
+        assert (np.diff(rows, axis=-1) == 0.0).sum(axis=-1).min() >= 6
+        edges = np.linspace(0.0, delta_max, 9)
+        ext = np.concatenate([rows, rows + L], axis=-1)
+        hists, _ = estimators._walk_offsets(rows, ext, (delta_max, edges, segments))
+        assert hists.shape == (len(segments), edges.size - 1)
+        for (a, b), h in zip(segments, hists):
+            gaps = np.concatenate([segment_gaps(rows[a:b], L, delta_max, k) for k in range(1, rows.shape[1] + 1)])
+            assert np.array_equal(h, np.histogram(gaps, bins=edges)[0])
 
 
 class TestMerge:
@@ -677,10 +710,10 @@ class TestAccumulator:
         acc = accumulate_in_blocks(rows, 40.0, blocks, [1, 2, 0], **parts_of(settings_))
         check_against_references(rows, 40.0, acc=acc, **settings_)
 
-    def test_degenerate_triple_product_bins_in_chunks(self, monkeypatch):
+    def test_degenerate_triple_product_holds_one_offset_of_gaps(self):
         # identical factors with clustered phases: every sum repeats under
         # permutation, and the whole product fits inside delta_max, so the
-        # pair walk reaches offset P - 1 and its gaps pass the cap
+        # pair walk reaches offset P - 1 and its gaps pass 2^18 floats
         a = np.array([0.0, 0.1, 0.2, 0.4])
         theta = rescale_center(triple_tensor(a, a, a), 64).points
         shifts = np.linspace(0.0, 64.0, 150, endpoint=False)[:, None]
@@ -693,18 +726,22 @@ class TestAccumulator:
         ext = np.concatenate([rows, rows + 64.0], axis=-1)
         gaps = [ext[:, k : k + 64] - rows for k in range(1, 64)]
         per_offset = [np.count_nonzero((d > 0.0) & (d <= 16.0)) for d in gaps]
-        assert sum(per_offset) > estimators._GAP_MATRIX_MAX
-        sizes = spy_on_histogram(monkeypatch)
-        for cap in (estimators._GAP_MATRIX_MAX, 1000):
-            monkeypatch.setattr(estimators, "_GAP_MATRIX_MAX", cap)
-            sizes.clear()
-            acc = accumulate_in_blocks(rows, 64.0, [(0, 150)], [0], **parts_of(settings_))
-            # every gap is binned once, in chunks of at most the cap plus
-            # one offset's gaps
-            assert sum(sizes) == sum(per_offset)
-            assert len(sizes) >= 2
-            assert max(sizes) <= cap + max(per_offset)
-            check_against_references(rows, 64.0, acc=acc, **settings_)
+        assert sum(per_offset) > 1 << 18
+        acc = accumulate_in_blocks(rows, 64.0, [(0, 150)], [0], **parts_of(settings_))
+        check_against_references(rows, 64.0, acc=acc, **settings_)
+        # the pair walk holds w, d, two masks, the largest offset's gaps and
+        # 8 KiB of small objects at most, where all its gaps together take
+        # 27 (B, P) float arrays
+        assert sum(per_offset) * 8 > 27 * rows.nbytes
+        bound = 2 * rows.nbytes + 2 * rows.size + 8 * max(per_offset) + 8192
+        pair = (16.0, np.linspace(0.0, 16.0, 33), [(0, 150)])
+        tracemalloc.start()
+        try:
+            estimators._walk_offsets(rows, ext, pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
 
     def test_rejects_overlap_and_missing_rows(self):
         rows = np.stack([lattice_sample(16.0).points] * 4)

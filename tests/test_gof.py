@@ -141,6 +141,12 @@ class TestKsChunks:
             (2 * CHUNK, "exponential"),
             (3 * CHUNK + 1, "tied"),
             (3 * CHUNK + 1, "uniform"),
+            # the same three edges at the earlier 2^15 chunk, which at 2^13
+            # also end 3 short of a chunk, on a chunk edge and 1 past one
+            (32765, "exponential"),
+            (65536, "exponential"),
+            (98305, "tied"),
+            (98305, "uniform"),
             (KS_MIN_N, "exponential"),
             (KS_MIN_N, "tied"),
         ],

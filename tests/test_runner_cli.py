@@ -874,6 +874,15 @@ class TestPeakMemory:
         pool_growth = (2000 - 500) * 512 * 8
         assert large - small <= 1.5 * pool_growth + 2_000_000, (small, large)
 
+    def test_correlate_blocks_add_little_beyond_the_pool(self, tmp_path):
+        # 500 samples of 512 points keep a 2.05 MB pool; the pair walk bins
+        # one offset's gaps at a time, so the blocks add about 3.4 MiB more
+        # (about 4.6 MiB when a block's gaps were binned together)
+        argv = ["correlate", "--mode", "triple", "--dims", "2,16,16", "--k-analytic", "3", "--seed", "3"]
+        small, large = peak_rss_bytes(tmp_path, argv + ["--samples", "2"], argv + ["--samples", "500"])
+        pool = 500 * 512 * 8
+        assert large - small <= pool + 4.2 * 2**20, (small, large)
+
     def test_sample_holds_one_block(self, tmp_path):
         argv = ["sample", "--mode", "pair", "--dims", "24,24", "--seed", "3"]
         small, large = peak_rss_bytes(tmp_path, argv + ["--samples", "200"], argv + ["--samples", "1000"])
