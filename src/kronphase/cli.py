@@ -18,6 +18,7 @@ import numpy as np
 from . import kernels
 from .config import CONFIG_PARSERS, CURVES, MODES, build_config, parse_config_file, parse_int_list
 from .output import _write_lines
+from .processes import circle_rows, rescale_points
 from .runner import (
     REFERENCE_KINDS,
     csv_preamble,
@@ -26,7 +27,6 @@ from .runner import (
     run_experiment,
     sample_blocks,
     sample_phase_block,
-    sample_rescaled_rows,
 )
 
 # glibc returns freed chunks above its adaptive mmap threshold, and heap tops
@@ -88,15 +88,13 @@ def _build_config_from_args(args):
 def _phase_lines(cfg):
     """The rows of phases.csv, one sample at a time; one format per row,
     whose %d and %.17g are write_csv's bytes for an int and a float."""
-    w = cfg.window_half_width
+    P, w = cfg.factor_product, cfg.window_half_width
     for start, stop in sample_blocks(cfg):
-        if cfg.mode == "single":
-            block = sample_phase_block(cfg, start, stop)
-        elif w is None:
-            block = sample_rescaled_rows(cfg, start, stop)
-        else:
-            # ExperimentConfig has checked 0 < 2w <= P
-            block = [row[np.abs(row) <= w] for row in sample_rescaled_rows(cfg, start, stop)]
+        block = sample_phase_block(cfg, start, stop)
+        if cfg.mode != "single":
+            block = circle_rows(rescale_points(block, P), P)
+        if w is not None:  # ExperimentConfig has checked 0 < 2w <= P
+            block = [row[np.abs(row) <= w] for row in block]
         for s, pts in enumerate(block, start):
             yield "".join(map("%d,%d,%.17g\n".__mod__, zip(itertools.repeat(s), range(len(pts)), pts.tolist())))
 

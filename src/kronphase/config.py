@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, fields
 
-from . import kernels
-from .sampler import RngStream
+from . import kernels, processes, sampler
+from .errors import CapacityError
 
 MODES = ("single", "pair", "triple")
 CURVES = ("auto", "sine_pair", "superposed", "poisson")
@@ -64,9 +64,14 @@ class ExperimentConfig:
             raise ValueError("dims must be positive")
         if self.factor_product < 2:
             raise ValueError("the configuration needs at least 2 points per sample")
+        # sample_haar_block's and tensor_phases' caps, read at call time, checked before any draw
+        if max(self.dims) > sampler.DEFAULT_MAX_DIM:
+            raise CapacityError("dims: n=%d exceeds max %d" % (max(self.dims), sampler.DEFAULT_MAX_DIM))
+        if self.factor_product > processes.DEFAULT_TENSOR_CAPACITY:
+            raise CapacityError("dims: %d points exceed capacity %d" % (self.factor_product, processes.DEFAULT_TENSOR_CAPACITY))
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        RngStream(self.seed)  # the seed range is RngStream's
+        sampler.RngStream(self.seed)  # the seed range is RngStream's
         if not 0.0 < self.delta_max <= self.factor_product / 2:
             raise ValueError("delta_max must lie in (0, product(dims)/2]")
         if self.n_bins < 4:

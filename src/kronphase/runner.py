@@ -1,18 +1,18 @@
 """Experiment orchestration: sampling, estimation, persistence.
 
 Reproducibility contract: sample index s always uses the random stream
-(seed, stream_id = s).  Samples are drawn in index order in one serial
-pass, so a run's results (and the CSV bytes written from them) depend
-only on its configuration.
+(seed, stream_id = s).  sample_phase_block draws the samples, in index
+order in one serial pass, so a run's results (and the CSV bytes written
+from them) depend only on its configuration.
 
 The pass hands blocks of consecutive samples (sample_blocks) to one
 estimators.Accumulator and draws each in sampler blocks, both sized by
 sampler.BLOCK_BYTES: the one by the Accumulator's (2, 2, B, P) bounds,
-the other by the (B, n, n) matrices, which with P < n^2 / 2 would send
-it few rows at a time.  Every sample still draws from its own stream,
-every sampling step works sample by sample and every accumulated count
-is an exact integer, so the results do not depend on either block size.
-No per-sample object outlives its block.
+the other by block_length of the (B, n, n) matrices, which with
+P < n^2 / 2 would send it few rows at a time.  Every sample still draws
+from its own stream, every sampling step works sample by sample and
+every accumulated count is an exact integer, so the results do not
+depend on either block size.  No per-sample object outlives its block.
 """
 
 from __future__ import annotations
@@ -23,14 +23,14 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, sampler
 from .combinatorics import rho_superposed_pair, rho_superposed_sine
 from .config import ExperimentConfig
 from .estimators import DEFAULT_COUNT_OFFSETS, DEFAULT_TRIPLE_TOL, Accumulator
 from .gof import KS_MIN_N, compare_to_curve, ks_against_exponential
 from .kernels import as_int, rho_sine
 from .output import write_csv, write_manifest
-from .processes import circle_rows, rescale_points, tensor_phases
+from .processes import rescale_points, tensor_phases
 from .sampler import RngStream, block_length, eigenphases, sample_haar_block
 
 STREAM_POLICY = "sample index s uses stream_id = s"
@@ -80,7 +80,7 @@ def sample_blocks(cfg):
     estimator blocks: the rows that fit in BLOCK_BYTES as the Accumulator's
     (2, 2, B, P) triple-window bounds, and at least one sampler block."""
     P = cfg.factor_product
-    step = max(block_length(cfg.dims, P), block_length((), 4 * P))
+    step = max(block_length(cfg.dims, P), sampler.BLOCK_BYTES // (32 * P))
     return [(s, min(s + step, cfg.n_samples)) for s in range(0, cfg.n_samples, step)]
 
 
@@ -103,13 +103,6 @@ def sample_phase_block(cfg, start, stop):
         blocks.append([u if o else eigenphases(u) for u, o in zip(sample_haar_block(cfg.dims, streams), once)])
     factors = [np.concatenate(f) for f in zip(*blocks)]
     return tensor_phases(*(eigenphases(f) if o else f for f, o in zip(factors, once)))
-
-
-def sample_rescaled_rows(cfg, start, stop):
-    """Samples start .. stop - 1 of the configured process on their rescaled
-    circle: a (stop - start, P) array of checked, sorted rows."""
-    P = cfg.factor_product
-    return circle_rows(rescale_points(sample_phase_block(cfg, start, stop), P), P)
 
 
 def _accumulate_samples(cfg, **parts):
@@ -155,6 +148,13 @@ def target_curve(cfg):
     return limit_law(MODE_LAWS[cfg.mode] if cfg.curve == "auto" else cfg.curve, cfg.dims[0])[:2]
 
 
+def _check_run_config(cfg):  # before any sample is drawn or directory made
+    if not isinstance(cfg, ExperimentConfig):
+        raise ValueError("a run needs an ExperimentConfig, got %s" % type(cfg).__name__)
+    if cfg.n_samples < 2:
+        raise ValueError("n_samples must be >= 2: the error bars need 2 sample batches, got %d" % cfg.n_samples)
+
+
 # The observables run_experiment can write, one CSV each.
 EMIT_NAMES = ("pair", "spacings", "counts")
 
@@ -166,10 +166,7 @@ def run_experiment(cfg, out_dir=None, emit=EMIT_NAMES):
     CSV per observable named in emit, a collection of EMIT_NAMES, plus
     manifest.json are written there.
     """
-    if not isinstance(cfg, ExperimentConfig):
-        raise ValueError("run_experiment needs an ExperimentConfig")
-    if cfg.n_samples < 2:  # before any sample is drawn or directory made
-        raise ValueError("n_samples must be >= 2: the error bars need 2 sample batches, got %d" % cfg.n_samples)
+    _check_run_config(cfg)
     if isinstance(emit, str) or not set(emit) <= set(EMIT_NAMES):
         raise ValueError("emit must be a collection of names from %s" % (EMIT_NAMES,))
     started = _utc_now()
@@ -264,23 +261,23 @@ def run_convergence_sweep(cfg, n_values, out_dir=None):
     n_values in turn, and only the pair histogram is accumulated and
     compared with target_curve, as in run_experiment.  One row dict per n.
     """
+    _check_run_config(cfg)
     if cfg.mode != "pair":
         raise ValueError("convergence sweep needs a pair-mode config")
-    if cfg.n_samples < 2:  # before any sample is drawn or directory made
-        raise ValueError("n_samples must be >= 2: the error bars need 2 sample batches, got %d" % cfg.n_samples)
     n_values = [as_int("n_values", n) for n in n_values]
     if not n_values:
         raise ValueError("n_values must be nonempty")
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("n_values must be strictly ascending")
+    # every size's config is checked, caps included, before the first draw
+    subs = [replace(cfg, dims=(cfg.dims[0], n)) for n in n_values]
     rows = []
-    for n in n_values:
-        sub = replace(cfg, dims=(cfg.dims[0], n))
+    for sub in subs:
         hist = _accumulate_samples(sub, pair=(sub.delta_max, sub.n_bins)).pair
         comparison = compare_to_curve(hist, target_curve(sub)[1])
         rows.append(
             {
-                "n": n,
+                "n": sub.dims[1],
                 "rms_dev": comparison.rms_dev,
                 "max_abs_dev": comparison.max_abs_dev,
                 "n_samples": cfg.n_samples,

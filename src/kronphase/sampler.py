@@ -97,14 +97,12 @@ def _rekey(bitgen, stream):
 
 
 def block_length(dims, points=0):
-    """Samples per block, at least one: as many as fit in BLOCK_BYTES in the
-    (B, n, n) complex matrices of the largest factor in dims or in the
-    (B, points) float64 rows.  A run's sampler blocks pass dims and P; its
-    estimator blocks pass no dims and 4P, the Accumulator's triple-window
-    bounds per row.  The block's uniforms, which sample_haar_block draws
-    for every factor in one (B, sum(2 n^2)) array, are not bounded: with
+    """Samples per sampler block, at least one: as many as fit in BLOCK_BYTES
+    in the (B, n, n) complex matrices of the largest factor in dims (nonempty)
+    or in the (B, points) float64 rows.  The uniforms that sample_haar_block
+    draws for every factor in one (B, sum(2 n^2)) array are not bounded: with
     more than one factor they can exceed BLOCK_BYTES, 1.97 times at 24 x 24."""
-    per_sample = max(16 * max((int(n) for n in dims), default=0) ** 2, 8 * int(points))
+    per_sample = max(16 * max(int(n) for n in dims) ** 2, 8 * int(points))
     return max(1, BLOCK_BYTES // per_sample)
 
 
@@ -144,10 +142,10 @@ def sample_haar_block(dims, gens):
     Generator entry may appear more than once; it then supplies
     consecutive draws.
     """
-    dims = [as_int("sample_haar_unitary: n", n, 1) for n in dims]
+    dims = [as_int("sample_haar_block: n", n, 1) for n in dims]
     for n in dims:
         if n > DEFAULT_MAX_DIM:
-            raise CapacityError("sample_haar_unitary: n=%d exceeds max %d" % (n, DEFAULT_MAX_DIM))
+            raise CapacityError("sample_haar_block: n=%d exceeds max %d" % (n, DEFAULT_MAX_DIM))
     gens = list(gens)
     if not all(isinstance(g, (RngStream, np.random.Generator)) for g in gens):
         raise ValueError("rng must be an RngStream or numpy Generator")

@@ -33,7 +33,6 @@ from kronphase.runner import (
     emit_reference_curve,
     run_convergence_sweep,
     sample_phase_block,
-    sample_rescaled_rows,
 )
 from kronphase.sampler import RngStream, sample_haar_block
 
@@ -83,8 +82,7 @@ SITES = [
     ("chi_square_uniformity n_bins", lambda v: chi_square_uniformity(np.linspace(0, 6, 200), v), 4),
     ("emit_reference_curve m", lambda v: emit_reference_curve("superposed_pair", [1.0], os.devnull, m=v), 2),
     ("sample_phase_block start", lambda v: sample_phase_block(_config(), v, 2), 1),
-    ("sample_rescaled_rows stop", lambda v: sample_rescaled_rows(_config(), 1, v), 3),
-    ("sample_rescaled_rows start", lambda v: sample_rescaled_rows(_config(), v, 3), 2),
+    ("sample_phase_block stop", lambda v: sample_phase_block(_config(), 1, v), 3),
     ("run_convergence_sweep n_values", lambda v: run_convergence_sweep(_config(dims=(2, 3), delta_max=1.0), [v]), 3),
     ("run_criteria ids", lambda v: run_criteria([v]), 7),
     ("poisson_configs n_samples", lambda v: poisson_configs(8.0, v, 0), 2),

@@ -15,7 +15,7 @@ from kronphase import cli
 from kronphase.config import CONFIG_PARSERS, ExperimentConfig, build_config, parse_config_file
 from kronphase.estimators import DEFAULT_TRIPLE_TOL, spacing_histogram_from_gaps
 from kronphase.output import fmt_real, write_csv, write_manifest
-from kronphase.processes import RescaledConfig, tensor_phases, rescale_center
+from kronphase.processes import RescaledConfig, circle_rows, rescale_center, rescale_points, tensor_phases
 from kronphase.runner import (
     COUNT_LENGTHS,
     TRIPLE_R1,
@@ -24,7 +24,6 @@ from kronphase.runner import (
     run_convergence_sweep,
     run_experiment,
     sample_blocks,
-    sample_rescaled_rows,
     target_curve,
 )
 from kronphase import estimators, runner, sampler
@@ -37,6 +36,13 @@ from test_estimators import (
 )
 
 PAIR_M2_AT_1 = 0.79735763271532445
+
+
+def rescaled_rows(cfg, start, stop):
+    """Samples start .. stop - 1 on their rescaled circle, checked and
+    sorted, as the sample command writes them."""
+    P = cfg.factor_product
+    return circle_rows(rescale_points(runner.sample_phase_block(cfg, start, stop), P), P)
 
 
 def run_cli(*args):
@@ -229,7 +235,7 @@ class TestOutput:
 class TestRunner:
     def test_stream_policy(self):
         cfg = ExperimentConfig(mode="pair", dims=(2, 12), n_samples=4, seed=9)
-        row = sample_rescaled_rows(cfg, 3, 4)[0]
+        row = rescaled_rows(cfg, 3, 4)[0]
         gen = RngStream(9, 3).generator()
         a = eigenphases(sample_haar_unitary(2, gen))
         b = eigenphases(sample_haar_unitary(12, gen))
@@ -316,10 +322,10 @@ class TestRunner:
 
     def test_block_rows_equal_single_samples(self):
         cfg = ExperimentConfig(mode="triple", dims=(2, 3, 4), n_samples=9, seed=12)
-        rows = sample_rescaled_rows(cfg, 2, 9)
+        rows = rescaled_rows(cfg, 2, 9)
         assert rows.shape == (7, 24)
         for s, row in enumerate(rows, 2):
-            assert np.array_equal(row, sample_rescaled_rows(cfg, s, s + 1)[0])
+            assert np.array_equal(row, rescaled_rows(cfg, s, s + 1)[0])
 
     @pytest.mark.parametrize("mode, dims", [("single", (12,)), ("pair", (2, 12)), ("triple", (2, 3, 4))])
     def test_empty_sample_range_gives_an_empty_block(self, mode, dims):
@@ -327,13 +333,12 @@ class TestRunner:
         P = int(np.prod(dims))
         for start in (0, 3, 5):
             assert runner.sample_phase_block(cfg, start, start).shape == (0, P)
-            assert sample_rescaled_rows(cfg, start, start).shape == (0, P)
+            assert rescaled_rows(cfg, start, start).shape == (0, P)
 
     def test_sample_range_rejects_stop_below_start(self):
         cfg = ExperimentConfig(mode="pair", dims=(2, 12), n_samples=5, seed=3)
-        for fn in (runner.sample_phase_block, sample_rescaled_rows):
-            with pytest.raises(ValueError, match="stop 2 is below start 4"):
-                fn(cfg, 4, 2)
+        with pytest.raises(ValueError, match="stop 2 is below start 4"):
+            runner.sample_phase_block(cfg, 4, 2)
 
     @pytest.mark.parametrize("mode, dims", [("single", (12,)), ("pair", (2, 12)), ("triple", (2, 3, 4))])
     def test_block_size_invariance(self, mode, dims, tmp_path, monkeypatch):
@@ -371,8 +376,7 @@ class TestRunner:
 
             return counted
 
-        for module in (estimators, runner):
-            monkeypatch.setattr(module, "circle_rows", spy(module.circle_rows))
+        monkeypatch.setattr(estimators, "circle_rows", spy(estimators.circle_rows))
         run_experiment(cfg)
         assert calls == [b - a for a, b in sample_blocks(cfg)] == [21, 9]
 
@@ -415,7 +419,7 @@ class TestRunner:
             bundle, manifest = run_experiment(cfg)
             # against the per-sample references, which share no code with the run
             L, edges = float(cfg.factor_product), np.linspace(0.0, cfg.delta_max, cfg.n_bins + 1)
-            configs = [RescaledConfig(sample_rescaled_rows(cfg, s, s + 1)[0], L) for s in range(cfg.n_samples)]
+            configs = [RescaledConfig(rescaled_rows(cfg, s, s + 1)[0], L) for s in range(cfg.n_samples)]
             batch_counts = np.zeros_like(bundle.pair.batch_counts)
             for s, c in enumerate(configs):
                 hist = pair_gap_histogram_loop(c.points, L, cfg.delta_max, edges)
@@ -489,6 +493,12 @@ class TestRunner:
         for run in (run_experiment, lambda c: run_convergence_sweep(c, [12])):
             with pytest.raises(ValueError, match="n_samples must be >= 2.*got 1"):
                 run(cfg)
+
+    def test_run_functions_refuse_what_is_not_a_config(self):
+        # a dict used to reach the sweep's cfg.mode as an AttributeError
+        for run in (run_experiment, lambda c: run_convergence_sweep(c, [12])):
+            with pytest.raises(ValueError, match="^a run needs an ExperimentConfig, got dict$"):
+                run({"mode": "pair", "dims": (2, 12), "n_samples": 4, "seed": 3})
 
     def test_sweep_honours_the_configured_curve(self):
         cfg = ExperimentConfig(mode="pair", dims=(2, 8), n_samples=60, seed=13, n_bins=12, curve="poisson")
@@ -640,10 +650,14 @@ class TestCli:
         assert "single mode" in r.stderr
         assert not (tmp_path / "phases.csv").exists()
 
-    def test_sample_rejected_by_the_sampler_writes_no_file(self, tmp_path):
-        # the first block is drawn before phases.csv is opened, so a factor
-        # the sampler rejects neither creates nor truncates the file
-        argv = ["sample", "--mode", "pair", "--dims", "600,2", "--samples", "1", "--seed", "1"]
+    def test_sample_rejected_by_the_sampler_writes_no_file(self, tmp_path, monkeypatch):
+        # the first block is drawn before phases.csv is opened, so a draw
+        # the sampler refuses neither creates nor truncates the file
+        def refuse(dims, streams):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(runner, "sample_haar_block", refuse)
+        argv = ["sample", "--mode", "pair", "--dims", "2,12", "--samples", "1", "--seed", "1"]
         assert cli.main(argv + ["--out", str(tmp_path / "new")]) == 1
         assert not (tmp_path / "new" / "phases.csv").exists()
         (tmp_path / "phases.csv").write_text("kept\n")
@@ -665,6 +679,32 @@ class TestCli:
         argv += ["--n-values", "12,16"] if command == "sweep" else []
         assert cli.main(argv + ["--out", str(out)]) == 1
         assert "n_samples must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--mode", "pair", "--dims", "2,10", "--samples", "20", "--n-values", "10,600"],
+            ["correlate", "--mode", "single", "--dims", "600", "--samples", "20"],
+            ["correlate", "--mode", "triple", "--dims", "2,3,4", "--samples", "20", "--delta-max", "2"],
+        ],
+        ids=["sweep", "correlate", "tensor-capacity"],
+    )
+    def test_oversize_config_is_refused_before_any_draw(self, argv, tmp_path, monkeypatch, capsys):
+        # the sweep once drew every sample of n = 10 before the sampler
+        # refused n = 600; the caps are read at call time, as the sampler's are
+        monkeypatch.setattr(kronphase.processes, "DEFAULT_TENSOR_CAPACITY", 20)
+        drawn, draw = [], runner.sample_haar_block
+
+        def spy(dims, streams):
+            drawn.append(dims)
+            return draw(dims, streams)
+
+        monkeypatch.setattr(runner, "sample_haar_block", spy)
+        out = tmp_path / "not-made"
+        assert cli.main(argv + ["--seed", "1", "--out", str(out)]) == 1
+        assert "exceed" in capsys.readouterr().err
+        assert drawn == []
         assert not out.exists()
 
     def test_sample_takes_one_sample(self, tmp_path):
