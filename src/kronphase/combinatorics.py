@@ -5,19 +5,19 @@ process, each dilated by m, is a sum over set partitions of {1,...,k}
 weighted by falling factorials of m.  This module enumerates the
 partitions, provides the exact Stirling/Bell arithmetic used to test
 them, and evaluates the superposed correlation together with its k = 2
-specialization.
+specialization.  The exact arithmetic takes integers only; the
+enumeration and the Stirling identity stop at kernels.DEFAULT_K_CAP.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from . import kernels
 from .errors import CapacityError
-from .kernels import as_int, check_points, rho_sine, sine_q
-
-# Bell(13) exceeds 2.7e7 partitions; enumeration beyond this is never
-# needed and only invites accidental memory blowups.
-PARTITION_K_CAP = 12
+from .kernels import as_int, check_points, rho_sine, shaped_like, sine_q
 
 
 def _rgs_blocks(k):
@@ -48,43 +48,29 @@ def set_partitions(k):
     A block is a tuple of ascending indices, and the blocks of a
     partition are ordered by smallest element.  Partitions are returned
     grouped by ascending block count; within a group the restricted-growth
-    enumeration order is kept.
+    enumeration order is kept.  k is at most kernels.DEFAULT_K_CAP.
     """
     k = as_int("set_partitions: k", k, 1)
-    if k > PARTITION_K_CAP:
+    if k > kernels.DEFAULT_K_CAP:
         raise CapacityError(
-            "set_partitions: k=%d exceeds cap %d" % (k, PARTITION_K_CAP)
+            "set_partitions: k=%d exceeds cap %d" % (k, kernels.DEFAULT_K_CAP)
         )
     return tuple(sorted(_rgs_blocks(k), key=len))
 
 
 def falling_factorial(x, p):
-    """x (x-1) ... (x-p+1); the empty product (p = 0) is 1.
-
-    Integer arguments are evaluated in exact integer arithmetic.
-    """
-    p = as_int("falling_factorial: p", p, 0)
-    if isinstance(x, (int, np.integer)):
-        out = 1
-        for i in range(p):
-            out *= int(x) - i
-        return out
-    out = 1.0
-    for i in range(p):
-        out *= x - i
-    return out
+    """x (x-1) ... (x-p+1) of integers, an exact int; the empty product
+    (p = 0) is 1."""
+    x, p = as_int("falling_factorial: x", x), as_int("falling_factorial: p", p, 0)
+    return math.prod(range(x - p + 1, x + 1))
 
 
 def stirling2_row(k):
     """Stirling numbers of the second kind S(k, p) for p = 0..k, exact ints."""
     k = as_int("stirling2_row: k", k, 0)
     row = [1]
-    for n in range(1, k + 1):
-        prev = row
-        row = [0] * (n + 1)
-        for p in range(1, n + 1):
-            row[p] = p * prev[p] if p < n else 0
-            row[p] += prev[p - 1]
+    for n in range(1, k + 1):  # S(n, p) = p S(n-1, p) + S(n-1, p-1)
+        row = [0] + [p * row[p] + row[p - 1] for p in range(1, n)] + [1]
     return row
 
 
@@ -94,24 +80,15 @@ def bell_number(k):
 
 
 def stirling_identity_residual(k, x):
-    """|sum_p S(k,p) x(x-1)...(x-p+1) - x^k|.
-
-    For integer x the sum is evaluated in exact integer arithmetic and
-    the residual is exactly 0.
-    """
-    k = as_int("stirling_identity_residual: k", k)
-    if k < 1 or k > PARTITION_K_CAP:
-        raise ValueError("stirling_identity_residual: need 1 <= k <= %d" % PARTITION_K_CAP)
+    """|sum_p S(k,p) x(x-1)...(x-p+1) - x^k| for integer x and
+    1 <= k <= kernels.DEFAULT_K_CAP, as a float.  The sum is exact integer
+    arithmetic, so the residual is exactly 0."""
+    k, x = as_int("stirling_identity_residual: k", k), as_int("stirling_identity_residual: x", x)
+    if not 1 <= k <= kernels.DEFAULT_K_CAP:
+        raise ValueError("stirling_identity_residual: need 1 <= k <= %d" % kernels.DEFAULT_K_CAP)
     row = stirling2_row(k)
-    is_integral = isinstance(x, (int, np.integer)) or (
-        isinstance(x, float) and float(x).is_integer()
-    )
-    if is_integral:
-        xi = int(x)
-        total = sum(row[p] * falling_factorial(xi, p) for p in range(1, k + 1))
-        return float(abs(total - xi ** k))
-    total = sum(row[p] * falling_factorial(float(x), p) for p in range(1, k + 1))
-    return abs(total - float(x) ** k)
+    total = sum(row[p] * falling_factorial(x, p) for p in range(1, k + 1))
+    return float(abs(total - x**k))
 
 
 def rho_superposed_sine(m, points):
@@ -150,7 +127,4 @@ def rho_superposed_pair(m, delta):
     """
     m = as_int("rho_superposed_pair: m", m, 1)
     q = sine_q(np.asarray(delta, dtype=float) / m)
-    out = 1.0 - q * q / m
-    if np.ndim(delta) == 0:
-        return float(out)
-    return out
+    return shaped_like(delta, 1.0 - q * q / m)

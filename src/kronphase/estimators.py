@@ -99,24 +99,24 @@ def _walk_offsets(rows, ext, pair=None, triple=None):
     At offset k, w = ext[:, k : k + P] holds the k-th next point of every
     point and grows with k, so each part stops at the first offset that no
     row reaches; offset P (w = rows + L) is past both reaches.
-    pair = (delta_max, edges, segments) bins the gaps w - rows in (0,
-    delta_max] of each segment a:b of rows, one per unordered pair, at the
-    offset that makes them: it sorts them in place and adds the gaps below
-    each edge, the sort and search np.histogram runs on array bins (no gap
-    lies below the first edge, 0, and all lie at or below the last,
-    delta_max), so it holds at most one offset's gaps of one segment, B * P
-    floats, at a time.  triple = (r1, r2, tol) counts ordered triples with
-    gaps r1 +- tol/2 and r2 +- tol/2 from the base as searchsorted(ext_row,
-    pts + (r + tol/2), "right") - searchsorted(ext_row, pts + (r - tol/2),
-    "left") does: rounding keeps lower <= upper, so counting lower <= w <=
-    upper at each offset, for both windows at once, adds (w <= upper) -
-    (w < lower).  A count is at most 2P, so int32 holds it.  A part not
-    asked for returns None.
+    pair = (edges, segments) bins the gaps w - rows in (0, delta_max], with
+    delta_max = edges[-1], of each segment a:b of rows, one per unordered
+    pair, at the offset that makes them: it sorts them in place and adds
+    the gaps below each edge, the sort and search np.histogram runs on
+    array bins (no gap lies below the first edge, 0, and all lie at or
+    below the last, delta_max), so it holds at most one offset's gaps of
+    one segment, B * P floats, at a time.  triple = (r1, r2, tol) counts
+    ordered triples with gaps r1 +- tol/2 and r2 +- tol/2 from the base as
+    searchsorted(ext_row, pts + (r + tol/2), "right") -
+    searchsorted(ext_row, pts + (r - tol/2), "left") does: rounding keeps
+    lower <= upper, so counting lower <= w <= upper at each offset, for
+    both windows at once, adds (w <= upper) - (w < lower).  A count is at
+    most 2P, so int32 holds it.  A part not asked for returns None.
     """
     P = rows.shape[-1]
     hists = triples = None
     if pair is not None:
-        delta_max, edges, segments = pair
+        edges, segments = pair
         below_edge = np.zeros((len(segments), edges.size), dtype=np.int64)
         d, near = np.empty(rows.shape), np.empty(rows.shape, dtype=bool)
     if triple is not None:
@@ -134,7 +134,7 @@ def _walk_offsets(rows, ext, pair=None, triple=None):
         np.copyto(w, ext[:, k : k + P])
         if pair_on:
             np.subtract(w, rows, out=d)
-            np.less_equal(d, delta_max, out=near)
+            np.less_equal(d, edges[-1], out=near)
             pair_on = near.any()
             near &= d > 0.0
             for (a, b), c in zip(segments, below_edge):
@@ -289,14 +289,15 @@ class Accumulator:
         L, n = as_float("circumference", circumference), as_int("n_samples", n_samples, 1)
         if not 0.0 < L < np.inf:
             raise ValueError("circumference must be positive and finite")
-        self.L, self.n_samples, self.pair, self.triple = L, n, pair, triple
-        self.delta_max = None if pair is None else as_float("delta_max", pair[0])
+        self.L, self.n_samples, self.triple = L, n, triple
         self.lengths = tuple(float(ell) for ell in lengths)
+        self.edges = None  # the pair grid; linspace sets its last edge to delta_max exactly
         if pair is not None:
-            if not 0.0 < self.delta_max <= L / 2:
+            delta_max = as_float("delta_max", pair[0])
+            if not 0.0 < delta_max <= L / 2:
                 raise ValueError("delta_max must lie in (0, L/2]")
             n_bins = as_int("n_bins", pair[1], 1)
-            self.edges = np.linspace(0.0, self.delta_max, n_bins + 1)
+            self.edges = np.linspace(0.0, delta_max, n_bins + 1)
             self.batch_counts = np.zeros((min(DEFAULT_N_BATCHES, n), n_bins))
             self.batch_samples = np.zeros(len(self.batch_counts), dtype=np.int64)
         self.n_offsets = as_int("n_offsets", n_offsets, 1)
@@ -340,15 +341,15 @@ class Accumulator:
         self.n_points += B * P
         ext = np.concatenate([rows, rows + self.L], axis=-1)
         pair = None
-        if self.pair is not None:
+        if self.edges is not None:
             nb = self.batch_samples.size
             batch = ((first + np.arange(B)) * nb) // self.n_samples
             self.batch_samples += np.bincount(batch, minlength=nb)
             cuts = [0, *(np.flatnonzero(np.diff(batch)) + 1), B]
-            pair = (self.delta_max, self.edges, list(zip(cuts[:-1], cuts[1:])))
+            pair = (self.edges, list(zip(cuts[:-1], cuts[1:])))
         hists, triples = _walk_offsets(rows, ext, pair, self.triple if P >= 3 else None)
         if pair is not None:
-            for (r0, _), h in zip(pair[2], hists):
+            for (r0, _), h in zip(pair[1], hists):
                 self.batch_counts[batch[r0]] += 2.0 * h
         if triples is not None:
             self.triples += triples
@@ -371,7 +372,7 @@ class Accumulator:
         if n == 0:
             raise ValueError("estimator input must contain at least one configuration")
         pair = spacings = triple = None
-        if self.pair is not None:
+        if self.edges is not None:
             pair = CorrelationHistogram(self.edges, L, self.batch_counts.copy(), self.batch_samples.copy())
         if self.spacing_bins is not None:
             if n != self.n_samples or self.gaps.shape[1] < 2:

@@ -25,9 +25,9 @@ TWO_PI = 2.0 * math.pi
 # earlier, but the fixed switch point keeps the error monotone near 0.
 TAYLOR_CUTOFF = 1e-8
 
-# Correlation order cap. Determinants stay cheap far beyond this, but
-# empirical estimators cannot reach k much above 3 at desk scale, so
-# larger orders only burn CPU in property sweeps.
+# Correlation order cap, also of set_partitions (Bell(8) = 4140 of them)
+# and the Stirling identity. Determinants stay cheap far beyond it, but
+# estimators cannot reach k much above 3 at desk scale.
 DEFAULT_K_CAP = 8
 
 # Per-order tolerance for round-off negatives out of the determinant.
@@ -50,6 +50,12 @@ def as_float(name, value):
     if isinstance(value, (bool, np.bool_)):
         raise ValueError("%s must be a number, got %r" % (name, value))
     return float(value)
+
+
+def shaped_like(u, out):
+    """out as a plain float when u is a scalar (a number or a 0-d array),
+    else out as it is: the one scalar rule of the analytic functions."""
+    return float(out) if np.ndim(u) == 0 else out
 
 
 def _check_finite(name, arr):
@@ -79,10 +85,7 @@ def sine_q(u):
     x = np.pi * arr
     small = np.abs(arr) < TAYLOR_CUTOFF
     safe = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 - x * x / 6.0, np.sin(safe) / safe)
-    if np.ndim(u) == 0:
-        return float(out)
-    return out
+    return shaped_like(u, np.where(small, 1.0 - x * x / 6.0, np.sin(safe) / safe))
 
 
 def reduce_phases(x):
@@ -100,10 +103,7 @@ def reduce_phases(x):
 def reduce_to_pi(u):
     """Reduce an angle (or array) mod 2pi into (-pi, pi]."""
     r = reduce_phases(u)
-    r = np.where(r > np.pi, r - TWO_PI, r)
-    if np.ndim(u) == 0:
-        return float(r)
-    return r
+    return shaped_like(u, np.where(r > np.pi, r - TWO_PI, r))
 
 
 def cue_s(n, u):
@@ -121,10 +121,7 @@ def cue_s(n, u):
     safe = np.where(small, 1.0, r)
     direct = np.sin(0.5 * n * safe) / np.sin(0.5 * safe)
     taylor = n * (1.0 - (n * n - 1.0) * r * r / 24.0)
-    out = np.where(small, taylor, direct) / TWO_PI
-    if np.ndim(u) == 0:
-        return float(out)
-    return out
+    return shaped_like(u, np.where(small, taylor, direct) / TWO_PI)
 
 
 def _det_clamped(mat, k):

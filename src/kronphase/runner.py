@@ -28,7 +28,7 @@ from .combinatorics import rho_superposed_pair, rho_superposed_sine
 from .config import ExperimentConfig
 from .estimators import DEFAULT_COUNT_OFFSETS, DEFAULT_TRIPLE_TOL, Accumulator
 from .gof import KS_MIN_N, compare_to_curve, ks_against_exponential
-from .kernels import as_int, rho_sine
+from .kernels import as_int, rho_sine, shaped_like
 from .output import write_csv, write_manifest
 from .processes import rescale_points, tensor_phases
 from .sampler import RngStream, block_length, eigenphases, sample_haar_block
@@ -126,7 +126,7 @@ def limit_law(kind, m):
 
     kind is a config curve: "sine_pair", "superposed" (m superposed sine
     processes, each dilated by m) or "poisson".  The pair correlation
-    takes a scalar or an array of distances.
+    takes an array of distances, or a scalar, for which it gives a float.
     """
     if kind == "sine_pair":
         # the 1-fold superposition: its q * q rounds alike for a scalar and
@@ -139,7 +139,7 @@ def limit_law(kind, m):
             lambda pts: rho_superposed_sine(m, pts),
         )
     if kind == "poisson":
-        return "poisson", lambda d: np.ones_like(d, dtype=float), lambda pts: 1.0
+        return "poisson", lambda d: shaped_like(d, np.ones_like(d, dtype=float)), lambda pts: 1.0
     raise ValueError("unknown limit law %r" % (kind,))
 
 
@@ -260,6 +260,7 @@ def run_convergence_sweep(cfg, n_values, out_dir=None):
     cfg must be in pair mode; its dims[1] is replaced by each value of
     n_values in turn, and only the pair histogram is accumulated and
     compared with target_curve, as in run_experiment.  One row dict per n.
+    A refused size raises its error, of its type, as "n_values: n=<n>: ...".
     """
     _check_run_config(cfg)
     if cfg.mode != "pair":
@@ -270,7 +271,12 @@ def run_convergence_sweep(cfg, n_values, out_dir=None):
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("n_values must be strictly ascending")
     # every size's config is checked, caps included, before the first draw
-    subs = [replace(cfg, dims=(cfg.dims[0], n)) for n in n_values]
+    subs = []
+    for n in n_values:
+        try:
+            subs.append(replace(cfg, dims=(cfg.dims[0], n)))
+        except ValueError as exc:  # a CapacityError stays one
+            raise type(exc)("n_values: n=%d: %s" % (n, exc)) from exc
     rows = []
     for sub in subs:
         hist = _accumulate_samples(sub, pair=(sub.delta_max, sub.n_bins)).pair

@@ -3,10 +3,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kronphase import CapacityError
+from kronphase import CapacityError, kernels
 from kronphase.acceptance import rho_superposed_reference
 from kronphase.combinatorics import (
-    PARTITION_K_CAP,
     bell_number,
     falling_factorial,
     rho_superposed_pair,
@@ -59,9 +58,19 @@ class TestSetPartitions:
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            set_partitions(PARTITION_K_CAP + 1)
+            set_partitions(kernels.DEFAULT_K_CAP + 1)
         with pytest.raises(ValueError):
             set_partitions(0)
+
+    def test_cap_is_read_at_call_time(self, monkeypatch):
+        # the one correlation-order cap bounds the enumeration and the identity
+        monkeypatch.setattr(kernels, "DEFAULT_K_CAP", 3)
+        assert len(set_partitions(3)) == 5
+        with pytest.raises(CapacityError, match="set_partitions: k=4 exceeds cap 3"):
+            set_partitions(4)
+        assert stirling_identity_residual(3, 2) == 0.0
+        with pytest.raises(ValueError, match="need 1 <= k <= 3"):
+            stirling_identity_residual(4, 2)
 
 
 class TestExactArithmetic:
@@ -73,8 +82,10 @@ class TestExactArithmetic:
         assert isinstance(falling_factorial(4, 3), int)
 
     def test_falling_factorial_float(self):
-        assert falling_factorial(2.5, 2) == pytest.approx(3.75, rel=1e-15)
-        assert isinstance(falling_factorial(2.5, 1), float)
+        # the exact arithmetic takes integers only, as every size argument does
+        with pytest.raises(ValueError, match="falling_factorial: x must be an integer, got 2.5"):
+            falling_factorial(2.5, 2)
+        assert falling_factorial(-2, 3) == -24
 
     def test_stirling_row_values(self):
         assert stirling2_row(0) == [1]
@@ -91,14 +102,10 @@ class TestExactArithmetic:
         for k in range(1, 9):
             for x in range(0, 11):
                 assert stirling_identity_residual(k, x) == 0.0
-        assert stirling_identity_residual(8, 10.0) == 0.0
-
-    def test_identity_residual_small_for_floats(self):
-        gen = np.random.Generator(np.random.PCG64(3))
-        for _ in range(50):
-            k = int(gen.integers(1, 9))
-            x = float(gen.uniform(0.0, 10.0))
-            assert stirling_identity_residual(k, x) <= 1e-6 * max(1.0, x**k)
+        assert type(stirling_identity_residual(8, np.int64(10))) is float
+        for k, x in ((3, 1.5), (8, 10.0)):  # an integral float is refused too, not truncated
+            with pytest.raises(ValueError, match="stirling_identity_residual: x must be an integer"):
+                stirling_identity_residual(k, x)
 
 
 class TestSuperposedSine:

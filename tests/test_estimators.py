@@ -276,7 +276,7 @@ class TestPairGapHistogram:
         assert (np.diff(rows, axis=-1) == 0.0).sum(axis=-1).min() >= 6
         edges = np.linspace(0.0, delta_max, 9)
         ext = np.concatenate([rows, rows + L], axis=-1)
-        hists, _ = estimators._walk_offsets(rows, ext, (delta_max, edges, segments))
+        hists, _ = estimators._walk_offsets(rows, ext, (edges, segments))
         assert hists.shape == (len(segments), edges.size - 1)
         for (a, b), h in zip(segments, hists):
             gaps = np.concatenate([segment_gaps(rows[a:b], L, delta_max, k) for k in range(1, rows.shape[1] + 1)])
@@ -734,7 +734,7 @@ class TestAccumulator:
         # 27 (B, P) float arrays
         assert sum(per_offset) * 8 > 27 * rows.nbytes
         bound = 2 * rows.nbytes + 2 * rows.size + 8 * max(per_offset) + 8192
-        pair = (16.0, np.linspace(0.0, 16.0, 33), [(0, 150)])
+        pair = (np.linspace(0.0, 16.0, 33), [(0, 150)])
         tracemalloc.start()
         try:
             estimators._walk_offsets(rows, ext, pair)

@@ -60,10 +60,12 @@ SITES = [
     ("hadamard_bound k", lambda v: hadamard_bound(v, 4), 2),
     ("hadamard_bound n", lambda v: hadamard_bound(2, v), 4),
     ("set_partitions k", set_partitions, 3),
+    ("falling_factorial x", lambda v: falling_factorial(v, 2), 5),
     ("falling_factorial p", lambda v: falling_factorial(5, v), 2),
     ("stirling2_row k", stirling2_row, 3),
     ("bell_number k", bell_number, 3),
-    ("stirling_identity_residual k", lambda v: stirling_identity_residual(v, 1.5), 3),
+    ("stirling_identity_residual k", lambda v: stirling_identity_residual(v, 2), 3),
+    ("stirling_identity_residual x", lambda v: stirling_identity_residual(3, v), 2),
     ("rho_superposed_sine m", lambda v: rho_superposed_sine(v, [0.0, 1.0]), 2),
     ("rho_superposed_pair m", lambda v: rho_superposed_pair(v, 1.0), 2),
     ("Accumulator n_samples", lambda v: Accumulator(8.0, v), 2),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kronphase import CapacityError, kernels
+from kronphase.combinatorics import rho_superposed_pair
 from kronphase.kernels import (
     TWO_PI,
     cue_s,
@@ -19,6 +20,24 @@ INV_PI_SQ = 0.10132118364233778
 FIVE_OVER_2PI = 0.79577471545947676
 SEVEN_OVER_2PI = 1.1140846016432675
 INV_2PI = 0.15915494309189535
+
+
+# the functions that follow kernels.shaped_like: a float for a scalar
+SCALAR_RULE = {
+    "sine_q": sine_q,
+    "reduce_to_pi": reduce_to_pi,
+    "cue_s": lambda u: cue_s(5, u),
+    "rho_superposed_pair": lambda u: rho_superposed_pair(2, u),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_RULE))
+def test_a_scalar_gives_a_float_and_an_array_an_array(name):
+    fn = SCALAR_RULE[name]
+    for u in (4.1, np.float64(4.1), np.array(4.1)):
+        assert type(fn(u)) is float
+    out = fn(np.array([4.1]))
+    assert isinstance(out, np.ndarray) and out.shape == (1,) and out[0] == fn(4.1)
 
 
 class TestSineQ:

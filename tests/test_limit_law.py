@@ -90,6 +90,15 @@ class TestLimitLaw:
         assert isinstance(pair(grid), np.ndarray) and np.array_equal(pair(grid), np.ones(7))
         assert kpoint([0.0, 1.0, 2.0]) == 1.0
 
+    @pytest.mark.parametrize("kind", ["sine_pair", "superposed", "poisson"])
+    def test_pair_curve_gives_a_float_for_a_scalar(self, kind):
+        pair = limit_law(kind, 3)[1]
+        for d in (1.3, np.float64(1.3), np.array(1.3)):
+            assert type(pair(d)) is float
+        grid = np.array([0.3, 1.3, 2.2])
+        out = pair(grid)
+        assert isinstance(out, np.ndarray) and np.array_equal(out, [pair(d) for d in grid])
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown limit law"):
             limit_law("superposed_pair", 2)

@@ -500,6 +500,15 @@ class TestRunner:
             with pytest.raises(ValueError, match="^a run needs an ExperimentConfig, got dict$"):
                 run({"mode": "pair", "dims": (2, 12), "n_samples": 4, "seed": 3})
 
+    def test_sweep_names_the_size_that_failed(self):
+        # the size's own error type is kept, so a CapacityError stays one
+        cfg = ExperimentConfig(mode="pair", dims=(2, 10), n_samples=20, seed=1)
+        with pytest.raises(kronphase.CapacityError, match="^n_values: n=600: dims: n=600 exceeds max"):
+            run_convergence_sweep(cfg, [10, 600])
+        with pytest.raises(ValueError, match=r"^n_values: n=1: delta_max must lie in") as info:
+            run_convergence_sweep(cfg, [1, 10])
+        assert type(info.value) is ValueError
+
     def test_sweep_honours_the_configured_curve(self):
         cfg = ExperimentConfig(mode="pair", dims=(2, 8), n_samples=60, seed=13, n_bins=12, curve="poisson")
         rows = run_convergence_sweep(cfg, [8, 12])
@@ -704,6 +713,25 @@ class TestCli:
         out = tmp_path / "not-made"
         assert cli.main(argv + ["--seed", "1", "--out", str(out)]) == 1
         assert "exceed" in capsys.readouterr().err
+        assert drawn == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "n_values, message",
+        [("1,10", "n_values: n=1: delta_max must lie in"), ("0,10", "n_values: n=0: dims must be positive")],
+    )
+    def test_sweep_names_the_size_that_failed(self, n_values, message, tmp_path, monkeypatch, capsys):
+        drawn, draw = [], runner.sample_haar_block
+
+        def spy(dims, streams):
+            drawn.append(dims)
+            return draw(dims, streams)
+
+        monkeypatch.setattr(runner, "sample_haar_block", spy)
+        out = tmp_path / "not-made"
+        argv = ["sweep", "--mode", "pair", "--dims", "2,10", "--samples", "20", "--seed", "1"]
+        assert cli.main(argv + ["--n-values", n_values, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: " + message)
         assert drawn == []
         assert not out.exists()
 
