@@ -83,9 +83,9 @@ def stirling_identity_residual(k, x):
     """|sum_p S(k,p) x(x-1)...(x-p+1) - x^k| for integer x and
     1 <= k <= kernels.DEFAULT_K_CAP, as a float.  The sum is exact integer
     arithmetic, so the residual is exactly 0."""
-    k, x = as_int("stirling_identity_residual: k", k), as_int("stirling_identity_residual: x", x)
-    if not 1 <= k <= kernels.DEFAULT_K_CAP:
-        raise ValueError("stirling_identity_residual: need 1 <= k <= %d" % kernels.DEFAULT_K_CAP)
+    k, x = as_int("stirling_identity_residual: k", k, 1), as_int("stirling_identity_residual: x", x)
+    if k > kernels.DEFAULT_K_CAP:
+        raise CapacityError("stirling_identity_residual: k=%d exceeds cap %d" % (k, kernels.DEFAULT_K_CAP))
     row = stirling2_row(k)
     total = sum(row[p] * falling_factorial(x, p) for p in range(1, k + 1))
     return float(abs(total - x**k))

@@ -6,7 +6,7 @@ configuration enters through the gaps between its points around the
 circle and through its point counts in arcs of a fixed translation grid,
 so the estimates of a rotated process have the same law.  In floating
 point a rotation is not exact: rotated coordinates round, the triple
-windows compare absolute positions (ext <= rows + c), and the arc grid
+windows compare absolute positions (w <= rows + c), and the arc grid
 does not turn with the points.  Points on a dyadic grid, turned by a
 multiple of the arc-grid step, avoid all three and give bit-identical
 estimates.
@@ -92,14 +92,15 @@ class CorrelationHistogram:
         return np.std(means, axis=0, ddof=1) / np.sqrt(b)
 
 
-def _walk_offsets(rows, ext, pair=None, triple=None):
+def _walk_offsets(rows, L, pair=None, triple=None):
     """Pair gap counts and triple window count of a (B, P) block of sorted
-    rows, ext = [rows, rows + L], from one walk over the offsets k = 1, 2, ...
+    rows on a circle of circumference L, from one walk over the offsets k.
 
-    At offset k, w = ext[:, k : k + P] holds the k-th next point of every
-    point and grows with k, so each part stops at the first offset that no
-    row reaches; offset P (w = rows + L) is past both reaches.
-    pair = (edges, segments) bins the gaps w - rows in (0, delta_max], with
+    At offset k, w = [rows[:, k:], rows[:, :k] + L] holds the k-th next
+    point of every point and grows with k, so each part stops at the first
+    offset that no row reaches; offset P (w = rows + L) is past both.  The
+    triple part reads w, then the pair part turns it into the gaps w - rows.
+    pair = (edges, segments) bins the gaps in (0, delta_max], with
     delta_max = edges[-1], of each segment a:b of rows, one per unordered
     pair, at the offset that makes them: it sorts them in place and adds
     the gaps below each edge, the sort and search np.histogram runs on
@@ -107,18 +108,18 @@ def _walk_offsets(rows, ext, pair=None, triple=None):
     below the last, delta_max), so it holds at most one offset's gaps of
     one segment, B * P floats, at a time.  triple = (r1, r2, tol) counts
     ordered triples with gaps r1 +- tol/2 and r2 +- tol/2 from the base as
-    searchsorted(ext_row, pts + (r + tol/2), "right") -
-    searchsorted(ext_row, pts + (r - tol/2), "left") does: rounding keeps
-    lower <= upper, so counting lower <= w <= upper at each offset, for
-    both windows at once, adds (w <= upper) - (w < lower).  A count is at
-    most 2P, so int32 holds it.  A part not asked for returns None.
+    searchsorted(ext, pts + (r + tol/2), "right") - searchsorted(ext, pts +
+    (r - tol/2), "left") does on ext = [row, row + L]: rounding keeps lower
+    <= upper, so counting lower <= w <= upper at each offset, for both
+    windows at once, adds (w <= upper) - (w < lower).  A count is at most
+    2P, so int32 holds it.  A part not asked for returns None.
     """
     P = rows.shape[-1]
     hists = triples = None
     if pair is not None:
         edges, segments = pair
         below_edge = np.zeros((len(segments), edges.size), dtype=np.int64)
-        d, near = np.empty(rows.shape), np.empty(rows.shape, dtype=bool)
+        near = np.empty(rows.shape, dtype=bool)
     if triple is not None:
         r1, r2, tol = triple
         # lower and upper bounds of the r1 and r2 windows in one array; four arrays fragment the heap
@@ -130,26 +131,27 @@ def _walk_offsets(rows, ext, pair=None, triple=None):
     for k in range(1, P + 1):
         if not (pair_on or triple_on):
             break
-        # a contiguous copy lets every ufunc below run over the block as one loop
-        np.copyto(w, ext[:, k : k + P])
-        if pair_on:
-            np.subtract(w, rows, out=d)
-            np.less_equal(d, edges[-1], out=near)
-            pair_on = near.any()
-            near &= d > 0.0
-            for (a, b), c in zip(segments, below_edge):
-                g = d[a:b][near[a:b]]
-                if g.size:
-                    g.sort()
-                    c[1:-1] += np.searchsorted(g, edges[1:-1])
-                    c[-1] += g.size
-                del g  # so that the next gaps replace these, not join them
+        # a contiguous window lets every ufunc below run over the block as one loop
+        np.copyto(w[:, : P - k], rows[:, k:])
+        np.add(rows[:, :k], L, out=w[:, P - k :])
         if triple_on:
             np.less_equal(w, upper, out=below)
             np.less_equal(lower, w, out=hit)
             hit &= below
             inside += hit
             triple_on = below[1].any()
+        if pair_on:
+            np.subtract(w, rows, out=w)
+            np.less_equal(w, edges[-1], out=near)
+            pair_on = near.any()
+            near &= w > 0.0
+            for (a, b), c in zip(segments, below_edge):
+                g = np.compress(near[a:b].ravel(), w[a:b].ravel())
+                if g.size:
+                    g.sort()
+                    c[1:-1] += np.searchsorted(g, edges[1:-1])
+                    c[-1] += g.size
+                del g  # so that the next gaps replace these, not join them
     if triple is not None:
         if (lower <= rows).any():
             # a lower bound that rounds onto its point also takes the copies of
@@ -178,16 +180,16 @@ def _arc_grid(circumference, lengths, n_offsets):
     return ends[order], rank.reshape(-1, n)
 
 
-def _arc_counts(ext, grid, rank):
-    """(B, len(lengths), n_offsets) point counts of the rows of ext in the
+def _arc_counts(rows, L, grid, rank):
+    """(B, len(lengths), n_offsets) point counts of the sorted rows in the
     arcs [t, t + length): one searchsorted into the sorted ends, a bincount
-    and a cumsum give the points below each end, as searchsorted(ext_row,
-    end, "left") does.  A point at or past the last end lands in bucket
-    G - 1, which no end reads, so the search skips the columns of rows + L
-    where every (sorted) row is past it."""
-    B, G, P = ext.shape[0], grid.size + 1, ext.shape[1] // 2
-    reach = P + int(np.searchsorted(ext[:, P:].min(axis=0), grid[-1]))
-    pos = np.searchsorted(grid, ext[:, :reach], side="right") + G * np.arange(B)[:, None]
+    and a cumsum give the points below each end, as searchsorted([row,
+    row + L], end, "left") does.  A point at or past the last end lands in
+    bucket G - 1, which no end reads, so of rows + L the search takes only
+    the first j columns, where some (sorted) row still lies below it."""
+    B, G, j = rows.shape[0], grid.size + 1, int(np.searchsorted(rows.min(axis=0) + L, grid[-1]))
+    pts = np.concatenate([rows, rows[:, :j] + L], axis=-1)
+    pos = np.searchsorted(grid, pts, side="right") + G * np.arange(B)[:, None]
     below = np.cumsum(np.bincount(pos.ravel(), minlength=B * G).reshape(B, G), axis=-1)[:, rank]
     return below[:, 1:] - below[:, :1]
 
@@ -248,12 +250,11 @@ class Accumulator:
 
     Rows are configurations in [-L/2, L/2), which add_block checks and
     sorts through processes.circle_rows; it takes them as samples
-    first_index, first_index + 1, ...  Per block one ext = [pts, pts + L]
-    serves all parts.  One walk over the offsets 1, 2, ... of each point
-    gives the pair gaps, binned per batch segment at the offset that
-    makes them, and the triple windows, each part up to its own reach; a
-    window counts the points between its bounds at each offset.  One searchsorted of the
-    rows, and of the wrapped points below the last arc end, into the fixed
+    first_index, first_index + 1, ...  One walk over the offsets 1, 2, ...
+    of each point, its window built from the rows, gives the pair gaps,
+    binned per batch segment at the offset that makes them, and the triple
+    windows, each part up to its own reach.  One searchsorted of the rows,
+    and of the wrapped points below the last arc end, into the fixed
     translation grid gives the arc counts, and the gaps go to the spacing
     pool.  Every count is an exact integer, so blocks may come in any
     order and be of any size; the result is the same bit for bit.
@@ -261,8 +262,8 @@ class Accumulator:
     Memory is O(n_samples * P), from the spacing pool only: the gaps of
     every sample, kept for the spacing histogram and its KS test, so every
     block must have the pool's P.  All other parts have a fixed size, and
-    a block's temporaries, the walk's gap buffers among them, are O(B * P)
-    on any points, degenerate ones included.
+    a block's temporaries, the walk's window and one offset's gaps among
+    them, are O(B * P) on any points, degenerate ones included.
 
     finalize normalizes and sorts the pool in place and hands it to the
     SpacingHistogram, so it makes no second pool-sized array; it consumes
@@ -339,7 +340,6 @@ class Accumulator:
             raise ValueError("the spacing pool holds %d points per sample, this block %d" % (self.gaps.shape[1], P))
         self.added[first : first + B] = True
         self.n_points += B * P
-        ext = np.concatenate([rows, rows + self.L], axis=-1)
         pair = None
         if self.edges is not None:
             nb = self.batch_samples.size
@@ -347,14 +347,14 @@ class Accumulator:
             self.batch_samples += np.bincount(batch, minlength=nb)
             cuts = [0, *(np.flatnonzero(np.diff(batch)) + 1), B]
             pair = (self.edges, list(zip(cuts[:-1], cuts[1:])))
-        hists, triples = _walk_offsets(rows, ext, pair, self.triple if P >= 3 else None)
+        hists, triples = _walk_offsets(rows, self.L, pair, self.triple if P >= 3 else None)
         if pair is not None:
             for (r0, _), h in zip(pair[1], hists):
                 self.batch_counts[batch[r0]] += 2.0 * h
         if triples is not None:
             self.triples += triples
         if self.lengths:
-            counts = _arc_counts(ext, *self.arc_grid)
+            counts = _arc_counts(rows, self.L, *self.arc_grid)
             for i in range(len(self.lengths)):
                 self.s1[i] += int(counts[:, i].sum())
                 self.s2[i] += int((counts[:, i] * counts[:, i]).sum())
@@ -484,5 +484,5 @@ def interval_counts(cfg, lengths, n_offsets=DEFAULT_COUNT_OFFSETS):
     translation grid is deterministic; stationarity of the process makes
     it statistically equivalent to random translations.
     """
-    ext = np.concatenate([cfg.points, cfg.points + cfg.circumference])[None]
-    return _arc_counts(ext, *_arc_grid(cfg.circumference, lengths, n_offsets))[0]
+    L = cfg.circumference
+    return _arc_counts(cfg.points[None], L, *_arc_grid(L, lengths, n_offsets))[0]

@@ -61,6 +61,12 @@ class TestSetPartitions:
             set_partitions(kernels.DEFAULT_K_CAP + 1)
         with pytest.raises(ValueError):
             set_partitions(0)
+        # the identity has the enumeration's cap and error type
+        with pytest.raises(CapacityError):
+            stirling_identity_residual(kernels.DEFAULT_K_CAP + 1, 2)
+        with pytest.raises(ValueError) as small:
+            stirling_identity_residual(0, 2)
+        assert type(small.value) is ValueError
 
     def test_cap_is_read_at_call_time(self, monkeypatch):
         # the one correlation-order cap bounds the enumeration and the identity
@@ -69,7 +75,7 @@ class TestSetPartitions:
         with pytest.raises(CapacityError, match="set_partitions: k=4 exceeds cap 3"):
             set_partitions(4)
         assert stirling_identity_residual(3, 2) == 0.0
-        with pytest.raises(ValueError, match="need 1 <= k <= 3"):
+        with pytest.raises(CapacityError, match="stirling_identity_residual: k=4 exceeds cap 3"):
             stirling_identity_residual(4, 2)
 
 

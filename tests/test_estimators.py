@@ -275,8 +275,7 @@ class TestPairGapHistogram:
         rows = circle_rows(np.concatenate([base, base[:, :6]], axis=1), L)
         assert (np.diff(rows, axis=-1) == 0.0).sum(axis=-1).min() >= 6
         edges = np.linspace(0.0, delta_max, 9)
-        ext = np.concatenate([rows, rows + L], axis=-1)
-        hists, _ = estimators._walk_offsets(rows, ext, (edges, segments))
+        hists, _ = estimators._walk_offsets(rows, L, (edges, segments))
         assert hists.shape == (len(segments), edges.size - 1)
         for (a, b), h in zip(segments, hists):
             gaps = np.concatenate([segment_gaps(rows[a:b], L, delta_max, k) for k in range(1, rows.shape[1] + 1)])
@@ -729,19 +728,37 @@ class TestAccumulator:
         assert sum(per_offset) > 1 << 18
         acc = accumulate_in_blocks(rows, 64.0, [(0, 150)], [0], **parts_of(settings_))
         check_against_references(rows, 64.0, acc=acc, **settings_)
-        # the pair walk holds w, d, two masks, the largest offset's gaps and
-        # 8 KiB of small objects at most, where all its gaps together take
-        # 27 (B, P) float arrays
+        # the pair walk holds its window w, which turns into the gaps, two
+        # masks, the largest offset's gaps with np.compress's index of them,
+        # and 8 KiB of small objects at most, where all its gaps together
+        # take 27 (B, P) float arrays
         assert sum(per_offset) * 8 > 27 * rows.nbytes
-        bound = 2 * rows.nbytes + 2 * rows.size + 8 * max(per_offset) + 8192
+        bound = rows.nbytes + 2 * rows.size + 16 * max(per_offset) + 8192
         pair = (np.linspace(0.0, 16.0, 33), [(0, 150)])
         tracemalloc.start()
         try:
-            estimators._walk_offsets(rows, ext, pair)
+            estimators._walk_offsets(rows, 64.0, pair)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= bound, (peak, bound)
+
+    def test_triple_block_holds_no_wrapped_copy_of_its_rows(self):
+        # one 64 x 512 block of sorted rows, as the triple workload rescales
+        # them, with every part: the walk builds each offset's window from
+        # the rows, so the block's peak has no (B, 2P) wrapped copy
+        # [rows, rows + L] and no gap buffer beside the window (2.80 MiB with
+        # both, 2.05 MiB without)
+        L = 512.0
+        points = np.sort(np.random.default_rng(25).uniform(-L / 2, L / 2, (64, 512)), axis=-1)
+        acc = Accumulator(L, 64, pair=(4.0, 40), lengths=(1.0, 2.0, 4.0), triple=(1.0, 2.0, 0.2), spacing_bins=40)
+        tracemalloc.start()
+        try:
+            acc.add_block(points, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.4 * 2**20, peak
 
     def test_rejects_overlap_and_missing_rows(self):
         rows = np.stack([lattice_sample(16.0).points] * 4)
@@ -931,6 +948,30 @@ class TestKernelEdges:
         assert acc.s2 == [sum(int((mat * mat).sum()) for mat in mats)]
         cfgs = [RescaledConfig(pts, L) for pts in rows]
         assert list(acc.finalize().count_var) == count_variance_reference(cfgs, [L / 2], n_offsets)
+
+    @pytest.mark.parametrize(
+        "L, P, lengths, n_offsets, tied, wrapped",
+        [
+            (16.0, 24, (0.25, 1.0), 8, False, "none"),
+            (16.0, 24, (1.0, 8.0), 8, True, "all"),
+            (80.0, 80, (1.0, 2.0, 4.0), 32, False, "some"),
+        ],
+        ids=["no-wrapped-column", "all-tied-at-minus-half-L", "fewer-points-than-arc-ends"],
+    )
+    def test_arc_counts_of_a_block(self, L, P, lengths, n_offsets, tied, wrapped):
+        # the search reads the wrapped copies rows + L only in the columns
+        # where some row still lies below the last arc end: in none of them,
+        # in all (every point on -L/2, whose copy sits inside the L/2 arcs),
+        # or in a few, with fewer points per row than arc ends (the 2x40 shape)
+        rng = np.random.default_rng(P)
+        rows = np.full((6, P), -L / 2) if tied else np.sort(rng.uniform(-L / 2, L / 2, (6, P)), axis=-1)
+        grid, rank = estimators._arc_grid(L, lengths, n_offsets)
+        columns = int((rows + L < grid[-1]).any(axis=0).sum())
+        assert {"none": columns == 0, "all": columns == P, "some": 0 < columns < P < grid.size}[wrapped]
+        want = np.stack([interval_counts_searchsorted(pts, L, lengths, n_offsets) for pts in rows])
+        assert np.array_equal(estimators._arc_counts(rows, L, grid, rank), want)
+        for pts, mat in zip(rows, want):
+            assert np.array_equal(interval_counts(RescaledConfig(pts, L), lengths, n_offsets), mat)
 
     def test_pair_gaps_of_blocks_with_and_without_ties(self):
         # the zero gaps of repeated points are left out, next to a block

@@ -944,8 +944,10 @@ class TestPeakMemory:
 
     def test_correlate_blocks_add_little_beyond_the_pool(self, tmp_path):
         # 500 samples of 512 points keep a 2.05 MB pool; the pair walk bins
-        # one offset's gaps at a time, so the blocks add about 3.4 MiB more
-        # (about 4.6 MiB when a block's gaps were binned together)
+        # one offset's gaps at a time and builds each offset's window from
+        # the rows, so the blocks add about 2.8 MiB more (about 3.4 MiB with
+        # a (B, 2P) wrapped copy of each block, about 4.6 MiB when a block's
+        # gaps were binned together)
         argv = ["correlate", "--mode", "triple", "--dims", "2,16,16", "--k-analytic", "3", "--seed", "3"]
         small, large = peak_rss_bytes(tmp_path, argv + ["--samples", "2"], argv + ["--samples", "500"])
         pool = 500 * 512 * 8
