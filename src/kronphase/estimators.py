@@ -5,10 +5,9 @@ spacings, and interval count variance.  Everything is circular: a
 configuration enters through the gaps between its points around the
 circle and through its point counts in arcs of a fixed translation grid,
 so the estimates of a rotated process have the same law.  In floating
-point a rotation is not exact: rotated coordinates round, the triple
-windows compare absolute positions (w <= rows + c), and the arc grid
-does not turn with the points.  Points on a dyadic grid, turned by a
-multiple of the arc-grid step, avoid all three and give bit-identical
+point a rotation is not exact: rotated coordinates round, and the arc
+grid does not turn with the points.  Points on a dyadic grid, turned by
+a multiple of the arc-grid step, avoid both and give bit-identical
 estimates.
 
 One Accumulator computes all of them from (B, P) blocks of sorted rows
@@ -97,22 +96,21 @@ def _walk_offsets(rows, L, pair=None, triple=None):
     rows on a circle of circumference L, from one walk over the offsets k.
 
     At offset k, w = [rows[:, k:], rows[:, :k] + L] holds the k-th next
-    point of every point and grows with k, so each part stops at the first
-    offset that no row reaches; offset P (w = rows + L) is past both.  The
-    triple part reads w, then the pair part turns it into the gaps w - rows.
-    pair = (edges, segments) bins the gaps in (0, delta_max], with
-    delta_max = edges[-1], of each segment a:b of rows, one per unordered
-    pair, at the offset that makes them: it sorts them in place and adds
-    the gaps below each edge, the sort and search np.histogram runs on
-    array bins (no gap lies below the first edge, 0, and all lie at or
-    below the last, delta_max), so it holds at most one offset's gaps of
-    one segment, B * P floats, at a time.  triple = (r1, r2, tol) counts
-    ordered triples with gaps r1 +- tol/2 and r2 +- tol/2 from the base as
-    searchsorted(ext, pts + (r + tol/2), "right") - searchsorted(ext, pts +
-    (r - tol/2), "left") does on ext = [row, row + L]: rounding keeps lower
-    <= upper, so counting lower <= w <= upper at each offset, for both
-    windows at once, adds (w <= upper) - (w < lower).  A count is at most
-    2P, so int32 holds it.  A part not asked for returns None.
+    point of every point, and one subtraction turns it in place into the
+    gaps w - rows that both parts read.  The gaps grow with k, so each
+    part stops at the first offset that no row reaches; offset P (gaps of
+    about L) is past both.  pair = (edges, segments) bins the gaps in
+    (0, delta_max], with delta_max = edges[-1], of each segment a:b of
+    rows, one per unordered pair, at the offset that makes them: it sorts
+    them in place and adds the gaps below each edge, the sort and search
+    np.histogram runs on array bins (no gap lies below the first edge, 0,
+    and all lie at or below the last, delta_max), so it holds at most one
+    offset's gaps of one segment, B * P floats, at a time.  triple =
+    (r1, r2, tol) counts, per base point, the later points whose gap lies
+    in [r - tol/2, r + tol/2] (bounds rounded once; r1 - tol/2 > 0 keeps
+    ties at gap 0 out) in one int32 counter per window (a count is at most
+    P), and sums the products of the two counts.  A part not asked for
+    returns None.
     """
     P = rows.shape[-1]
     hists = triples = None
@@ -122,10 +120,9 @@ def _walk_offsets(rows, L, pair=None, triple=None):
         near = np.empty(rows.shape, dtype=bool)
     if triple is not None:
         r1, r2, tol = triple
-        # lower and upper bounds of the r1 and r2 windows in one array; four arrays fragment the heap
-        lower, upper = rows + np.array([[r1 - tol / 2, r2 - tol / 2], [r1 + tol / 2, r2 + tol / 2]])[:, :, None, None]
-        inside = np.zeros(lower.shape, dtype=np.int32)
-        hit, below = np.empty(lower.shape, dtype=bool), np.empty(lower.shape, dtype=bool)
+        windows = ((r1 - tol / 2, r1 + tol / 2), (r2 - tol / 2, r2 + tol / 2))
+        inside = np.zeros((2,) + rows.shape, dtype=np.int32)
+        hit, below = np.empty(rows.shape, dtype=bool), np.empty(rows.shape, dtype=bool)
     pair_on, triple_on = pair is not None, triple is not None
     w = np.empty(rows.shape)
     for k in range(1, P + 1):
@@ -134,14 +131,15 @@ def _walk_offsets(rows, L, pair=None, triple=None):
         # a contiguous window lets every ufunc below run over the block as one loop
         np.copyto(w[:, : P - k], rows[:, k:])
         np.add(rows[:, :k], L, out=w[:, P - k :])
+        np.subtract(w, rows, out=w)
         if triple_on:
-            np.less_equal(w, upper, out=below)
-            np.less_equal(lower, w, out=hit)
-            hit &= below
-            inside += hit
-            triple_on = below[1].any()
+            for (lo, hi), c in zip(windows, inside):
+                np.less_equal(lo, w, out=hit)
+                np.less_equal(w, hi, out=below)
+                hit &= below
+                c += hit
+            triple_on = below.any()  # a gap at or below r2 + tol/2
         if pair_on:
-            np.subtract(w, rows, out=w)
             np.less_equal(w, edges[-1], out=near)
             pair_on = near.any()
             near &= w > 0.0
@@ -152,14 +150,11 @@ def _walk_offsets(rows, L, pair=None, triple=None):
                     c[1:-1] += np.searchsorted(g, edges[1:-1])
                     c[-1] += g.size
                 del g  # so that the next gaps replace these, not join them
+    del w  # the products of the counters take its place
     if triple is not None:
-        if (lower <= rows).any():
-            # a lower bound that rounds onto its point also takes the copies of
-            # the point at or before it, which no offset >= 1 reaches
-            idx = np.arange(P)
-            first = np.maximum.accumulate(np.where(np.diff(rows, prepend=-np.inf) > 0, idx, 0), axis=-1)
-            inside += np.where(lower <= rows, idx + 1 - first, 0)
-        triples = int(np.multiply(inside[0], inside[1], dtype=np.int64).sum())
+        n = 1 << 13  # counts at a time, so the int64 products and their casts take no (B, P) array
+        flat = inside.reshape(2, -1)
+        triples = sum(int(np.multiply(*flat[:, i : i + n], dtype=np.int64).sum()) for i in range(0, flat.shape[1], n))
     if pair is not None:
         hists = np.diff(below_edge, axis=-1)
     return hists, triples
@@ -251,13 +246,14 @@ class Accumulator:
     Rows are configurations in [-L/2, L/2), which add_block checks and
     sorts through processes.circle_rows; it takes them as samples
     first_index, first_index + 1, ...  One walk over the offsets 1, 2, ...
-    of each point, its window built from the rows, gives the pair gaps,
-    binned per batch segment at the offset that makes them, and the triple
-    windows, each part up to its own reach.  One searchsorted of the rows,
-    and of the wrapped points below the last arc end, into the fixed
-    translation grid gives the arc counts, and the gaps go to the spacing
-    pool.  Every count is an exact integer, so blocks may come in any
-    order and be of any size; the result is the same bit for bit.
+    of each point, its window built from the rows and turned into the
+    gaps, gives the pair gaps, binned per batch segment at the offset that
+    makes them, and the triple windows, each part up to its own reach.  One
+    searchsorted of the rows, and of the wrapped points below the last arc
+    end, into the fixed translation grid gives the arc counts, and the gaps
+    go to the spacing pool.  Every count is an exact integer, so blocks may
+    come in any order and be of any size; the result is the same bit for
+    bit.
 
     Memory is O(n_samples * P), from the spacing pool only: the gaps of
     every sample, kept for the spacing histogram and its KS test, so every
@@ -271,10 +267,12 @@ class Accumulator:
 
     Parts: pair = (delta_max, n_bins) in DEFAULT_N_BATCHES sample batches, arc
     lengths for count variances over n_offsets translations, triple =
-    (r1, r2, tol), and spacing_bins for the spacing pool.  The triple
-    estimate is the window count over every base point divided by
-    n_samples * L * tol^2, 1 for a unit-intensity Poisson process; its box
-    kernel carries an O(tol^2) bias where the target has curvature.
+    (r1, r2, tol), and spacing_bins for the spacing pool.  A later point
+    is in a triple window when its rounded gap from the base lies in
+    [r - tol/2, r + tol/2].  The triple estimate is the window count over
+    every base point divided by n_samples * L * tol^2, 1 for a
+    unit-intensity Poisson process; its box kernel carries an O(tol^2)
+    bias where the target has curvature.
     """
 
     def __init__(

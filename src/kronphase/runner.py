@@ -7,9 +7,9 @@ from them) depend only on its configuration.
 
 The pass hands blocks of consecutive samples (sample_blocks) to one
 estimators.Accumulator and draws each in sampler blocks, both sized by
-sampler.BLOCK_BYTES: the one by the Accumulator's (2, 2, B, P) bounds,
-the other by block_length of the (B, n, n) matrices, which with
-P < n^2 / 2 would send it few rows at a time.  Every sample still draws
+sampler.BLOCK_BYTES: the one at 32 bytes a point, the other by
+block_length of the (B, n, n) matrices, which with P < n^2 / 2 would
+send it few rows at a time.  Every sample still draws
 from its own stream, every sampling step works sample by sample and
 every accumulated count is an exact integer, so the results do not
 depend on either block size.  No per-sample object outlives its block.
@@ -77,8 +77,8 @@ def csv_preamble(cfg):
 
 def sample_blocks(cfg):
     """(start, stop) index ranges that cover samples 0 .. n_samples - 1 in
-    estimator blocks: the rows that fit in BLOCK_BYTES as the Accumulator's
-    (2, 2, B, P) triple-window bounds, and at least one sampler block."""
+    estimator blocks: the rows that fit in BLOCK_BYTES at 32 bytes a point
+    (the 2x40 pair's measured 102), and at least one sampler block."""
     P = cfg.factor_product
     step = max(block_length(cfg.dims, P), sampler.BLOCK_BYTES // (32 * P))
     return [(s, min(s + step, cfg.n_samples)) for s in range(0, cfg.n_samples, step)]

@@ -433,14 +433,14 @@ class TestTripleCorrelation:
     def test_hand_counted_window(self):
         cfg = RescaledConfig(points=np.array([0.0, 1.0, 2.0, 5.0]), circumference=12.0)
         assert triple_window_count(cfg, 1.0, 2.0, tol=0.2) == 1
-        assert triple_window_count_searchsorted(cfg.points, 12.0, 1.0, 2.0, 0.2) == 1
+        assert triple_window_count_by_gaps(cfg.points, 12.0, 1.0, 2.0, 0.2) == 1
         assert triple_estimate([cfg], 1.0, 2.0, 0.2) == pytest.approx(1.0 / (12.0 * 0.04))
 
     def test_poisson_near_one(self):
         samples = poisson_configs(40.0, 1500, seed=14)
         est = triple_estimate(samples, 1.0, 2.0, 0.5)
         assert est == pytest.approx(1.0, abs=0.15)
-        counts = [triple_window_count_searchsorted(cfg.points, 40.0, 1.0, 2.0, 0.5) for cfg in samples]
+        counts = [triple_window_count_by_gaps(cfg.points, 40.0, 1.0, 2.0, 0.5) for cfg in samples]
         assert est == sum(counts) / (len(samples) * 40.0 * 0.5**2)
 
     def test_geometry_validation(self):
@@ -546,20 +546,21 @@ class TestAgainstExactCurves:
             assert var == pytest.approx(exact, rel=0.1)
 
 
-# References for the block accumulator: the per-configuration searchsorted
-# estimators that it replaced, one configuration at a time.
+# References for the block accumulator, one configuration at a time: the
+# per-configuration searchsorted arc counts that it replaced, and the
+# triple windows by the gap rule, every later point's gap at once.
 
 
-def triple_window_count_searchsorted(pts, L, r1, r2, tol):
+def triple_window_count_by_gaps(pts, L, r1, r2, tol):
+    """Ordered triples of one sorted configuration: for each base i, the
+    points j > i of ext = [pts, pts + L] whose rounded gap ext[j] - pts[i]
+    lies in [r - tol/2, r + tol/2], one count per window, multiplied."""
     if pts.size < 3:
         return 0
     ext = np.concatenate([pts, pts + L])
-    c1 = np.searchsorted(ext, pts + (r1 + tol / 2), side="right") - np.searchsorted(
-        ext, pts + (r1 - tol / 2), side="left"
-    )
-    c2 = np.searchsorted(ext, pts + (r2 + tol / 2), side="right") - np.searchsorted(
-        ext, pts + (r2 - tol / 2), side="left"
-    )
+    gaps = ext[None, :] - pts[:, None]
+    later = np.arange(ext.size)[None, :] > np.arange(pts.size)[:, None]
+    c1, c2 = (np.count_nonzero(later & (r - tol / 2 <= gaps) & (gaps <= r + tol / 2), axis=1) for r in (r1, r2))
     return int(np.sum(c1 * c2))
 
 
@@ -608,7 +609,7 @@ def check_against_references(rows, L, delta_max, n_bins, n_batches, lengths, n_o
     assert np.array_equal(got.pair.estimate, batch_counts.sum(axis=0) / (n * 2.0 * L * np.diff(edges)))
 
     r1, r2, tol = triple
-    triples = [triple_window_count_searchsorted(pts, L, r1, r2, tol) for pts in rows]
+    triples = [triple_window_count_by_gaps(pts, L, r1, r2, tol) for pts in rows]
     assert [triple_window_count(cfg, r1, r2, tol) for cfg in cfgs] == triples
     assert acc.triples == sum(triples)
     assert got.triple == sum(triples) / (n * L * tol ** 2)
@@ -644,7 +645,7 @@ def blocked_runs(draw):
         repeats = draw(st.lists(st.sampled_from(base), min_size=P - len(base), max_size=P - len(base)))
         rows.append(np.sort(np.array(base + repeats)))
     tol = draw(st.floats(0.01, L / 16))
-    # r1 just above tol/2 puts the lower r1 bound onto its point
+    # r1 just above tol/2 puts the lower r1 bound just above gap 0, where a base's ties sit
     r1 = draw(st.one_of(st.just(float(np.nextafter(tol / 2, np.inf))), st.floats(tol / 2, L / 8)))
     r2 = draw(st.floats(r1 + tol, L / 4))
     assume(r1 - tol / 2 > 0 and r2 - r1 >= tol and r1 < r2 <= L / 4)
@@ -759,6 +760,24 @@ class TestAccumulator:
         finally:
             tracemalloc.stop()
         assert peak < 2.4 * 2**20, peak
+
+    def test_triple_walk_holds_no_window_bounds(self):
+        # the triple windows compare the walk's gaps with four scalars, so
+        # on the block above the walk holds its window, the (2, B, P) int32
+        # counters, two (B, P) masks, numpy's buffer that casts a mask to
+        # int32 as a counter adds it, and 8 KiB of small objects: no
+        # (2, B, P) float array of window bounds (2.0 MiB with them)
+        L = 512.0
+        rows = np.sort(np.random.default_rng(25).uniform(-L / 2, L / 2, (64, 512)), axis=-1)
+        bound = rows.nbytes + 2 * 4 * rows.size + 2 * rows.size + 4 * np.getbufsize() + 8192
+        tracemalloc.start()
+        try:
+            _, triples = estimators._walk_offsets(rows, L, None, (1.0, 2.0, 0.2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound < rows.nbytes + 2 * rows.nbytes + 2 * rows.size, (peak, bound)
+        assert triples == sum(triple_window_count_by_gaps(pts, L, 1.0, 2.0, 0.2) for pts in rows)
 
     def test_rejects_overlap_and_missing_rows(self):
         rows = np.stack([lattice_sample(16.0).points] * 4)
@@ -912,7 +931,7 @@ class TestKernelEdges:
         L, r1, r2, tol = 64.0, 1.0, 2.0, 0.2
         near = np.linspace(-spread, spread, 300)
         pts = np.sort(np.concatenate([[0.0], r1 + near, r2 + near, [10.0, 20.0]]))
-        want = triple_window_count_searchsorted(pts, L, r1, r2, tol)
+        want = triple_window_count_by_gaps(pts, L, r1, r2, tol)
         assert want >= 300 * 300
         assert triple_window_count(RescaledConfig(pts, L), r1, r2, tol) == want
         acc = Accumulator(L, 2, triple=(r1, r2, tol))
@@ -920,14 +939,42 @@ class TestKernelEdges:
         assert acc.triples == 2 * want
 
     def test_triple_windows_of_float32_gaps_are_those_of_their_values(self):
-        # in float32, r1 - tol/2 rounds above the point at its float64 value
+        # the second point's gap is r1 - tol/2 as float64 computes it, the
+        # lower r1 bound; float32 arithmetic puts that bound above the gap
         r1, r2, tol = np.float32(1.1), np.float32(2.3), np.float32(0.3)
         rows = np.array([[0.0, float(r1) - float(tol) / 2, float(r2), 5.0]])
-        want = triple_window_count_searchsorted(rows[0], 16.0, float(r1), float(r2), float(tol))
+        want = triple_window_count_by_gaps(rows[0], 16.0, float(r1), float(r2), float(tol))
         assert want == 1
         acc = Accumulator(16.0, 1, triple=(r1, r2, tol))
         acc.add_block(rows, 0)
         assert acc.triples == want
+
+    def test_ties_at_the_base_stay_out_of_the_r1_window(self):
+        # r1 - tol/2 is about 2.8e-17, so -0.75 + (r1 - tol/2) rounds onto
+        # the base at -0.75: an absolute lower bound takes the base itself,
+        # at gap 0, into its r1 window (2 triples with the two points at gap
+        # 0.75 in its r2 window), the gap rule does not
+        rows, L, triple = np.array([[-0.75, 0.0, 0.0]]), 4.0, (0.12500000000000003, 0.75, 0.25)
+        assert -0.75 + (triple[0] - triple[2] / 2) == -0.75 and triple[0] - triple[2] / 2 > 0
+        acc = Accumulator(L, 1, triple=triple)
+        acc.add_block(rows, 0)
+        assert acc.triples == 0
+        assert triple_window_count(RescaledConfig(rows[0], L), *triple) == 0
+        assert triple_window_count_by_gaps(rows[0], L, *triple) == 0
+
+    def test_ties_at_the_lower_r1_bound_count_each(self):
+        # windows [2^-54, 0.5] and [1.75, 2.25]; each base at 0 has its tie at
+        # gap 0 (out), two points at gap exactly 2^-54 (both in) and one at
+        # gap 2, so 2 triples each; the bases at 1.0 meet their ties at gap 0
+        # only, though 1.0 + 2^-54 rounds to 1.0, and the rest see no r1 gap
+        r1, r2, tol = float(np.nextafter(0.25, 1.0)), 2.0, 0.5
+        assert r1 - tol / 2 == 2.0**-54 and 1.0 + (r1 - tol / 2) == 1.0
+        pts = np.array([0.0, 0.0, 2.0**-54, 2.0**-54, 1.0, 1.0, 2.0, 3.0])
+        assert triple_window_count_by_gaps(pts, 16.0, r1, r2, tol) == 4
+        assert triple_window_count(RescaledConfig(pts, 16.0), r1, r2, tol) == 4
+        acc = Accumulator(16.0, 2, triple=(r1, r2, tol))
+        acc.add_block(np.stack([pts, pts - 4.0]), 0)
+        assert acc.triples == 4 + triple_window_count_by_gaps(pts - 4.0, 16.0, r1, r2, tol)
 
     @pytest.mark.parametrize("P", [2, 3, 4])
     def test_half_circle_arcs_count_the_wrapped_points(self, P):

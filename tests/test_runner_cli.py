@@ -32,7 +32,7 @@ from test_estimators import (
     circular_gaps_reference,
     count_variance_reference,
     pair_gap_histogram_loop,
-    triple_window_count_searchsorted,
+    triple_window_count_by_gaps,
 )
 
 PAIR_M2_AT_1 = 0.79735763271532445
@@ -431,7 +431,7 @@ class TestRunner:
             assert list(bundle.count_var) == count_variance_reference(configs, COUNT_LENGTHS), seed
             assert bundle.intensity == 1.0, seed
             r1, r2, tol = TRIPLE_R1, TRIPLE_R2, DEFAULT_TRIPLE_TOL
-            triples = sum(triple_window_count_searchsorted(c.points, L, r1, r2, tol) for c in configs)
+            triples = sum(triple_window_count_by_gaps(c.points, L, r1, r2, tol) for c in configs)
             assert manifest.summary["triple_estimate"] == triples / (cfg.n_samples * L * tol**2), seed
 
     def test_pair_csv_content(self, tmp_path):
