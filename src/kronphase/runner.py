@@ -102,6 +102,7 @@ def sample_phase_block(cfg, start, stop):
         streams = [RngStream(cfg.seed, i) for i in range(s, min(s + step, stop))]
         blocks.append([u if o else eigenphases(u) for u, o in zip(sample_haar_block(cfg.dims, streams), once)])
     factors = [np.concatenate(f) for f in zip(*blocks)]
+    del blocks
     return tensor_phases(*(eigenphases(f) if o else f for f, o in zip(factors, once)))
 
 

@@ -15,9 +15,11 @@ the key alone fixes the stream, and the bits are those of
 RngStream.generator() without a new generator per sample.  One fill
 takes all of a sample's uniforms.  The matrices are then stacked as
 (B, n, n) and go through Box-Muller, QR, the phase fix and the
-eigensolve as one numpy call each.  Every step works matrix by matrix
-(elementwise maps, and LAPACK called once per matrix by numpy's stacked
-linalg), so a draw's bytes do not depend on the block it was drawn in.
+eigensolve as one numpy call each.  The uniforms are freed before the
+first QR, and each Ginibre stack after its QR.  Every step works matrix
+by matrix (elementwise maps, and LAPACK called once per matrix by
+numpy's stacked linalg), so a draw's bytes do not depend on the block it
+was drawn in.
 `sample_haar_unitary` and `eigenphases` on a single matrix are the
 block-of-one case of the same code.
 """
@@ -48,9 +50,10 @@ CAYLEY_MAX_ABS = 2e3
 
 # The bytes block_length allows a block's largest factor stack, (B, n, n)
 # complex, or its (B, P) rows; sample_haar_block's uniforms for all factors,
-# 16 * sum(n^2) bytes per sample, may exceed it.  Large enough that numpy's
-# per-call overhead is spread over many small matrices (64 draws of 16 x 16,
-# 10 of 40 x 40), small enough that a block adds little to a run's memory.
+# 16 * sum(n^2) bytes per sample, may exceed it until the first QR frees
+# them.  Large enough that numpy's per-call overhead is spread over many small
+# matrices (64 draws of 16 x 16, 10 of 40 x 40), small enough that a block
+# adds little to a run's memory.
 BLOCK_BYTES = 1 << 18
 
 _U64 = 1 << 64
@@ -100,8 +103,8 @@ def block_length(dims, points=0):
     """Samples per sampler block, at least one: as many as fit in BLOCK_BYTES
     in the (B, n, n) complex matrices of the largest factor in dims (nonempty)
     or in the (B, points) float64 rows.  The uniforms that sample_haar_block
-    draws for every factor in one (B, sum(2 n^2)) array are not bounded: with
-    more than one factor they can exceed BLOCK_BYTES, 1.97 times at 24 x 24."""
+    draws for every factor in one (B, sum(2 n^2)) array, 1.97 times
+    BLOCK_BYTES at 24 x 24, are released before its first QR."""
     per_sample = max(16 * max(int(n) for n in dims) ** 2, 8 * int(points))
     return max(1, BLOCK_BYTES // per_sample)
 
@@ -152,29 +155,31 @@ def sample_haar_block(dims, gens):
     # per sample: u1 then u2 of each factor, in dims order
     uniforms = np.empty((len(gens), sum(2 * n * n for n in dims)))
     keyed = None
-    for row, gen in zip(uniforms, gens):
+    for b, gen in enumerate(gens):
         if isinstance(gen, RngStream):
             if keyed is None:  # its seed is replaced by every re-key
                 keyed = np.random.Generator(np.random.Philox(0))
             _rekey(keyed.bit_generator, gen)
             gen = keyed
-        gen.random(out=row)
-    stacks, start = [], 0
+        gen.random(out=uniforms[b])
+    ginibres, start = [], 0
     for n in dims:
         u1, u2 = uniforms[:, start : start + n * n], uniforms[:, start + n * n : start + 2 * n * n]
-        stacks.append(_haar_from_ginibre(_complex_ginibre(u1, u2, n)))
+        ginibres.append(_complex_ginibre(u1, u2, n))
         start += 2 * n * n
-    return stacks
+    uniforms = u1 = u2 = None  # freed before the first QR, each Ginibre stack after its own
+    return [_haar_from_ginibre(ginibres.pop(0)) for _ in dims]
 
 
 def _haar_from_ginibre(z):
     """QR of each Ginibre matrix, with each column of Q rescaled by the unit
     phase of the matching diagonal entry of R.  Without that phase
     correction the law is not Haar (the moment tests reject it), so the
-    correction is not optional."""
+    correction is not optional.  Q is scaled in place, not copied."""
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+    q *= (d / np.abs(d))[..., None, :]
+    return q
 
 
 def sample_haar_unitary(n, rng):

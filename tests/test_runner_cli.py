@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -945,13 +946,30 @@ class TestPeakMemory:
     def test_correlate_blocks_add_little_beyond_the_pool(self, tmp_path):
         # 500 samples of 512 points keep a 2.05 MB pool; the pair walk bins
         # one offset's gaps at a time and builds each offset's window from
-        # the rows, so the blocks add about 2.8 MiB more (about 3.4 MiB with
-        # a (B, 2P) wrapped copy of each block, about 4.6 MiB when a block's
-        # gaps were binned together)
+        # the rows, and the draw frees its uniforms before the QRs, so the
+        # blocks add about 1.8 MiB more
         argv = ["correlate", "--mode", "triple", "--dims", "2,16,16", "--k-analytic", "3", "--seed", "3"]
         small, large = peak_rss_bytes(tmp_path, argv + ["--samples", "2"], argv + ["--samples", "500"])
         pool = 500 * 512 * 8
         assert large - small <= pool + 4.2 * 2**20, (small, large)
+
+    @pytest.mark.parametrize("mode, dims, rows", [("pair", (24, 24), 28), ("triple", (2, 16, 16), 64)])
+    def test_phase_block_holds_the_draws_working_set(self, mode, dims, rows):
+        # one sampler block: the uniforms go before the QRs, Q takes the
+        # phase fix in place and the drawn blocks go before the eigensolves,
+        # so the peak is about 5.6 (B, n, n) complex stacks, an eigensolve
+        # beside the other factor's unitaries
+        cfg = ExperimentConfig(mode=mode, dims=dims, n_samples=rows, seed=3)
+        assert sampler.block_length(dims, cfg.factor_product) == rows
+        stack = 16 * rows * max(dims) ** 2
+        runner.sample_phase_block(cfg, 0, rows)  # warm-up
+        tracemalloc.start()
+        try:
+            runner.sample_phase_block(cfg, 0, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5 * stack, peak / stack
 
     def test_sample_holds_one_block(self, tmp_path):
         argv = ["sample", "--mode", "pair", "--dims", "24,24", "--seed", "3"]

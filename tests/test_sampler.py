@@ -329,6 +329,21 @@ class TestStackedDraws:
                 assert stack.shape == (5, n, n)
                 assert np.array_equal(stack[s], sample_haar_unitary(n, gen))
 
+    @pytest.mark.parametrize("seed", KEY_WORDS)
+    def test_block_matches_qr_oracle(self, seed):
+        # each matrix is Q of the stream's own Box-Muller oracle, its columns
+        # scaled by the unit phases of R's diagonal: the phase fix checked
+        # bit for bit, where a freed or aliased uniform slice would show
+        dims, streams = (2, 7, 3), [RngStream(seed, s) for s in KEY_WORDS]
+        stacks = sample_haar_block(dims, streams)
+        for b, stream in enumerate(streams):
+            u = oracle_generator(stream.seed, stream.stream_id).random(sum(2 * n * n for n in dims))
+            for n, stack in zip(dims, stacks):
+                u1, u2, u = u[: n * n], u[n * n : 2 * n * n], u[2 * n * n :]
+                q, r = np.linalg.qr(reference_ginibre(u1, u2, n)[0])
+                d = np.diag(r)
+                assert same_bits(stack[b], q * (d / abs(d)))
+
     def test_mixed_entries_match_one_at_a_time(self):
         shared = RngStream(8, 90).generator()
         entries = [RngStream(8, 0), shared, RngStream(8, 2), shared, RngStream(8, 90).generator()]
