@@ -183,8 +183,8 @@ def _arc_counts(rows, L, grid, rank):
     bucket G - 1, which no end reads, so of rows + L the search takes only
     the first j columns, where some (sorted) row still lies below it."""
     B, G, j = rows.shape[0], grid.size + 1, int(np.searchsorted(rows.min(axis=0) + L, grid[-1]))
-    pts = np.concatenate([rows, rows[:, :j] + L], axis=-1)
-    pos = np.searchsorted(grid, pts, side="right") + G * np.arange(B)[:, None]
+    pos = np.searchsorted(grid, np.concatenate([rows, rows[:, :j] + L], axis=-1), side="right")
+    pos += G * np.arange(B)[:, None]  # the searched points are freed, the offsets added in place
     below = np.cumsum(np.bincount(pos.ravel(), minlength=B * G).reshape(B, G), axis=-1)[:, rank]
     return below[:, 1:] - below[:, :1]
 

@@ -91,10 +91,11 @@ def rescale_points(phases, factor_product):
         raise ValueError(
             "rescale_points: factor product %d does not match %d phases" % (P, phases.shape[-1])
         )
-    theta = (P / TWO_PI) * (phases - np.pi)
-    # Rounding can land exactly on +P/2, which is the same circle point
-    # as -P/2.
-    return np.where(theta >= P / 2, theta - P, theta)
+    theta = phases - np.pi
+    theta *= P / TWO_PI
+    # Rounding can land exactly on +P/2, the circle point -P/2; fixed in place.
+    theta[theta >= P / 2] -= P
+    return theta
 
 
 def circle_rows(points, circumference):

@@ -6,13 +6,14 @@ order in one serial pass, so a run's results (and the CSV bytes written
 from them) depend only on its configuration.
 
 The pass hands blocks of consecutive samples (sample_blocks) to one
-estimators.Accumulator and draws each in sampler blocks, both sized by
-sampler.BLOCK_BYTES: the one at 32 bytes a point, the other by
-block_length of the (B, n, n) matrices, which with P < n^2 / 2 would
-send it few rows at a time.  Every sample still draws
-from its own stream, every sampling step works sample by sample and
-every accumulated count is an exact integer, so the results do not
-depend on either block size.  No per-sample object outlives its block.
+estimators.Accumulator and draws each factor by factor, in sampler
+blocks, both sized by sampler.BLOCK_BYTES: the one at 32 bytes a point,
+the other by block_length([n]) of the factor's (B, n, n) matrices (4,096
+samples of 2 x 2 span an estimator block), which with P < n^2 / 2 would
+send the estimators few rows at a time.  Every sample still draws from
+its own stream, every sampling step works sample by sample and every
+accumulated count is an exact integer, so the results do not depend on
+either block size.  No per-sample object outlives its block.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .gof import KS_MIN_N, compare_to_curve, ks_against_exponential
 from .kernels import as_int, rho_sine, shaped_like
 from .output import write_csv, write_manifest
 from .processes import rescale_points, tensor_phases
-from .sampler import RngStream, block_length, eigenphases, sample_haar_block
+from .sampler import RngStream, block_length, eigenphases, sample_haar_factor
 
 STREAM_POLICY = "sample index s uses stream_id = s"
 
@@ -78,7 +79,7 @@ def csv_preamble(cfg):
 def sample_blocks(cfg):
     """(start, stop) index ranges that cover samples 0 .. n_samples - 1 in
     estimator blocks: the rows that fit in BLOCK_BYTES at 32 bytes a point
-    (the 2x40 pair's measured 102), and at least one sampler block."""
+    (the 2x40 pair's measured 102), and at least block_length(dims, P)."""
     P = cfg.factor_product
     step = max(block_length(cfg.dims, P), sampler.BLOCK_BYTES // (32 * P))
     return [(s, min(s + step, cfg.n_samples)) for s in range(0, cfg.n_samples, step)]
@@ -87,23 +88,21 @@ def sample_blocks(cfg):
 def sample_phase_block(cfg, start, stop):
     """Sorted phases in [0, 2pi) of samples start .. stop - 1, one row each.
 
-    Sample s draws its factors, in order, from stream (seed, s), in
-    sampler blocks of block_length(dims, P) samples; a factor whose stack
-    for the whole range fits BLOCK_BYTES is solved once, the others per
-    sampler block, before one tensor sum.  An empty range gives (0, P).
+    Sample s draws each factor from its own word of stream (seed, s).  The
+    factors are drawn and solved one at a time, in blocks of
+    block_length([n]) samples, so no block holds two factors' stacks; their
+    phases go to one tensor sum.  An empty range gives (0, P).
     """
     start, stop = as_int("start", start), as_int("stop", stop)
     if stop < start:
         raise ValueError("sample range: stop %d is below start %d" % (stop, start))
-    step = block_length(cfg.dims, cfg.factor_product)
-    once = [block_length([n]) >= stop - start for n in cfg.dims]
-    blocks = []
-    for s in range(start, stop, step) or [start]:  # an empty range draws one empty block
-        streams = [RngStream(cfg.seed, i) for i in range(s, min(s + step, stop))]
-        blocks.append([u if o else eigenphases(u) for u, o in zip(sample_haar_block(cfg.dims, streams), once)])
-    factors = [np.concatenate(f) for f in zip(*blocks)]
-    del blocks
-    return tensor_phases(*(eigenphases(f) if o else f for f, o in zip(factors, once)))
+    streams = [RngStream(cfg.seed, s) for s in range(start, stop)]
+    factors = []
+    for i, n in enumerate(cfg.dims):
+        step = block_length([n])
+        blocks = range(0, len(streams), step) or [0]  # an empty range draws one empty block
+        factors.append(np.concatenate([eigenphases(sample_haar_factor(cfg.dims, i, streams[b : b + step])) for b in blocks]))
+    return tensor_phases(*factors)
 
 
 def _accumulate_samples(cfg, **parts):

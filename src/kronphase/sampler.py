@@ -8,16 +8,17 @@ from Box-Muller on the uniform stream, which keeps the byte-level
 output independent of any library's normal-variate algorithm.
 
 Draws are made in blocks.  The uniforms of each draw still come from its
-own stream, in the order a one-at-a-time loop would take them.  A block
-builds one Philox generator and re-keys it to each sample's (seed,
-stream_id) through the public state setter: Philox is counter-based, so
-the key alone fixes the stream, and the bits are those of
-RngStream.generator() without a new generator per sample.  One fill
-takes all of a sample's uniforms.  The matrices are then stacked as
-(B, n, n) and go through Box-Muller, QR, the phase fix and the
-eigensolve as one numpy call each.  The uniforms are freed before the
-first QR, and each Ginibre stack after its QR.  Every step works matrix
-by matrix (elementwise maps, and LAPACK called once per matrix by
+own stream, in the order a one-at-a-time loop would take them: factor i
+of a sample starts at word W_i = sum(2 n_j^2 for j < i) of its stream.
+A block sets one Philox generator to each sample's stream through the
+public state setter and one reused state dict: Philox is counter-based,
+so key and counter W_i // 4 place it at the four words holding W_i (the
+first W_i % 4 are dropped), with the bits of RngStream.generator().
+sample_haar_factor draws one factor so, sample_haar_block every factor
+of a sample in one fill.  The matrices are then stacked as (B, n, n) and
+go through Box-Muller, QR, the phase fix and the eigensolve as one numpy
+call each, the uniforms freed before the first QR.  Every step works
+matrix by matrix (elementwise maps, and LAPACK called once per matrix by
 numpy's stacked linalg), so a draw's bytes do not depend on the block it
 was drawn in.
 `sample_haar_unitary` and `eigenphases` on a single matrix are the
@@ -49,11 +50,9 @@ UNITARITY_TOL = 1e-8
 CAYLEY_MAX_ABS = 2e3
 
 # The bytes block_length allows a block's largest factor stack, (B, n, n)
-# complex, or its (B, P) rows; sample_haar_block's uniforms for all factors,
-# 16 * sum(n^2) bytes per sample, may exceed it until the first QR frees
-# them.  Large enough that numpy's per-call overhead is spread over many small
-# matrices (64 draws of 16 x 16, 10 of 40 x 40), small enough that a block
-# adds little to a run's memory.
+# complex, or its (B, P) rows.  Large enough that numpy's per-call overhead
+# is spread over many small matrices (64 draws of 16 x 16, 10 of 40 x 40),
+# small enough that a block adds little to a run's memory.
 BLOCK_BYTES = 1 << 18
 
 _U64 = 1 << 64
@@ -76,35 +75,37 @@ class RngStream:
                 raise ValueError("RngStream: %s must be in [0, 2^64)" % name)
 
     def generator(self):
-        """Fresh numpy Generator positioned at the start of this stream."""
-        return np.random.Generator(np.random.Philox(key=_philox_key(self)))
+        """Fresh numpy Generator positioned at the start of this stream.  Its
+        Philox key is the 128-bit integer (seed << 64) | stream_id, least
+        significant word first."""
+        return np.random.Generator(np.random.Philox(key=np.array([self.stream_id, self.seed], dtype=np.uint64)))
 
 
-def _philox_key(stream):
-    """The two uint64 words of the Philox key of a stream: the 128-bit
-    integer (seed << 64) | stream_id, least significant word first."""
-    return np.array([stream.stream_id, stream.seed], dtype=np.uint64)
-
-
-def _rekey(bitgen, stream):
-    """Position a Philox bit generator at the start of stream, with the bits
-    of a fresh one built from its key: counter 0, empty output buffer."""
-    bitgen.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": _philox_key(stream)},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+def _uniforms(gens, width, word=0):
+    """(len(gens), width) uniforms, row b from gens[b]: the one fill loop.
+    An RngStream entry gives words word .. word + width - 1 of its stream
+    (its first word % 4 draws fill columns the result drops); a Generator
+    entry, at word 0 only, its next width draws."""
+    skip, keyed = word % 4, None
+    out = np.empty((len(gens), skip + width))
+    for row, gen in zip(out, gens):
+        if isinstance(gen, RngStream):
+            if keyed is None:  # its seed is replaced by every state set
+                keyed, key = np.random.Generator(np.random.Philox(0)), [0, 0]
+                state = {"bit_generator": "Philox", "state": {"counter": [word // 4, 0, 0, 0], "key": key},
+                         "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            key[0], key[1] = gen.stream_id, gen.seed  # lists: the setter reads them 2.8x faster than arrays
+            keyed.bit_generator.state = state
+            gen = keyed
+        gen.random(out=row)
+    return out[:, skip:]
 
 
 def block_length(dims, points=0):
     """Samples per sampler block, at least one: as many as fit in BLOCK_BYTES
     in the (B, n, n) complex matrices of the largest factor in dims (nonempty)
-    or in the (B, points) float64 rows.  The uniforms that sample_haar_block
-    draws for every factor in one (B, sum(2 n^2)) array, 1.97 times
-    BLOCK_BYTES at 24 x 24, are released before its first QR."""
+    or in the (B, points) float64 rows.  A factor's (B, 2 n^2) uniforms,
+    from its own word of each sample's stream, take as much as its stack."""
     per_sample = max(16 * max(int(n) for n in dims) ** 2, 8 * int(points))
     return max(1, BLOCK_BYTES // per_sample)
 
@@ -135,33 +136,31 @@ def _complex_ginibre(u1, u2, n):
     return z.reshape(-1, n, n)
 
 
+def _checked(name, dims, gens, kinds):
+    """dims as ints in [1, DEFAULT_MAX_DIM] and gens as a list of kinds."""
+    dims = [as_int(name + ": n", n, 1) for n in dims]
+    for n in dims:
+        if n > DEFAULT_MAX_DIM:
+            raise CapacityError("%s: n=%d exceeds max %d" % (name, n, DEFAULT_MAX_DIM))
+    gens = list(gens)
+    if not all(isinstance(g, kinds) for g in gens):
+        raise ValueError("rng must be an %s" % " or numpy ".join(k.__name__ for k in kinds))
+    return dims, gens
+
+
 def sample_haar_block(dims, gens):
     """Haar draws for a block of samples: one (len(gens), n, n) stack per n in dims.
 
     Sample b takes one matrix of each size in dims, in that order, from
     gens[b], exactly as a loop of sample_haar_unitary calls on gens[b]
     would.  An RngStream entry draws from one Philox generator of the
-    call, re-keyed to that stream, with the bits of its generator().  A
+    call, set to that stream, with the bits of its generator().  A
     Generator entry may appear more than once; it then supplies
     consecutive draws.
     """
-    dims = [as_int("sample_haar_block: n", n, 1) for n in dims]
-    for n in dims:
-        if n > DEFAULT_MAX_DIM:
-            raise CapacityError("sample_haar_block: n=%d exceeds max %d" % (n, DEFAULT_MAX_DIM))
-    gens = list(gens)
-    if not all(isinstance(g, (RngStream, np.random.Generator)) for g in gens):
-        raise ValueError("rng must be an RngStream or numpy Generator")
+    dims, gens = _checked("sample_haar_block", dims, gens, (RngStream, np.random.Generator))
     # per sample: u1 then u2 of each factor, in dims order
-    uniforms = np.empty((len(gens), sum(2 * n * n for n in dims)))
-    keyed = None
-    for b, gen in enumerate(gens):
-        if isinstance(gen, RngStream):
-            if keyed is None:  # its seed is replaced by every re-key
-                keyed = np.random.Generator(np.random.Philox(0))
-            _rekey(keyed.bit_generator, gen)
-            gen = keyed
-        gen.random(out=uniforms[b])
+    uniforms = _uniforms(gens, sum(2 * n * n for n in dims))
     ginibres, start = [], 0
     for n in dims:
         u1, u2 = uniforms[:, start : start + n * n], uniforms[:, start + n * n : start + 2 * n * n]
@@ -169,6 +168,18 @@ def sample_haar_block(dims, gens):
         start += 2 * n * n
     uniforms = u1 = u2 = None  # freed before the first QR, each Ginibre stack after its own
     return [_haar_from_ginibre(ginibres.pop(0)) for _ in dims]
+
+
+def sample_haar_factor(dims, i, streams):
+    """Factor i of dims for each RngStream of streams: sample_haar_block(dims,
+    streams)[i], bit for bit, with no other factor drawn.  Its uniforms
+    start at word sum(2 n_j^2 for j < i) of each stream."""
+    dims, streams = _checked("sample_haar_factor", dims, streams, (RngStream,))
+    n = dims[as_int("sample_haar_factor: i", i, 0)]
+    u = _uniforms(streams, 2 * n * n, sum(2 * m * m for m in dims[:i]))
+    z = _complex_ginibre(u[:, : n * n], u[:, n * n :], n)
+    u = None  # freed before the QR
+    return _haar_from_ginibre(z)
 
 
 def _haar_from_ginibre(z):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,34 @@ class TestRescalePoints:
             rescale_points(np.array([0.1, 0.2]), 3)
         with pytest.raises(ValueError, match="^rescale_points: factor_product must be an integer, got 2.5$"):
             rescale_points(np.array([0.1, 0.2]), 2.5)
+
+    def test_phase_rounding_onto_plus_half_gives_minus_half(self):
+        # 2pi rescales onto +P/2, the circle point -P/2; every value has the
+        # bits of the np.where(theta >= P/2, theta - P, theta) form
+        rng = np.random.default_rng(8)
+        phases = np.sort(rng.uniform(0.0, TWO_PI, (5, 8)), axis=-1)
+        phases[::2, -1] = TWO_PI
+        phases[1, -1] = np.nextafter(TWO_PI, 0.0)
+        theta = (8 / TWO_PI) * (phases - np.pi)
+        want = np.where(theta >= 4.0, theta - 8, theta)
+        got = rescale_points(phases, 8)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(got[::2, -1], [-4.0] * 3)
+        assert got.min() >= -4.0 and got.max() < 4.0
+
+    def test_fix_up_holds_the_result_and_its_mask(self):
+        # the wrap is fixed in the freshly computed result, with no second
+        # (B, P) array beside it
+        phases = np.sort(np.random.default_rng(9).uniform(0.0, TWO_PI, (64, 512)), axis=-1)
+        phases[:, -1] = TWO_PI
+        rescale_points(phases, 512)  # warm-up
+        tracemalloc.start()
+        try:
+            theta = rescale_points(phases, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= theta.nbytes + theta.size + 4096, peak
 
 
 def sample_thetas(argv, out):

@@ -303,9 +303,9 @@ class TestRunner:
 
     def test_sampler_blocks_inside_an_estimator_block(self, monkeypatch):
         # 7 samples of 12 x 12 matrices a sampler block, 21 rows of 24 points
-        # an estimator block: the 12 x 12 stacks are solved 7 at a time, the
-        # 2 x 2 stacks of the whole block at once, and every row is the row
-        # of that sample drawn alone
+        # an estimator block: the factors are drawn one at a time, the 2 x 2
+        # stacks of the whole block at once, then the 12 x 12 stacks 7 at a
+        # time, and every row is the row of that sample drawn alone
         cfg = ExperimentConfig(mode="pair", dims=(2, 12), n_samples=30, seed=23)
         monkeypatch.setattr(sampler, "BLOCK_BYTES", 7 * 16 * 12 ** 2)
         assert sample_blocks(cfg) == [(0, 21), (21, 30)]
@@ -317,7 +317,7 @@ class TestRunner:
 
         monkeypatch.setattr(runner, "eigenphases", spy)
         rows = runner.sample_phase_block(cfg, 0, 21)
-        assert solved == [(7, 12, 12)] * 3 + [(21, 2, 2)]
+        assert solved == [(21, 2, 2)] + [(7, 12, 12)] * 3
         for s, row in enumerate(rows):
             assert np.array_equal(row, runner.sample_phase_block(cfg, s, s + 1)[0])
 
@@ -663,10 +663,10 @@ class TestCli:
     def test_sample_rejected_by_the_sampler_writes_no_file(self, tmp_path, monkeypatch):
         # the first block is drawn before phases.csv is opened, so a draw
         # the sampler refuses neither creates nor truncates the file
-        def refuse(dims, streams):
+        def refuse(dims, i, streams):
             raise ValueError("refused")
 
-        monkeypatch.setattr(runner, "sample_haar_block", refuse)
+        monkeypatch.setattr(runner, "sample_haar_factor", refuse)
         argv = ["sample", "--mode", "pair", "--dims", "2,12", "--samples", "1", "--seed", "1"]
         assert cli.main(argv + ["--out", str(tmp_path / "new")]) == 1
         assert not (tmp_path / "new" / "phases.csv").exists()
@@ -704,13 +704,13 @@ class TestCli:
         # the sweep once drew every sample of n = 10 before the sampler
         # refused n = 600; the caps are read at call time, as the sampler's are
         monkeypatch.setattr(kronphase.processes, "DEFAULT_TENSOR_CAPACITY", 20)
-        drawn, draw = [], runner.sample_haar_block
+        drawn, draw = [], runner.sample_haar_factor
 
-        def spy(dims, streams):
+        def spy(dims, i, streams):
             drawn.append(dims)
-            return draw(dims, streams)
+            return draw(dims, i, streams)
 
-        monkeypatch.setattr(runner, "sample_haar_block", spy)
+        monkeypatch.setattr(runner, "sample_haar_factor", spy)
         out = tmp_path / "not-made"
         assert cli.main(argv + ["--seed", "1", "--out", str(out)]) == 1
         assert "exceed" in capsys.readouterr().err
@@ -722,13 +722,13 @@ class TestCli:
         [("1,10", "n_values: n=1: delta_max must lie in"), ("0,10", "n_values: n=0: dims must be positive")],
     )
     def test_sweep_names_the_size_that_failed(self, n_values, message, tmp_path, monkeypatch, capsys):
-        drawn, draw = [], runner.sample_haar_block
+        drawn, draw = [], runner.sample_haar_factor
 
-        def spy(dims, streams):
+        def spy(dims, i, streams):
             drawn.append(dims)
-            return draw(dims, streams)
+            return draw(dims, i, streams)
 
-        monkeypatch.setattr(runner, "sample_haar_block", spy)
+        monkeypatch.setattr(runner, "sample_haar_factor", spy)
         out = tmp_path / "not-made"
         argv = ["sweep", "--mode", "pair", "--dims", "2,10", "--samples", "20", "--seed", "1"]
         assert cli.main(argv + ["--n-values", n_values, "--out", str(out)]) == 1
@@ -955,10 +955,9 @@ class TestPeakMemory:
 
     @pytest.mark.parametrize("mode, dims, rows", [("pair", (24, 24), 28), ("triple", (2, 16, 16), 64)])
     def test_phase_block_holds_the_draws_working_set(self, mode, dims, rows):
-        # one sampler block: the uniforms go before the QRs, Q takes the
-        # phase fix in place and the drawn blocks go before the eigensolves,
-        # so the peak is about 5.6 (B, n, n) complex stacks, an eigensolve
-        # beside the other factor's unitaries
+        # the factors are drawn and solved one at a time, so the peak is one
+        # factor's working set, about 4.6 (B, n, n) complex stacks: its
+        # eigensolve beside its unitaries
         cfg = ExperimentConfig(mode=mode, dims=dims, n_samples=rows, seed=3)
         assert sampler.block_length(dims, cfg.factor_product) == rows
         stack = 16 * rows * max(dims) ** 2
@@ -969,7 +968,7 @@ class TestPeakMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6.5 * stack, peak / stack
+        assert peak < 5.0 * stack, peak / stack
 
     def test_sample_holds_one_block(self, tmp_path):
         argv = ["sample", "--mode", "pair", "--dims", "24,24", "--seed", "3"]

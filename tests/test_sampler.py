@@ -99,11 +99,12 @@ class TestRngStream:
     def test_key_matches_integer_key(self, seed, stream_id):
         want = oracle_generator(seed, stream_id).random(9)
         assert np.array_equal(RngStream(seed, stream_id).generator().random(9), want)
-        # the block re-keys its one Philox to the same words
-        keyed = np.random.Generator(np.random.Philox(0))
-        keyed.random(3)
-        sampler._rekey(keyed.bit_generator, RngStream(seed, stream_id))
-        assert np.array_equal(keyed.random(9), want)
+        # the fill's one Philox, set to the stream from any word, gives the
+        # same words, and again for a second row after the first left its
+        # buffer part-read
+        for word in (0, 1, 4, 7):
+            rows = sampler._uniforms([RngStream(seed, stream_id)] * 2, 9 - word, word)
+            assert np.array_equal(rows, [want[word:]] * 2)
 
     @pytest.mark.parametrize("seed, stream_id", [(0, 1), ((1 << 64) - 1, 1 << 63)])
     def test_block_draws_equal_the_integer_key(self, seed, stream_id):
@@ -129,6 +130,8 @@ class TestRngStream:
         built.clear()
         sample_haar_block([4], [gen, gen])
         assert built == []
+        sampler.sample_haar_factor((2, 5), 1, [RngStream(3, s) for s in range(6)])
+        assert len(built) == 1
 
 
 class TestHaarUnitary:
@@ -343,6 +346,25 @@ class TestStackedDraws:
                 q, r = np.linalg.qr(reference_ginibre(u1, u2, n)[0])
                 d = np.diag(r)
                 assert same_bits(stack[b], q * (d / abs(d)))
+
+    @pytest.mark.parametrize("seed", KEY_WORDS)
+    def test_factor_draw_equals_the_whole_sample(self, seed):
+        # 3 x 3, 5 x 5 and 2 x 2 factors start at words 0, 18 and 68 of each
+        # stream: the second from the middle of a Philox block of four words
+        dims, streams = (3, 5, 2), [RngStream(seed, s) for s in KEY_WORDS]
+        whole = sample_haar_block(dims, streams)
+        for i in range(3):
+            assert same_bits(sampler.sample_haar_factor(dims, i, streams), whole[i])
+        assert sampler.sample_haar_factor(dims, 1, []).shape == (0, 5, 5)
+
+    def test_factor_draw_validation(self, monkeypatch):
+        with pytest.raises(ValueError, match="rng must be an RngStream$"):
+            sampler.sample_haar_factor([2], 0, [RngStream(1).generator()])
+        with pytest.raises(ValueError, match="i must be >= 0"):
+            sampler.sample_haar_factor([2, 3], -1, [RngStream(1)])
+        monkeypatch.setattr(sampler, "DEFAULT_MAX_DIM", 5)
+        with pytest.raises(CapacityError, match="sample_haar_factor: n=6 exceeds max 5"):
+            sampler.sample_haar_factor([2, 6], 0, [RngStream(0)])
 
     def test_mixed_entries_match_one_at_a_time(self):
         shared = RngStream(8, 90).generator()
