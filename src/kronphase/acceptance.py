@@ -38,7 +38,7 @@ from .gof import chi_square_uniformity, compare_to_curve, ks_against_exponential
 from .kernels import TWO_PI, as_int, cue_s, hadamard_bound, rho_cue, rho_sine
 from .processes import RescaledConfig
 from .runner import _accumulate_samples, run_convergence_sweep, run_experiment
-from .sampler import RngStream, block_length, eigenphases, sample_haar_block
+from .sampler import RngStream, _haar_from_uniforms, block_length, eigenphases
 
 # 1% upper quantile of the chi-square distribution with 31 degrees of
 # freedom (32 uniformity bins).
@@ -349,7 +349,7 @@ def criterion_10():
         step = block_length([n])
         for start in range(0, traces.size, step):
             stop = min(start + step, traces.size)
-            u = sample_haar_block([n], [gen] * (stop - start))[0]
+            u = _haar_from_uniforms(gen.random((stop - start, 2 * n * n)), n)
             # one trace per matrix: a stacked np.trace sums in another order
             traces[start:stop] = [abs(np.trace(m)) ** 2 for m in u]
             pooled.append(eigenphases(u).ravel())

@@ -10,17 +10,13 @@ output independent of any library's normal-variate algorithm.
 Draws are made in blocks.  The uniforms of each draw still come from its
 own stream, in the order a one-at-a-time loop would take them: factor i
 of a sample starts at word W_i = sum(2 n_j^2 for j < i) of its stream.
-A block sets one Philox generator to each sample's stream through the
-public state setter and one reused state dict: Philox is counter-based,
-so key and counter W_i // 4 place it at the four words holding W_i (the
-first W_i % 4 are dropped), with the bits of RngStream.generator().
-sample_haar_factor draws one factor so, sample_haar_block every factor
-of a sample in one fill.  The matrices are then stacked as (B, n, n) and
-go through Box-Muller, QR, the phase fix and the eigensolve as one numpy
-call each, the uniforms freed before the first QR.  Every step works
-matrix by matrix (elementwise maps, and LAPACK called once per matrix by
-numpy's stacked linalg), so a draw's bytes do not depend on the block it
-was drawn in.
+sample_haar_factor draws factor i of a block of samples with one Philox
+generator, set to each sample's stream through the public state setter:
+key and counter W_i // 4 place it at the four words holding W_i (the
+first W_i % 4 dropped), with the bits of RngStream.generator().  The
+(B, n, n) stack then goes through Box-Muller, QR, the phase fix and the
+eigensolve as one numpy call each, matrix by matrix (elementwise maps,
+LAPACK once per matrix), so a draw's bytes do not depend on its block.
 `sample_haar_unitary` and `eigenphases` on a single matrix are the
 block-of-one case of the same code.
 """
@@ -81,22 +77,18 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=np.array([self.stream_id, self.seed], dtype=np.uint64)))
 
 
-def _uniforms(gens, width, word=0):
-    """(len(gens), width) uniforms, row b from gens[b]: the one fill loop.
-    An RngStream entry gives words word .. word + width - 1 of its stream
-    (its first word % 4 draws fill columns the result drops); a Generator
-    entry, at word 0 only, its next width draws."""
-    skip, keyed = word % 4, None
-    out = np.empty((len(gens), skip + width))
-    for row, gen in zip(out, gens):
-        if isinstance(gen, RngStream):
-            if keyed is None:  # its seed is replaced by every state set
-                keyed, key = np.random.Generator(np.random.Philox(0)), [0, 0]
-                state = {"bit_generator": "Philox", "state": {"counter": [word // 4, 0, 0, 0], "key": key},
-                         "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-            key[0], key[1] = gen.stream_id, gen.seed  # lists: the setter reads them 2.8x faster than arrays
-            keyed.bit_generator.state = state
-            gen = keyed
+def _uniforms(streams, width, word):
+    """(len(streams), width) uniforms, row b words word .. word + width - 1
+    of streams[b]: the one fill loop.  Its first word % 4 draws fill
+    columns the result drops."""
+    skip = word % 4
+    out = np.empty((len(streams), skip + width))
+    gen, key = np.random.Generator(np.random.Philox(0)), [0, 0]  # its seed is replaced by every state set
+    state = {"bit_generator": "Philox", "state": {"counter": [word // 4, 0, 0, 0], "key": key},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for row, stream in zip(out, streams):
+        key[0], key[1] = stream.stream_id, stream.seed  # lists: the setter reads them 2.8x faster than arrays
+        gen.bit_generator.state = state
         gen.random(out=row)
     return out[:, skip:]
 
@@ -136,70 +128,55 @@ def _complex_ginibre(u1, u2, n):
     return z.reshape(-1, n, n)
 
 
-def _checked(name, dims, gens, kinds):
-    """dims as ints in [1, DEFAULT_MAX_DIM] and gens as a list of kinds."""
+def _checked(name, dims):
+    """dims as ints in [1, DEFAULT_MAX_DIM]."""
     dims = [as_int(name + ": n", n, 1) for n in dims]
     for n in dims:
         if n > DEFAULT_MAX_DIM:
             raise CapacityError("%s: n=%d exceeds max %d" % (name, n, DEFAULT_MAX_DIM))
-    gens = list(gens)
-    if not all(isinstance(g, kinds) for g in gens):
-        raise ValueError("rng must be an %s" % " or numpy ".join(k.__name__ for k in kinds))
-    return dims, gens
+    return dims
 
 
-def sample_haar_block(dims, gens):
-    """Haar draws for a block of samples: one (len(gens), n, n) stack per n in dims.
-
-    Sample b takes one matrix of each size in dims, in that order, from
-    gens[b], exactly as a loop of sample_haar_unitary calls on gens[b]
-    would.  An RngStream entry draws from one Philox generator of the
-    call, set to that stream, with the bits of its generator().  A
-    Generator entry may appear more than once; it then supplies
-    consecutive draws.
-    """
-    dims, gens = _checked("sample_haar_block", dims, gens, (RngStream, np.random.Generator))
-    # per sample: u1 then u2 of each factor, in dims order
-    uniforms = _uniforms(gens, sum(2 * n * n for n in dims))
-    ginibres, start = [], 0
-    for n in dims:
-        u1, u2 = uniforms[:, start : start + n * n], uniforms[:, start + n * n : start + 2 * n * n]
-        ginibres.append(_complex_ginibre(u1, u2, n))
-        start += 2 * n * n
-    uniforms = u1 = u2 = None  # freed before the first QR, each Ginibre stack after its own
-    return [_haar_from_ginibre(ginibres.pop(0)) for _ in dims]
-
-
-def sample_haar_factor(dims, i, streams):
-    """Factor i of dims for each RngStream of streams: sample_haar_block(dims,
-    streams)[i], bit for bit, with no other factor drawn.  Its uniforms
-    start at word sum(2 n_j^2 for j < i) of each stream."""
-    dims, streams = _checked("sample_haar_factor", dims, streams, (RngStream,))
-    n = dims[as_int("sample_haar_factor: i", i, 0)]
-    u = _uniforms(streams, 2 * n * n, sum(2 * m * m for m in dims[:i]))
+def _haar_from_uniforms(u, n):
+    """(B, n, n) Haar stack from a (B, 2 n^2) uniform block, u1 then u2 of
+    each row: QR of each Box-Muller Ginibre matrix, each column of Q scaled
+    in place by the unit phase of the matching diagonal entry of R
+    (Mezzadri 2007); without that phase fix the law is not Haar.  The
+    uniforms are freed before the QR unless the caller holds them."""
     z = _complex_ginibre(u[:, : n * n], u[:, n * n :], n)
     u = None  # freed before the QR
-    return _haar_from_ginibre(z)
-
-
-def _haar_from_ginibre(z):
-    """QR of each Ginibre matrix, with each column of Q rescaled by the unit
-    phase of the matching diagonal entry of R.  Without that phase
-    correction the law is not Haar (the moment tests reject it), so the
-    correction is not optional.  Q is scaled in place, not copied."""
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (d / np.abs(d))[..., None, :]
     return q
 
 
+def sample_haar_factor(dims, i, streams):
+    """Factor i of dims for each RngStream of streams, a (len(streams), n, n)
+    stack, with no other factor drawn: the draw of every command.  Its
+    uniforms start at word sum(2 n_j^2 for j < i) of each stream, where a
+    loop of sample_haar_unitary calls on its generator() would take them."""
+    dims, i = _checked("sample_haar_factor", dims), as_int("sample_haar_factor: i", i, 0)
+    if i >= len(dims):
+        raise ValueError("sample_haar_factor: i must be in [0, %d), got %d" % (len(dims), i))
+    if not all(isinstance(s, RngStream) for s in streams):
+        raise ValueError("rng must be an RngStream")
+    n = dims[i]
+    return _haar_from_uniforms(_uniforms(streams, 2 * n * n, sum(2 * m * m for m in dims[:i])), n)
+
+
 def sample_haar_unitary(n, rng):
     """Draw one n x n unitary from the Haar measure on U(n).
 
-    QR factorization of a complex Ginibre matrix with the phase fix of
-    Mezzadri (2007); the block-of-one case of sample_haar_block.
+    An RngStream gives the first draw of its stream, factor 0 of
+    sample_haar_factor; a numpy Generator its next 2 n^2 uniforms.
     """
-    return sample_haar_block([n], [rng])[0][0]
+    (n,) = _checked("sample_haar_unitary", [n])
+    if isinstance(rng, RngStream):
+        return sample_haar_factor([n], 0, [rng])[0]
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError("rng must be an RngStream or numpy Generator")
+    return _haar_from_uniforms(rng.random((1, 2 * n * n)), n)[0]
 
 
 def _phases_general(u):

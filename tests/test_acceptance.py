@@ -71,5 +71,10 @@ def test_criterion_09(verdicts):
 
 
 def test_criterion_10(verdicts):
-    """Haar sampler: E|Tr U|^2 = 1 within 4 se; pooled phases pass chi-square."""
+    """Haar sampler: E|Tr U|^2 = 1 within 4 se; pooled phases pass chi-square.
+    Its numbers are pinned, so a rewired draw that moved them shows here."""
     _check(verdicts, 10)
+    assert verdicts[10].details == (
+        "n=2: |mean-1| = 0.001661 (4 se = 0.0397); n=10: |mean-1| = 0.01638 (4 se = 0.04042); "
+        "n=30: |mean-1| = 0.007639 (4 se = 0.04019); chi2(31 dof) = 28.06 (1% gate 52.191)"
+    )

@@ -34,7 +34,7 @@ from kronphase.runner import (
     run_convergence_sweep,
     sample_phase_block,
 )
-from kronphase.sampler import RngStream, sample_haar_block
+from kronphase.sampler import RngStream, sample_haar_factor
 
 CFG = dict(mode="pair", dims=(2, 20), n_samples=10, seed=1)
 CIRCLE = RescaledConfig(np.linspace(-2.0, 1.5, 8), 8.0)
@@ -78,7 +78,8 @@ SITES = [
     ("spacing_histogram_from_gaps n_bins", lambda v: spacing_histogram_from_gaps(GAPS, n_bins=v), 4),
     ("rescale_points factor_product", lambda v: rescale_points(np.linspace(0.1, 6.0, 4), v), 4),
     ("rescale_center factor_product", lambda v: rescale_center(np.linspace(0.1, 6.0, 4), v), 4),
-    ("sample_haar_block dims", lambda v: sample_haar_block([2, v], [RngStream(1)]), 3),
+    ("sample_haar_factor dims", lambda v: sample_haar_factor([2, v], 1, [RngStream(1)]), 3),
+    ("sample_haar_factor i", lambda v: sample_haar_factor([2, 3], v, [RngStream(1)]), 1),
     ("RngStream seed", RngStream, 5),
     ("RngStream stream_id", lambda v: RngStream(5, v), 7),
     ("chi_square_uniformity n_bins", lambda v: chi_square_uniformity(np.linspace(0, 6, 200), v), 4),

@@ -10,7 +10,7 @@ from kronphase.sampler import (
     DEFAULT_MAX_DIM,
     RngStream,
     eigenphases,
-    sample_haar_block,
+    sample_haar_factor,
     sample_haar_unitary,
 )
 
@@ -108,9 +108,10 @@ class TestRngStream:
 
     @pytest.mark.parametrize("seed, stream_id", [(0, 1), ((1 << 64) - 1, 1 << 63)])
     def test_block_draws_equal_the_integer_key(self, seed, stream_id):
-        got = sample_haar_block([3, 2], [RngStream(seed, stream_id)])
-        want = sample_haar_block([3, 2], [oracle_generator(seed, stream_id)])
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        want = oracle_generator(seed, stream_id)
+        for i, n in enumerate((3, 2)):
+            got = sample_haar_factor([3, 2], i, [RngStream(seed, stream_id)])
+            assert np.array_equal(got[0], sample_haar_unitary(n, want))
 
     def test_block_builds_at_most_one_philox(self, monkeypatch):
         built = []
@@ -121,17 +122,12 @@ class TestRngStream:
             return philox(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "Philox", spy)
-        sample_haar_block((2, 5), [RngStream(3, s) for s in range(6)])
-        assert len(built) == 1
-        gen = np.random.Generator(philox(1))
+        for i in range(2):
+            sample_haar_factor((2, 5), i, [RngStream(3, s) for s in range(6)])
+            assert len(built) == i + 1
         built.clear()
-        sample_haar_block([4], [gen, RngStream(3, 0), gen, RngStream(3, 1)])
-        assert len(built) == 1
-        built.clear()
-        sample_haar_block([4], [gen, gen])
+        sample_haar_unitary(4, np.random.Generator(philox(1)))
         assert built == []
-        sampler.sample_haar_factor((2, 5), 1, [RngStream(3, s) for s in range(6)])
-        assert len(built) == 1
 
 
 class TestHaarUnitary:
@@ -324,8 +320,8 @@ class TestStackedDraws:
         return np.stack(haar[:2] + [-np.eye(n)] + haar[2:4] + [near] + haar[4:])
 
     def test_block_matches_one_at_a_time(self):
-        gens = [RngStream(8, s).generator() for s in range(5)]
-        stacks = sample_haar_block((2, 7, 3), gens)
+        streams = [RngStream(8, s) for s in range(5)]
+        stacks = [sample_haar_factor((2, 7, 3), i, streams) for i in range(3)]
         for s in range(5):
             gen = RngStream(8, s).generator()
             for n, stack in zip((2, 7, 3), stacks):
@@ -338,7 +334,7 @@ class TestStackedDraws:
         # scaled by the unit phases of R's diagonal: the phase fix checked
         # bit for bit, where a freed or aliased uniform slice would show
         dims, streams = (2, 7, 3), [RngStream(seed, s) for s in KEY_WORDS]
-        stacks = sample_haar_block(dims, streams)
+        stacks = [sample_haar_factor(dims, i, streams) for i in range(3)]
         for b, stream in enumerate(streams):
             u = oracle_generator(stream.seed, stream.stream_id).random(sum(2 * n * n for n in dims))
             for n, stack in zip(dims, stacks):
@@ -350,52 +346,46 @@ class TestStackedDraws:
     @pytest.mark.parametrize("seed", KEY_WORDS)
     def test_factor_draw_equals_the_whole_sample(self, seed):
         # 3 x 3, 5 x 5 and 2 x 2 factors start at words 0, 18 and 68 of each
-        # stream: the second from the middle of a Philox block of four words
+        # stream: the second from the middle of a Philox block of four words.
+        # Each is its slice of the sample's oracle words, one Haar block each.
         dims, streams = (3, 5, 2), [RngStream(seed, s) for s in KEY_WORDS]
-        whole = sample_haar_block(dims, streams)
-        for i in range(3):
-            assert same_bits(sampler.sample_haar_factor(dims, i, streams), whole[i])
-        assert sampler.sample_haar_factor(dims, 1, []).shape == (0, 5, 5)
+        words = np.stack([oracle_generator(s.seed, s.stream_id).random(76) for s in streams])
+        for i, (n, word) in enumerate(zip(dims, (0, 18, 68))):
+            want = sampler._haar_from_uniforms(words[:, word : word + 2 * n * n], n)
+            assert same_bits(sample_haar_factor(dims, i, streams), want)
+        assert sample_haar_factor(dims, 1, []).shape == (0, 5, 5)
 
     def test_factor_draw_validation(self, monkeypatch):
         with pytest.raises(ValueError, match="rng must be an RngStream$"):
             sampler.sample_haar_factor([2], 0, [RngStream(1).generator()])
         with pytest.raises(ValueError, match="i must be >= 0"):
             sampler.sample_haar_factor([2, 3], -1, [RngStream(1)])
+        with pytest.raises(ValueError, match=r"i must be in \[0, 2\), got 2"):
+            sampler.sample_haar_factor([2, 3], 2, [RngStream(1)])
         monkeypatch.setattr(sampler, "DEFAULT_MAX_DIM", 5)
         with pytest.raises(CapacityError, match="sample_haar_factor: n=6 exceeds max 5"):
             sampler.sample_haar_factor([2, 6], 0, [RngStream(0)])
 
-    def test_mixed_entries_match_one_at_a_time(self):
-        shared = RngStream(8, 90).generator()
-        entries = [RngStream(8, 0), shared, RngStream(8, 2), shared, RngStream(8, 90).generator()]
-        stacks = sample_haar_block((3, 2), iter(entries))  # any iterable
-        shared = RngStream(8, 90).generator()
-        singles = [RngStream(8, 0), shared, RngStream(8, 2), shared, RngStream(8, 90).generator()]
-        for b, entry in enumerate(singles):
-            gen = entry.generator() if isinstance(entry, RngStream) else entry
-            for n, stack in zip((3, 2), stacks):
-                assert np.array_equal(stack[b], sample_haar_unitary(n, gen))
-
-    def test_rejects_unknown_entry_before_drawing(self):
-        gen = RngStream(4).generator()
-        with pytest.raises(ValueError, match="rng must be"):
-            sample_haar_block([2], [gen, 1234])
-        assert np.array_equal(gen.random(3), RngStream(4).generator().random(3))
+    def test_rejects_unknown_entry_before_drawing(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(sampler, "_uniforms", lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match="rng must be an RngStream$"):
+            sample_haar_factor([2], 0, [RngStream(4), 1234])
+        assert drawn == []
 
     def test_shared_generator_draws_in_order(self):
-        gen = RngStream(9).generator()
-        stack = sample_haar_block([4], [gen] * 6)[0]
+        # criterion 10's block draw: consecutive draws of one generator
+        stack = sampler._haar_from_uniforms(RngStream(9).generator().random((6, 32)), 4)
         gen = RngStream(9).generator()
         for u in stack:
-            assert np.array_equal(u, sample_haar_unitary(4, gen))
+            assert same_bits(u, sample_haar_unitary(4, gen))
 
     def test_block_validation(self, monkeypatch):
         with pytest.raises(ValueError):
-            sample_haar_block([3, 0], [RngStream(0)])
+            sample_haar_factor([3, 0], 0, [RngStream(0)])
         monkeypatch.setattr(sampler, "DEFAULT_MAX_DIM", 5)
         with pytest.raises(CapacityError):
-            sample_haar_block([3, 6], [RngStream(0)])
+            sample_haar_factor([3, 6], 0, [RngStream(0)])
 
     @pytest.fixture
     def general_calls(self, monkeypatch):
@@ -465,7 +455,7 @@ class TestUnitarityResidual:
         return np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1])))
 
     def test_bit_equal(self):
-        haar = sample_haar_block([6], [RngStream(12, s) for s in range(8)])[0]
+        haar = sample_haar_factor([6], 0, [RngStream(12, s) for s in range(8)])
         skewed = haar * np.linspace(0.9, 1.1, 6)
         for stack in (haar, skewed, haar[3], -np.eye(4), np.eye(3) * 1.5):
             got, want = sampler._unitarity_residual(stack), self.reference(stack)
@@ -504,9 +494,9 @@ def block_phases(seed, dims, count, chunk=1000):
     one (count, n) array per n in dims."""
     phases = [[] for _ in dims]
     for start in range(0, count, chunk):
-        stacks = sample_haar_block(dims, [RngStream(seed, i) for i in range(start, min(start + chunk, count))])
-        for out, u in zip(phases, stacks):
-            out.append(eigenphases(u))
+        streams = [RngStream(seed, i) for i in range(start, min(start + chunk, count))]
+        for i, out in enumerate(phases):
+            out.append(eigenphases(sample_haar_factor(dims, i, streams)))
     return [np.concatenate(p) for p in phases]
 
 
