@@ -29,7 +29,7 @@ from .combinatorics import (
 from .sampler import (
     RngStream,
     eigenphases,
-    sample_haar_factor,
+    sample_factor_phases,
     sample_haar_unitary,
 )
 from .processes import (
@@ -92,7 +92,7 @@ __all__ = [
     "rho_superposed_sine",
     "run_convergence_sweep",
     "run_experiment",
-    "sample_haar_factor",
+    "sample_factor_phases",
     "sample_haar_unitary",
     "set_partitions",
     "sine_q",

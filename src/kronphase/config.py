@@ -64,7 +64,7 @@ class ExperimentConfig:
             raise ValueError("dims must be positive")
         if self.factor_product < 2:
             raise ValueError("the configuration needs at least 2 points per sample")
-        # sample_haar_factor's and tensor_phases' caps, read at call time, checked before any draw
+        # sample_factor_phases' and tensor_phases' caps, read at call time, checked before any draw
         if max(self.dims) > sampler.DEFAULT_MAX_DIM:
             raise CapacityError("dims: n=%d exceeds max %d" % (max(self.dims), sampler.DEFAULT_MAX_DIM))
         if self.factor_product > processes.DEFAULT_TENSOR_CAPACITY:

@@ -269,10 +269,10 @@ class Accumulator:
     lengths for count variances over n_offsets translations, triple =
     (r1, r2, tol), and spacing_bins for the spacing pool.  A later point
     is in a triple window when its rounded gap from the base lies in
-    [r - tol/2, r + tol/2].  The triple estimate is the window count over
-    every base point divided by n_samples * L * tol^2, 1 for a
-    unit-intensity Poisson process; its box kernel carries an O(tol^2)
-    bias where the target has curvature.
+    [r - tol/2, r + tol/2]; the two rounded windows may not touch.  The
+    triple estimate is the window count over every base point divided by
+    n_samples * L * tol^2, 1 for a unit-intensity Poisson process; its box
+    kernel carries an O(tol^2) bias where the target has curvature.
     """
 
     def __init__(
@@ -308,8 +308,8 @@ class Accumulator:
                 raise ValueError("tol must be positive")
             if not 0.0 < r1 < r2 <= L / 4:
                 raise ValueError("need 0 < r1 < r2 <= L/4")
-            if r2 - r1 < tol:
-                raise ValueError("degenerate geometry: r1 and r2 closer than tol")
+            if not r1 + tol / 2 < r2 - tol / 2:  # the walk's rounded bounds: one point is never both y and z
+                raise ValueError("degenerate geometry: the r1 and r2 windows touch or overlap")
             if r1 - tol / 2 <= 0:
                 raise ValueError("r1 window reaches zero gap; increase r1 or shrink tol")
         self.spacing_bins = None if spacing_bins is None else as_int("spacing_bins", spacing_bins, 1)
@@ -345,7 +345,7 @@ class Accumulator:
             self.batch_samples += np.bincount(batch, minlength=nb)
             cuts = [0, *(np.flatnonzero(np.diff(batch)) + 1), B]
             pair = (self.edges, list(zip(cuts[:-1], cuts[1:])))
-        hists, triples = _walk_offsets(rows, self.L, pair, self.triple if P >= 3 else None)
+        hists, triples = _walk_offsets(rows, self.L, pair, self.triple)
         if pair is not None:
             for (r0, _), h in zip(pair[1], hists):
                 self.batch_counts[batch[r0]] += 2.0 * h

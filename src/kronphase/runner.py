@@ -6,14 +6,14 @@ order in one serial pass, so a run's results (and the CSV bytes written
 from them) depend only on its configuration.
 
 The pass hands blocks of consecutive samples (sample_blocks) to one
-estimators.Accumulator and draws each factor by factor, in sampler
-blocks, both sized by sampler.BLOCK_BYTES: the one at 32 bytes a point,
-the other by block_length([n]) of the factor's (B, n, n) matrices (4,096
-samples of 2 x 2 span an estimator block), which with P < n^2 / 2 would
-send the estimators few rows at a time.  Every sample still draws from
-its own stream, every sampling step works sample by sample and every
-accumulated count is an exact integer, so the results do not depend on
-either block size.  No per-sample object outlives its block.
+estimators.Accumulator, sized by sampler.BLOCK_BYTES at 32 bytes a point.
+sample_phase_block asks the sampler for each factor's phases over the
+whole block; the sampler draws a factor block_length([n]) samples at a
+time (4,096 samples of 2 x 2 span an estimator block), which with
+P < n^2 / 2 would send the estimators few rows at a time.  Every sample
+still draws from its own stream, every sampling step works sample by
+sample and every accumulated count is an exact integer, so the results
+do not depend on either block size.  No per-sample object is built.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .gof import KS_MIN_N, compare_to_curve, ks_against_exponential
 from .kernels import as_int, rho_sine, shaped_like
 from .output import write_csv, write_manifest
 from .processes import rescale_points, tensor_phases
-from .sampler import RngStream, block_length, eigenphases, sample_haar_factor
+from .sampler import block_length, sample_factor_phases
 
 STREAM_POLICY = "sample index s uses stream_id = s"
 
@@ -86,23 +86,14 @@ def sample_blocks(cfg):
 
 
 def sample_phase_block(cfg, start, stop):
-    """Sorted phases in [0, 2pi) of samples start .. stop - 1, one row each.
-
-    Sample s draws each factor from its own word of stream (seed, s).  The
-    factors are drawn and solved one at a time, in blocks of
-    block_length([n]) samples, so no block holds two factors' stacks; their
-    phases go to one tensor sum.  An empty range gives (0, P).
+    """Sorted phases in [0, 2pi) of samples start .. stop - 1, one row each:
+    the tensor sum of each factor's phases from sample_factor_phases, which
+    draws and solves one factor at a time.  An empty range gives (0, P).
     """
     start, stop = as_int("start", start), as_int("stop", stop)
     if stop < start:
         raise ValueError("sample range: stop %d is below start %d" % (stop, start))
-    streams = [RngStream(cfg.seed, s) for s in range(start, stop)]
-    factors = []
-    for i, n in enumerate(cfg.dims):
-        step = block_length([n])
-        blocks = range(0, len(streams), step) or [0]  # an empty range draws one empty block
-        factors.append(np.concatenate([eigenphases(sample_haar_factor(cfg.dims, i, streams[b : b + step])) for b in blocks]))
-    return tensor_phases(*factors)
+    return tensor_phases(*(sample_factor_phases(cfg.dims, i, cfg.seed, start, stop) for i in range(len(cfg.dims))))
 
 
 def _accumulate_samples(cfg, **parts):

@@ -9,14 +9,14 @@ output independent of any library's normal-variate algorithm.
 
 Draws are made in blocks.  The uniforms of each draw still come from its
 own stream, in the order a one-at-a-time loop would take them: factor i
-of a sample starts at word W_i = sum(2 n_j^2 for j < i) of its stream.
-sample_haar_factor draws factor i of a block of samples with one Philox
-generator, set to each sample's stream through the public state setter:
-key and counter W_i // 4 place it at the four words holding W_i (the
-first W_i % 4 dropped), with the bits of RngStream.generator().  The
-(B, n, n) stack then goes through Box-Muller, QR, the phase fix and the
-eigensolve as one numpy call each, matrix by matrix (elementwise maps,
-LAPACK once per matrix), so a draw's bytes do not depend on its block.
+of sample s starts at word W_i = sum(2 n_j^2 for j < i) of stream (seed, s).
+sample_factor_phases draws factor i block_length([n]) samples at a time
+with one Philox generator keyed with the seed, set to each stream id
+through the public state setter: counter W_i // 4 places it at the four
+words holding W_i (the first W_i % 4 dropped), with the bits of
+RngStream.generator().  The (B, n, n) stack goes through Box-Muller, QR,
+the phase fix and the eigensolve as one numpy call each, matrix by matrix,
+so a draw's bytes do not depend on its block.
 `sample_haar_unitary` and `eigenphases` on a single matrix are the
 block-of-one case of the same code.
 """
@@ -77,17 +77,17 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=np.array([self.stream_id, self.seed], dtype=np.uint64)))
 
 
-def _uniforms(streams, width, word):
-    """(len(streams), width) uniforms, row b words word .. word + width - 1
-    of streams[b]: the one fill loop.  Its first word % 4 draws fill
-    columns the result drops."""
+def _uniforms(seed, start, stop, width, word):
+    """(stop - start, width) uniforms, row b words word .. word + width - 1
+    of stream (seed, start + b): the one fill loop.  Its first word % 4
+    draws fill columns the result drops."""
     skip = word % 4
-    out = np.empty((len(streams), skip + width))
-    gen, key = np.random.Generator(np.random.Philox(0)), [0, 0]  # its seed is replaced by every state set
+    out = np.empty((stop - start, skip + width))
+    gen, key = np.random.Generator(np.random.Philox(0)), [0, seed]  # its seed is replaced by every state set
     state = {"bit_generator": "Philox", "state": {"counter": [word // 4, 0, 0, 0], "key": key},
              "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for row, stream in zip(out, streams):
-        key[0], key[1] = stream.stream_id, stream.seed  # lists: the setter reads them 2.8x faster than arrays
+    for stream_id, row in enumerate(out, start):
+        key[0] = stream_id  # a list: the setter reads it 2.8x faster than an array
         gen.bit_generator.state = state
         gen.random(out=row)
     return out[:, skip:]
@@ -151,29 +151,37 @@ def _haar_from_uniforms(u, n):
     return q
 
 
-def sample_haar_factor(dims, i, streams):
-    """Factor i of dims for each RngStream of streams, a (len(streams), n, n)
-    stack, with no other factor drawn: the draw of every command.  Its
-    uniforms start at word sum(2 n_j^2 for j < i) of each stream, where a
-    loop of sample_haar_unitary calls on its generator() would take them."""
-    dims, i = _checked("sample_haar_factor", dims), as_int("sample_haar_factor: i", i, 0)
+def sample_factor_phases(dims, i, seed, start, stop):
+    """Sorted eigenphases of factor i of dims for samples start .. stop - 1
+    of seed, a (stop - start, n) array: the draw of every command.  Sample s
+    takes its uniforms from word sum(2 n_j^2 for j < i) of stream (seed, s),
+    where a loop of sample_haar_unitary calls on its generator() would take
+    them, and the factor is drawn and solved block_length([n]) samples at a
+    time, so no block holds more than one (B, n, n) stack."""
+    dims, i = _checked("sample_factor_phases", dims), as_int("sample_factor_phases: i", i, 0)
     if i >= len(dims):
-        raise ValueError("sample_haar_factor: i must be in [0, %d), got %d" % (len(dims), i))
-    if not all(isinstance(s, RngStream) for s in streams):
-        raise ValueError("rng must be an RngStream")
-    n = dims[i]
-    return _haar_from_uniforms(_uniforms(streams, 2 * n * n, sum(2 * m * m for m in dims[:i])), n)
+        raise ValueError("sample_factor_phases: i must be in [0, %d), got %d" % (len(dims), i))
+    seed, start, stop = (as_int("sample_factor_phases: " + k, v) for k, v in zip(("seed", "start", "stop"), (seed, start, stop)))
+    if not 0 <= seed < _U64:
+        raise ValueError("sample_factor_phases: seed must be in [0, 2^64)")
+    if not 0 <= start <= stop <= _U64:
+        raise ValueError("sample_factor_phases: need 0 <= start <= stop <= 2^64, got %d and %d" % (start, stop))
+    n, word, step = dims[i], sum(2 * m * m for m in dims[:i]), block_length([dims[i]])
+    out = np.empty((stop - start, n))
+    for b in range(start, stop, step):  # the last slice stops at the last row
+        out[b - start : b - start + step] = eigenphases(_haar_from_uniforms(_uniforms(seed, b, min(b + step, stop), 2 * n * n, word), n))
+    return out
 
 
 def sample_haar_unitary(n, rng):
     """Draw one n x n unitary from the Haar measure on U(n).
 
     An RngStream gives the first draw of its stream, factor 0 of
-    sample_haar_factor; a numpy Generator its next 2 n^2 uniforms.
+    sample_factor_phases; a numpy Generator its next 2 n^2 uniforms.
     """
     (n,) = _checked("sample_haar_unitary", [n])
     if isinstance(rng, RngStream):
-        return sample_haar_factor([n], 0, [rng])[0]
+        return _haar_from_uniforms(_uniforms(rng.seed, rng.stream_id, rng.stream_id + 1, 2 * n * n, 0), n)[0]
     if not isinstance(rng, np.random.Generator):
         raise ValueError("rng must be an RngStream or numpy Generator")
     return _haar_from_uniforms(rng.random((1, 2 * n * n)), n)[0]
@@ -252,8 +260,8 @@ def eigenphases(u):
     1e-12 in circular distance.
     """
     u = np.asarray(u)
-    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
-        raise ValueError("eigenphases: input must be a square matrix or a stack of them")
+    if u.ndim < 2 or u.shape[-1] != u.shape[-2] or u.shape[-1] == 0:
+        raise ValueError("eigenphases: input must be a square matrix or a stack of them, n >= 1")
     n = u.shape[-1]
     resid = _unitarity_residual(u)
     if resid > UNITARITY_TOL:

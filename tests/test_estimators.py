@@ -454,6 +454,30 @@ class TestTripleCorrelation:
         with pytest.raises(ValueError):
             triple_window_count(cfg, 0.05, 2.0, tol=0.2)
 
+    def test_touching_windows_are_refused(self):
+        # r2 - r1 == tol: the closed windows [0.75, 1.25] and [1.25, 1.75]
+        # share 1.25, so one later point would count as both y and z
+        with pytest.raises(ValueError, match="windows touch or overlap"):
+            Accumulator(8.0, 1, triple=(1.0, 1.5, 0.5))
+        # r2 - r1 == tol as decimals, but the rounded bounds 1.2000000000000002
+        # and 1.2 overlap
+        assert 1.1 + 0.2 / 2 > 1.3 - 0.2 / 2
+        with pytest.raises(ValueError, match="windows touch or overlap"):
+            Accumulator(8.0, 1, triple=(1.1, 1.3, 0.2))
+        Accumulator(8.0, 1, triple=(1.0, float(np.nextafter(1.5, 2.0)), 0.5))
+
+    @pytest.mark.parametrize(
+        "row, want", [([-2.0], 0), ([-2.0, -0.75], 0), ([-2.0, -0.75, -0.5], 1)], ids=["P=1", "P=2", "P=3"]
+    )
+    def test_short_rows_count_their_triples(self, row, want):
+        # windows [0.75, 1.25] and [1.25 + 2^-52, 1.75 + 2^-52]: the point at
+        # gap 1.25 lies in the r1 window only, so it is never both y and z,
+        # and the rows of 1 and 2 points count 0 with no guard on P
+        r1, r2, tol = 1.0, float(np.nextafter(1.5, 2.0)), 0.5
+        acc = Accumulator(8.0, 1, triple=(r1, r2, tol))
+        acc.add_block(np.array([row]), 0)
+        assert acc.triples == want == triple_window_count_by_gaps(np.array(row), 8.0, r1, r2, tol)
+
     def test_nan_tol_is_rejected(self):
         cfg = RescaledConfig(points=np.array([0.0, 1.0, 2.0]), circumference=12.0)
         with pytest.raises(ValueError, match="tol must be positive"):
@@ -555,8 +579,6 @@ def triple_window_count_by_gaps(pts, L, r1, r2, tol):
     """Ordered triples of one sorted configuration: for each base i, the
     points j > i of ext = [pts, pts + L] whose rounded gap ext[j] - pts[i]
     lies in [r - tol/2, r + tol/2], one count per window, multiplied."""
-    if pts.size < 3:
-        return 0
     ext = np.concatenate([pts, pts + L])
     gaps = ext[None, :] - pts[:, None]
     later = np.arange(ext.size)[None, :] > np.arange(pts.size)[:, None]
@@ -648,7 +670,7 @@ def blocked_runs(draw):
     # r1 just above tol/2 puts the lower r1 bound just above gap 0, where a base's ties sit
     r1 = draw(st.one_of(st.just(float(np.nextafter(tol / 2, np.inf))), st.floats(tol / 2, L / 8)))
     r2 = draw(st.floats(r1 + tol, L / 4))
-    assume(r1 - tol / 2 > 0 and r2 - r1 >= tol and r1 < r2 <= L / 4)
+    assume(r1 - tol / 2 > 0 and r1 + tol / 2 < r2 - tol / 2 and r1 < r2 <= L / 4)
     cuts = sorted(set(draw(st.lists(st.integers(1, n), max_size=4))) - {n})
     blocks = list(zip([0] + cuts, cuts + [n]))
     settings = dict(

@@ -34,7 +34,7 @@ from kronphase.runner import (
     run_convergence_sweep,
     sample_phase_block,
 )
-from kronphase.sampler import RngStream, sample_haar_factor
+from kronphase.sampler import RngStream, sample_factor_phases
 
 CFG = dict(mode="pair", dims=(2, 20), n_samples=10, seed=1)
 CIRCLE = RescaledConfig(np.linspace(-2.0, 1.5, 8), 8.0)
@@ -78,8 +78,11 @@ SITES = [
     ("spacing_histogram_from_gaps n_bins", lambda v: spacing_histogram_from_gaps(GAPS, n_bins=v), 4),
     ("rescale_points factor_product", lambda v: rescale_points(np.linspace(0.1, 6.0, 4), v), 4),
     ("rescale_center factor_product", lambda v: rescale_center(np.linspace(0.1, 6.0, 4), v), 4),
-    ("sample_haar_factor dims", lambda v: sample_haar_factor([2, v], 1, [RngStream(1)]), 3),
-    ("sample_haar_factor i", lambda v: sample_haar_factor([2, 3], v, [RngStream(1)]), 1),
+    ("sample_factor_phases dims", lambda v: sample_factor_phases([2, v], 1, 1, 0, 1), 3),
+    ("sample_factor_phases i", lambda v: sample_factor_phases([2, 3], v, 1, 0, 1), 1),
+    ("sample_factor_phases seed", lambda v: sample_factor_phases([2], 0, v, 0, 1), 5),
+    ("sample_factor_phases start", lambda v: sample_factor_phases([2], 0, 1, v, 2), 1),
+    ("sample_factor_phases stop", lambda v: sample_factor_phases([2], 0, 1, 0, v), 3),
     ("RngStream seed", RngStream, 5),
     ("RngStream stream_id", lambda v: RngStream(5, v), 7),
     ("chi_square_uniformity n_bins", lambda v: chi_square_uniformity(np.linspace(0, 6, 200), v), 4),

@@ -50,5 +50,5 @@ def test_bench_only_names_have_no_caller_in_src():
 
 def test_package_root_exports_the_block_path_only():
     assert all(hasattr(kronphase, name) for name in kronphase.__all__)
-    dropped = set(BENCH_ONLY) | {"RescaledConfig", "window", "sample_cue_phases", "sample_haar_block"}
+    dropped = set(BENCH_ONLY) | {"RescaledConfig", "window", "sample_cue_phases", "sample_haar_block", "sample_haar_factor"}
     assert not [name for name in dropped if name in kronphase.__all__ or hasattr(kronphase, name)]

@@ -315,7 +315,7 @@ class TestRunner:
             solved.append(np.shape(u))
             return eigenphases(u)
 
-        monkeypatch.setattr(runner, "eigenphases", spy)
+        monkeypatch.setattr(sampler, "eigenphases", spy)
         rows = runner.sample_phase_block(cfg, 0, 21)
         assert solved == [(21, 2, 2)] + [(7, 12, 12)] * 3
         for s, row in enumerate(rows):
@@ -663,10 +663,10 @@ class TestCli:
     def test_sample_rejected_by_the_sampler_writes_no_file(self, tmp_path, monkeypatch):
         # the first block is drawn before phases.csv is opened, so a draw
         # the sampler refuses neither creates nor truncates the file
-        def refuse(dims, i, streams):
+        def refuse(dims, i, seed, start, stop):
             raise ValueError("refused")
 
-        monkeypatch.setattr(runner, "sample_haar_factor", refuse)
+        monkeypatch.setattr(runner, "sample_factor_phases", refuse)
         argv = ["sample", "--mode", "pair", "--dims", "2,12", "--samples", "1", "--seed", "1"]
         assert cli.main(argv + ["--out", str(tmp_path / "new")]) == 1
         assert not (tmp_path / "new" / "phases.csv").exists()
@@ -704,13 +704,13 @@ class TestCli:
         # the sweep once drew every sample of n = 10 before the sampler
         # refused n = 600; the caps are read at call time, as the sampler's are
         monkeypatch.setattr(kronphase.processes, "DEFAULT_TENSOR_CAPACITY", 20)
-        drawn, draw = [], runner.sample_haar_factor
+        drawn, draw = [], runner.sample_factor_phases
 
-        def spy(dims, i, streams):
+        def spy(dims, i, seed, start, stop):
             drawn.append(dims)
-            return draw(dims, i, streams)
+            return draw(dims, i, seed, start, stop)
 
-        monkeypatch.setattr(runner, "sample_haar_factor", spy)
+        monkeypatch.setattr(runner, "sample_factor_phases", spy)
         out = tmp_path / "not-made"
         assert cli.main(argv + ["--seed", "1", "--out", str(out)]) == 1
         assert "exceed" in capsys.readouterr().err
@@ -722,13 +722,13 @@ class TestCli:
         [("1,10", "n_values: n=1: delta_max must lie in"), ("0,10", "n_values: n=0: dims must be positive")],
     )
     def test_sweep_names_the_size_that_failed(self, n_values, message, tmp_path, monkeypatch, capsys):
-        drawn, draw = [], runner.sample_haar_factor
+        drawn, draw = [], runner.sample_factor_phases
 
-        def spy(dims, i, streams):
+        def spy(dims, i, seed, start, stop):
             drawn.append(dims)
-            return draw(dims, i, streams)
+            return draw(dims, i, seed, start, stop)
 
-        monkeypatch.setattr(runner, "sample_haar_factor", spy)
+        monkeypatch.setattr(runner, "sample_factor_phases", spy)
         out = tmp_path / "not-made"
         argv = ["sweep", "--mode", "pair", "--dims", "2,10", "--samples", "20", "--seed", "1"]
         assert cli.main(argv + ["--n-values", n_values, "--out", str(out)]) == 1

@@ -10,7 +10,7 @@ from kronphase.sampler import (
     DEFAULT_MAX_DIM,
     RngStream,
     eigenphases,
-    sample_haar_factor,
+    sample_factor_phases,
     sample_haar_unitary,
 )
 
@@ -30,6 +30,14 @@ def reference_ginibre(u1, u2, n):
     r = np.sqrt(-2.0 * np.log(u1))
     z = r * (np.cos(TWO_PI * u2) + 1j * np.sin(TWO_PI * u2))
     return (z / np.sqrt(2.0)).reshape(-1, n, n)
+
+
+def factor_stack(dims, i, seed, start, stop):
+    """Haar stack of factor i of dims for samples start .. stop - 1 of seed:
+    the matrices whose sorted phases sample_factor_phases returns."""
+    n = dims[i]
+    u = sampler._uniforms(seed, start, stop, 2 * n * n, sum(2 * m * m for m in dims[:i]))
+    return sampler._haar_from_uniforms(u, n)
 
 
 def same_bits(a, b):
@@ -101,17 +109,19 @@ class TestRngStream:
         assert np.array_equal(RngStream(seed, stream_id).generator().random(9), want)
         # the fill's one Philox, set to the stream from any word, gives the
         # same words, and again for a second row after the first left its
-        # buffer part-read
+        # buffer part-read; the pair of ids holds stream_id, 2^64 - 1 too
+        lo = min(stream_id, (1 << 64) - 2)
+        both = [oracle_generator(seed, s).random(9) for s in (lo, lo + 1)]
         for word in (0, 1, 4, 7):
-            rows = sampler._uniforms([RngStream(seed, stream_id)] * 2, 9 - word, word)
-            assert np.array_equal(rows, [want[word:]] * 2)
+            rows = sampler._uniforms(seed, lo, lo + 2, 9 - word, word)
+            assert np.array_equal(rows, [w[word:] for w in both])
 
     @pytest.mark.parametrize("seed, stream_id", [(0, 1), ((1 << 64) - 1, 1 << 63)])
     def test_block_draws_equal_the_integer_key(self, seed, stream_id):
         want = oracle_generator(seed, stream_id)
         for i, n in enumerate((3, 2)):
-            got = sample_haar_factor([3, 2], i, [RngStream(seed, stream_id)])
-            assert np.array_equal(got[0], sample_haar_unitary(n, want))
+            got = sample_factor_phases([3, 2], i, seed, stream_id, stream_id + 1)
+            assert np.array_equal(got[0], eigenphases(sample_haar_unitary(n, want)))
 
     def test_block_builds_at_most_one_philox(self, monkeypatch):
         built = []
@@ -122,9 +132,11 @@ class TestRngStream:
             return philox(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "Philox", spy)
-        for i in range(2):
-            sample_haar_factor((2, 5), i, [RngStream(3, s) for s in range(6)])
-            assert len(built) == i + 1
+        for i, n in enumerate((2, 5)):
+            sampler._uniforms(3, 0, 6, 2 * n * n, 8 * i)
+            assert len(built) == 2 * i + 1
+            sample_factor_phases((2, 5), i, 3, 0, 6)
+            assert len(built) == 2 * i + 2
         built.clear()
         sample_haar_unitary(4, np.random.Generator(philox(1)))
         assert built == []
@@ -215,6 +227,12 @@ class TestEigenphases:
         assert sampler._unitarity_residual(np.zeros((0, 4, 4), dtype=complex)) == 0.0
         assert eigenphases(np.zeros((0, 4, 4), dtype=complex)).shape == (0, 4)
         assert eigenphases(np.zeros((3, 0, 2, 2))).shape == (3, 0, 2)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 0, 0)])
+    def test_refuses_matrices_of_size_zero(self, shape):
+        # numpy's reshape once failed here with "cannot reshape array of size 0"
+        with pytest.raises(ValueError, match="^eigenphases: input must be a square matrix"):
+            eigenphases(np.zeros(shape, dtype=complex))
 
     def test_tolerance_override(self, monkeypatch):
         u = np.eye(2) * (1.0 + 5e-7)
@@ -320,8 +338,7 @@ class TestStackedDraws:
         return np.stack(haar[:2] + [-np.eye(n)] + haar[2:4] + [near] + haar[4:])
 
     def test_block_matches_one_at_a_time(self):
-        streams = [RngStream(8, s) for s in range(5)]
-        stacks = [sample_haar_factor((2, 7, 3), i, streams) for i in range(3)]
+        stacks = [factor_stack((2, 7, 3), i, 8, 0, 5) for i in range(3)]
         for s in range(5):
             gen = RngStream(8, s).generator()
             for n, stack in zip((2, 7, 3), stacks):
@@ -333,44 +350,66 @@ class TestStackedDraws:
         # each matrix is Q of the stream's own Box-Muller oracle, its columns
         # scaled by the unit phases of R's diagonal: the phase fix checked
         # bit for bit, where a freed or aliased uniform slice would show
-        dims, streams = (2, 7, 3), [RngStream(seed, s) for s in KEY_WORDS]
-        stacks = [sample_haar_factor(dims, i, streams) for i in range(3)]
-        for b, stream in enumerate(streams):
-            u = oracle_generator(stream.seed, stream.stream_id).random(sum(2 * n * n for n in dims))
-            for n, stack in zip(dims, stacks):
+        dims = (2, 7, 3)
+        for s in KEY_WORDS:
+            u = oracle_generator(seed, s).random(sum(2 * n * n for n in dims))
+            for i, n in enumerate(dims):
                 u1, u2, u = u[: n * n], u[n * n : 2 * n * n], u[2 * n * n :]
                 q, r = np.linalg.qr(reference_ginibre(u1, u2, n)[0])
                 d = np.diag(r)
-                assert same_bits(stack[b], q * (d / abs(d)))
+                assert same_bits(factor_stack(dims, i, seed, s, s + 1)[0], q * (d / abs(d)))
 
     @pytest.mark.parametrize("seed", KEY_WORDS)
     def test_factor_draw_equals_the_whole_sample(self, seed):
         # 3 x 3, 5 x 5 and 2 x 2 factors start at words 0, 18 and 68 of each
         # stream: the second from the middle of a Philox block of four words.
         # Each is its slice of the sample's oracle words, one Haar block each.
-        dims, streams = (3, 5, 2), [RngStream(seed, s) for s in KEY_WORDS]
-        words = np.stack([oracle_generator(s.seed, s.stream_id).random(76) for s in streams])
-        for i, (n, word) in enumerate(zip(dims, (0, 18, 68))):
-            want = sampler._haar_from_uniforms(words[:, word : word + 2 * n * n], n)
-            assert same_bits(sample_haar_factor(dims, i, streams), want)
-        assert sample_haar_factor(dims, 1, []).shape == (0, 5, 5)
+        dims = (3, 5, 2)
+        for s in KEY_WORDS:
+            words = oracle_generator(seed, s).random((1, 76))
+            for i, (n, word) in enumerate(zip(dims, (0, 18, 68))):
+                want = sampler._haar_from_uniforms(words[:, word : word + 2 * n * n], n)
+                assert same_bits(factor_stack(dims, i, seed, s, s + 1), want)
+        assert sample_factor_phases(dims, 1, seed, 7, 7).shape == (0, 5)
+        assert sampler._uniforms(seed, 7, 7, 50, 18).shape == (0, 50)
+
+    @pytest.mark.parametrize("dims, start, stop, block_bytes", [
+        # 3 samples of 5 x 5 a block: 3, 3, 3, 1; 8 of 3 x 3: 8, 2; 2 x 2 in one
+        ((3, 5, 2), 3, 13, 3 * 16 * 5 ** 2),
+        # the last stream ids, 2^64 - 2 and 2^64 - 1, one sample a block
+        ((4, 2), (1 << 64) - 2, 1 << 64, 1),
+    ])
+    def test_factor_phases_equal_consecutive_draws(self, dims, start, stop, block_bytes, monkeypatch):
+        monkeypatch.setattr(sampler, "BLOCK_BYTES", block_bytes)
+        rows = [sample_factor_phases(dims, i, 8, start, stop) for i in range(len(dims))]
+        for b, s in enumerate(range(start, stop)):
+            gen = RngStream(8, s).generator()
+            for n, phases in zip(dims, rows):
+                assert phases.shape == (stop - start, n)
+                assert same_bits(phases[b], eigenphases(sample_haar_unitary(n, gen)))
 
     def test_factor_draw_validation(self, monkeypatch):
-        with pytest.raises(ValueError, match="rng must be an RngStream$"):
-            sampler.sample_haar_factor([2], 0, [RngStream(1).generator()])
         with pytest.raises(ValueError, match="i must be >= 0"):
-            sampler.sample_haar_factor([2, 3], -1, [RngStream(1)])
+            sample_factor_phases([2, 3], -1, 1, 0, 1)
         with pytest.raises(ValueError, match=r"i must be in \[0, 2\), got 2"):
-            sampler.sample_haar_factor([2, 3], 2, [RngStream(1)])
+            sample_factor_phases([2, 3], 2, 1, 0, 1)
         monkeypatch.setattr(sampler, "DEFAULT_MAX_DIM", 5)
-        with pytest.raises(CapacityError, match="sample_haar_factor: n=6 exceeds max 5"):
-            sampler.sample_haar_factor([2, 6], 0, [RngStream(0)])
+        with pytest.raises(CapacityError, match="sample_factor_phases: n=6 exceeds max 5"):
+            sample_factor_phases([2, 6], 0, 0, 0, 1)
 
-    def test_rejects_unknown_entry_before_drawing(self, monkeypatch):
+    def test_rejects_bad_range_before_drawing(self, monkeypatch):
         drawn = []
         monkeypatch.setattr(sampler, "_uniforms", lambda *args: drawn.append(args))
-        with pytest.raises(ValueError, match="rng must be an RngStream$"):
-            sample_haar_factor([2], 0, [RngStream(4), 1234])
+        seed_message, range_message = r"seed must be in \[0, 2\^64\)", r"need 0 <= start <= stop <= 2\^64, got "
+        for seed, start, stop, message in [
+            (-1, 0, 1, seed_message),
+            (1 << 64, 0, 1, seed_message),
+            (4, -1, 1, range_message + "-1 and 1"),
+            (4, 3, 2, range_message + "3 and 2"),
+            (4, 0, (1 << 64) + 1, range_message + "0 and %d" % ((1 << 64) + 1)),
+        ]:
+            with pytest.raises(ValueError, match="^sample_factor_phases: " + message):
+                sample_factor_phases([2], 0, seed, start, stop)
         assert drawn == []
 
     def test_shared_generator_draws_in_order(self):
@@ -382,10 +421,10 @@ class TestStackedDraws:
 
     def test_block_validation(self, monkeypatch):
         with pytest.raises(ValueError):
-            sample_haar_factor([3, 0], 0, [RngStream(0)])
+            sample_factor_phases([3, 0], 0, 0, 0, 1)
         monkeypatch.setattr(sampler, "DEFAULT_MAX_DIM", 5)
         with pytest.raises(CapacityError):
-            sample_haar_factor([3, 6], 0, [RngStream(0)])
+            sample_factor_phases([3, 6], 0, 0, 0, 1)
 
     @pytest.fixture
     def general_calls(self, monkeypatch):
@@ -455,7 +494,7 @@ class TestUnitarityResidual:
         return np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1])))
 
     def test_bit_equal(self):
-        haar = sample_haar_factor([6], 0, [RngStream(12, s) for s in range(8)])
+        haar = factor_stack([6], 0, 12, 0, 8)
         skewed = haar * np.linspace(0.9, 1.1, 6)
         for stack in (haar, skewed, haar[3], -np.eye(4), np.eye(3) * 1.5):
             got, want = sampler._unitarity_residual(stack), self.reference(stack)
@@ -489,15 +528,10 @@ class TestCuePhases:
         assert abs(counts.mean() - expect) < 4 * se
 
 
-def block_phases(seed, dims, count, chunk=1000):
+def block_phases(seed, dims, count):
     """Eigenphases of count block draws on RngStream(seed, i), i < count:
     one (count, n) array per n in dims."""
-    phases = [[] for _ in dims]
-    for start in range(0, count, chunk):
-        streams = [RngStream(seed, i) for i in range(start, min(start + chunk, count))]
-        for i, out in enumerate(phases):
-            out.append(eigenphases(sample_haar_factor(dims, i, streams)))
-    return [np.concatenate(p) for p in phases]
+    return [sample_factor_phases(dims, i, seed, 0, count) for i in range(len(dims))]
 
 
 def trace_power(theta, r):
