@@ -19,6 +19,10 @@ the phase fix and the eigensolve as one numpy call each, matrix by matrix,
 so a draw's bytes do not depend on its block.
 `sample_haar_unitary` and `eigenphases` on a single matrix are the
 block-of-one case of the same code.
+
+The eigensolve is _sorted_phases, `eigenphases` without the unitarity
+check that guards its input: the unitarity of the sampler's own draws
+is tested, not re-checked on every run.
 """
 
 from __future__ import annotations
@@ -169,7 +173,7 @@ def sample_factor_phases(dims, i, seed, start, stop):
     n, word, step = dims[i], sum(2 * m * m for m in dims[:i]), block_length([dims[i]])
     out = np.empty((stop - start, n))
     for b in range(start, stop, step):  # the last slice stops at the last row
-        out[b - start : b - start + step] = eigenphases(_haar_from_uniforms(_uniforms(seed, b, min(b + step, stop), 2 * n * n, word), n))
+        out[b - start : b - start + step] = _sorted_phases(_haar_from_uniforms(_uniforms(seed, b, min(b + step, stop), 2 * n * n, word), n))
     return out
 
 
@@ -204,8 +208,9 @@ def _phases_cayley(u):
     k = np.linalg.solve(eye + u, eye - u)
     # 1/2 (H + H*) with H = i K: exactly Hermitian, as eigvalsh assumes.
     lam = np.linalg.eigvalsh(0.5j * (k - k.conj().swapaxes(-1, -2)))
-    # written so that a NaN also trips the guard
-    ok = np.max(np.abs(lam), axis=-1) <= CAYLEY_MAX_ABS
+    # eigvalsh sorts each row, so max|lambda| is at one of its ends; a NaN
+    # end trips the guard, a NaN inside the row leaves a NaN angle
+    ok = np.maximum(-lam[..., 0], lam[..., -1]) <= CAYLEY_MAX_ABS
     ang = 2.0 * np.arctan(lam)
     ang[~ok] = np.nan
     return ang
@@ -228,6 +233,15 @@ def _phases_stack(u):
     return ang
 
 
+def _sorted_phases(u):
+    """Sorted eigenphases in [0, 2pi) of a (B, n, n) stack, one row per
+    matrix, with no check of unitarity: the core of eigenphases, and the
+    solve of sample_factor_phases, whose Haar draws are unitary by test."""
+    ang = reduce_phases(_phases_stack(u))
+    ang.sort(axis=-1)
+    return ang
+
+
 def _unitarity_residual(u):
     """max|U U* - I| over a (..., n, n) stack, 0 if empty, with I subtracted
     in place on the diagonal of U U* (off the diagonal, x - 0 is x)."""
@@ -243,8 +257,10 @@ def eigenphases(u):
 
     A stack gives one sorted row of n phases per matrix, and each row
     equals eigenphases of that matrix alone, bit for bit.  Rejects input
-    whose unitarity residual max|U U* - I| exceeds UNITARITY_TOL for any
-    matrix.
+    whose unitarity residual max|U U* - I| is not within UNITARITY_TOL for
+    some matrix, which includes any inf or NaN entry.  The check guards
+    this entry only: the command's draws go to the same core,
+    _sorted_phases, unchecked, since their unitarity is tested instead.
 
     The phases come from a Hermitian eigensolve: the Cayley transform
     H = i (I + U)^{-1} (I - U) (one linear solve), made exactly Hermitian
@@ -264,10 +280,8 @@ def eigenphases(u):
         raise ValueError("eigenphases: input must be a square matrix or a stack of them, n >= 1")
     n = u.shape[-1]
     resid = _unitarity_residual(u)
-    if resid > UNITARITY_TOL:
+    if not resid <= UNITARITY_TOL:  # a NaN residual, from inf or NaN entries, fails it too
         raise ValueError(
-            "eigenphases: unitarity residual %.3e exceeds tolerance %.3e" % (resid, UNITARITY_TOL)
+            "eigenphases: unitarity residual %.3e is not within tolerance %.3e" % (resid, UNITARITY_TOL)
         )
-    ang = reduce_phases(_phases_stack(u.reshape(-1, n, n)))
-    ang.sort(axis=-1)
-    return ang.reshape(u.shape[:-1])
+    return _sorted_phases(u.reshape(-1, n, n)).reshape(u.shape[:-1])

@@ -309,13 +309,13 @@ class TestRunner:
         cfg = ExperimentConfig(mode="pair", dims=(2, 12), n_samples=30, seed=23)
         monkeypatch.setattr(sampler, "BLOCK_BYTES", 7 * 16 * 12 ** 2)
         assert sample_blocks(cfg) == [(0, 21), (21, 30)]
-        solved = []
+        solved, core = [], sampler._sorted_phases
 
         def spy(u):
             solved.append(np.shape(u))
-            return eigenphases(u)
+            return core(u)
 
-        monkeypatch.setattr(sampler, "eigenphases", spy)
+        monkeypatch.setattr(sampler, "_sorted_phases", spy)
         rows = runner.sample_phase_block(cfg, 0, 21)
         assert solved == [(21, 2, 2)] + [(7, 12, 12)] * 3
         for s, row in enumerate(rows):

@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from kronphase import CapacityError, sampler
+from kronphase import CapacityError, cli, sampler
 from kronphase.config import ExperimentConfig
 from kronphase.runner import run_experiment
 from kronphase.sampler import (
     DEFAULT_MAX_DIM,
+    UNITARITY_TOL,
     RngStream,
     eigenphases,
     sample_factor_phases,
@@ -234,6 +235,21 @@ class TestEigenphases:
         with pytest.raises(ValueError, match="^eigenphases: input must be a square matrix"):
             eigenphases(np.zeros(shape, dtype=complex))
 
+    @pytest.mark.parametrize("where", ["nan", "inf", "-inf", "complex-inf", "stack-nan"])
+    def test_refuses_non_finite_input(self, where):
+        # a NaN residual once passed "resid > tol", and numpy's eigensolver
+        # raised its own LinAlgError (a ValueError) on the entry instead
+        if where == "nan":
+            u = np.full((2, 2), np.nan)
+        elif where == "stack-nan":
+            u = factor_stack([3], 0, 5, 0, 4)
+            u[2] = np.nan
+        else:
+            u = np.eye(3, dtype=complex if where == "complex-inf" else float)
+            u[1, 2] = {"inf": np.inf, "-inf": -np.inf, "complex-inf": complex(0, np.inf)}[where]
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^eigenphases: unitarity residual nan"):
+            eigenphases(u)
+
     def test_tolerance_override(self, monkeypatch):
         u = np.eye(2) * (1.0 + 5e-7)
         with pytest.raises(ValueError):
@@ -284,6 +300,16 @@ class TestCayleyGuard:
         # tan(theta/2) = lam; the other eleven keep theirs below tan(0.45 pi).
         # Just inside the guard the Cayley phases hold to 1e-12; just outside
         # it every draw goes to eigvals.
+        self.check_guard(np.pi - 2 * np.arctan(1 / lam), fallback, monkeypatch)
+
+    @pytest.mark.parametrize("lam, fallback", [(1.9e3, False), (2.1e3, True)])
+    def test_guard_sits_at_cayley_max_abs_below_zero(self, lam, fallback, monkeypatch):
+        # the mirror case: a phase at -pi + 2 arctan(1/lam), near pi from
+        # above, has the Cayley eigenvalue -lam, the first of its sorted row
+        self.check_guard(-np.pi + 2 * np.arctan(1 / lam), fallback, monkeypatch)
+
+    @staticmethod
+    def check_guard(edge, fallback, monkeypatch):
         calls = []
         general = sampler._phases_general
 
@@ -295,7 +321,7 @@ class TestCayleyGuard:
         rng = np.random.default_rng(7)
         worst = 0.0
         for s in range(40):
-            theta = np.append(rng.uniform(-0.9 * np.pi, 0.9 * np.pi, 11), np.pi - 2 * np.arctan(1 / lam))
+            theta = np.append(rng.uniform(-0.9 * np.pi, 0.9 * np.pi, 11), edge)
             u = with_known_spectrum(theta, sample_haar_unitary(12, RngStream(33, s)))
             worst = max(worst, circular_mismatch(eigenphases(u), theta))
         assert calls == ([12] * 40 if fallback else [])
@@ -468,6 +494,43 @@ class TestStackedDraws:
         stack[4] = stack[4] * (1.0 + 1e-6)
         with pytest.raises(ValueError, match="unitarity residual"):
             eigenphases(stack)
+
+
+class TestRunDrawsAreUnitary:
+    """The command's draws go to the eigensolve unchecked
+    (sampler._sorted_phases), so their unitarity is tested here."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 24, 40, DEFAULT_MAX_DIM])
+    def test_drawn_stacks_are_unitary(self, n):
+        # words other than 0 and 4k start a factor inside a Philox block;
+        # a 512 x 512 draw takes about 0.25 s, so that size gets two
+        cases = ((0, 0, 0), (7, 3, 1), (1 << 63, 11, 8), ((1 << 64) - 1, 5, 514))
+        for seed, start, word in cases if n < DEFAULT_MAX_DIM else cases[-1:]:
+            stop = start + min(3, sampler.block_length([n]))
+            u = sampler._haar_from_uniforms(sampler._uniforms(seed, start, stop, 2 * n * n, word), n)
+            assert u.shape == (stop - start, n, n)
+            assert sampler._unitarity_residual(u) < UNITARITY_TOL
+        last = (1 << 64) - 1  # the last stream id
+        u = sampler._haar_from_uniforms(sampler._uniforms(last, last, 1 << 64, 2 * n * n, 3), n)
+        assert sampler._unitarity_residual(u) < UNITARITY_TOL
+
+    def test_nan_draw_fails_the_command(self, tmp_path, monkeypatch, capsys):
+        # without the unitarity check a NaN stack reaches the eigensolve,
+        # whose eigvals fallback refuses it: exit 1 before any output
+        draw = sampler._haar_from_uniforms
+
+        def poisoned(u, n):
+            q = draw(u, n)
+            q[-1, 0, n - 1] = np.nan
+            return q
+
+        monkeypatch.setattr(sampler, "_haar_from_uniforms", poisoned)
+        out = tmp_path / "not-made"
+        argv = ["correlate", "--mode", "pair", "--dims", "2,12", "--samples", "20", "--seed", "5"]
+        with np.errstate(invalid="ignore"):
+            assert cli.main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestBoxMullerOracle:
