@@ -243,6 +243,9 @@ def main(argv=None):
     except OSError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a numerical fault in a run's own draw
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     except Exception as exc:  # pragma: no cover - defensive
         print("unexpected error: %r" % exc, file=sys.stderr)
         return 2

@@ -5,7 +5,9 @@ Sampling is reproducible draw by draw: a draw is addressed by a 64-bit
 generator, so stream construction is O(1) and independent of how many
 other streams exist or in which order they are used.  Gaussians come
 from Box-Muller on the uniform stream, which keeps the byte-level
-output independent of any library's normal-variate algorithm.
+output independent of any library's normal-variate algorithm.  Its angle
+2 pi u2 enters through the half-angle rule, t = tan(pi u2), since numpy's
+float64 tan is a vector loop and its sin and cos are scalar ones.
 
 Draws are made in blocks.  The uniforms of each draw still come from its
 own stream, in the order a one-at-a-time loop would take them: factor i
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .kernels import TWO_PI, as_int, reduce_phases
+from .kernels import as_int, reduce_phases
 
 # QR of a dense complex Gaussian matrix is O(n^3); 512 keeps a single
 # draw under ~0.1 s and no experiment here needs larger factors.
@@ -108,27 +110,22 @@ def block_length(dims, points=0):
 
 def _complex_ginibre(u1, u2, n):
     # Box-Muller: two uniforms -> radius/angle -> one standard complex
-    # Gaussian per entry (real and imaginary parts N(0, 1/2)).  Each plane
-    # is scaled by r and by 1/sqrt(2) in place, the bits of
-    # r * (cos + 1j sin) / sqrt(2), which numpy divides as a product by
-    # 1/sqrt(2).
+    # Gaussian per entry (real and imaginary parts N(0, 1/2)).  cos and sin
+    # of 2 pi u2 are (1 - t^2, 2t) / (1 + t^2) with t = tan(pi u2): numpy's
+    # float64 tan is a vector loop, its sin and cos scalar ones ~8x slower.
+    # fl(pi/2) < pi/2, so t stays finite (u2 = 1/2 gives t ~ 1.6e16).
     r = np.subtract(1.0, u1)  # (0, 1], keeps the log finite
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
-    angle = TWO_PI * u2
-    z = np.empty(angle.shape, dtype=complex)
-    np.cos(angle, out=z.real)
-    np.sin(angle, out=z.imag)
-    for plane in (z.real, z.imag):
-        plane *= r
-        plane *= 1.0 / np.sqrt(2.0)
-    if not r.all():
-        # u1 = 0 gives r = -0, where numpy's complex product and quotient
-        # give +0 real parts and a -0 imaginary part only where cos < 0 < sin.
-        zero = r == 0
-        a = angle[zero]
-        z[zero] = np.where((np.cos(a) < 0) & (np.sin(a) > 0), complex(0.0, -0.0), 0j)
+    t = np.multiply(np.pi, u2)
+    np.tan(t, out=t)
+    t2 = t * t
+    r /= np.add(1.0, t2)
+    r *= 1.0 / np.sqrt(2.0)
+    z = np.empty(t.shape, dtype=complex)
+    np.multiply(np.subtract(1.0, t2, out=t2), r, out=z.real)
+    np.multiply(np.add(t, t, out=t), r, out=z.imag)
     return z.reshape(-1, n, n)
 
 
@@ -161,7 +158,8 @@ def sample_factor_phases(dims, i, seed, start, stop):
     takes its uniforms from word sum(2 n_j^2 for j < i) of stream (seed, s),
     where a loop of sample_haar_unitary calls on its generator() would take
     them, and the factor is drawn and solved block_length([n]) samples at a
-    time, so no block holds more than one (B, n, n) stack."""
+    time, so no block holds more than one (B, n, n) stack.  A failed
+    eigensolve of a drawn stack is a RuntimeError naming factor and samples."""
     dims, i = _checked("sample_factor_phases", dims), as_int("sample_factor_phases: i", i, 0)
     if i >= len(dims):
         raise ValueError("sample_factor_phases: i must be in [0, %d), got %d" % (len(dims), i))
@@ -173,7 +171,10 @@ def sample_factor_phases(dims, i, seed, start, stop):
     n, word, step = dims[i], sum(2 * m * m for m in dims[:i]), block_length([dims[i]])
     out = np.empty((stop - start, n))
     for b in range(start, stop, step):  # the last slice stops at the last row
-        out[b - start : b - start + step] = _sorted_phases(_haar_from_uniforms(_uniforms(seed, b, min(b + step, stop), 2 * n * n, word), n))
+        try:
+            out[b - start : b - start + step] = _sorted_phases(_haar_from_uniforms(_uniforms(seed, b, min(b + step, stop), 2 * n * n, word), n))
+        except np.linalg.LinAlgError as exc:  # a ValueError, which would read as bad input
+            raise RuntimeError("eigensolve of factor %d (n=%d), samples %d .. %d of seed %d failed: %s" % (i, n, b, min(b + step, stop) - 1, seed, exc)) from exc
     return out
 
 

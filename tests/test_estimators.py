@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -144,6 +145,19 @@ class TestPairCorrelation:
         h = estimate_pair_correlation([cfg], 2.0, 4)
         with pytest.raises(ValueError):
             h.standard_errors()
+
+    def test_standard_errors_are_those_of_the_batch_means(self):
+        # the sample standard deviation (n - 1 in the denominator) of the
+        # live batches' per-batch estimates over sqrt(live batches), by hand;
+        # the empty batch takes no part
+        counts = np.array([[4.0, 10.0], [6.0, 6.0], [0.0, 0.0], [8.0, 2.0]])
+        samples = np.array([2, 3, 0, 2])
+        h = CorrelationHistogram(np.array([0.0, 0.5, 1.5]), 10.0, counts, samples)
+        for j, width in enumerate((0.5, 1.0)):
+            means = [counts[b, j] / (samples[b] * 2.0 * 10.0 * width) for b in (0, 1, 3)]
+            mean = sum(means) / 3
+            want = math.sqrt(sum((x - mean) ** 2 for x in means) / 2) / math.sqrt(3)
+            assert h.standard_errors()[j] == pytest.approx(want, rel=1e-12)
 
 
 def pair_gap_histogram(pts, circumference, delta_max, edges):

@@ -12,8 +12,11 @@ unchanged, or say why they moved.
 The digests were recorded with Python 3.11.7 and numpy 2.4.6 on
 OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH, Haswell kernels).
 LAPACK results can differ in the last bits under another BLAS build or
-CPU kernel, so on a different stack a mismatch here is a prompt to
-compare against that stack's parent commit, not proof of a regression.
+CPU kernel, and so can numpy's float64 `tan`, from which Box-Muller takes
+its angle (a vector loop whose last bits may change with the numpy
+version or the CPU's SIMD level).  On a different stack a mismatch here
+is a prompt to compare against that stack's parent commit, not proof of
+a regression.
 """
 
 import hashlib
@@ -30,39 +33,39 @@ RUNS = {
         dict(mode="single", dims=(12,), n_samples=300, seed=71, k_analytic=3),
         "d5ab39ae02ad4002d7ce123daa7be203ff6b91389bdbd634ff2a5efeb697cb2d",
         "65388bb1031a215f53a1f6723cc167936b3b1af36df2c9df00d5af0bc4da1471",
-        "40b75a8783fe27fcdc98374941e9e0279cfb74f30ff0d0c6a7a224594cd58121",
+        "26f87180713b1a297c3038c5e32b6ae1ddee0a91af07d6df5361759c70975cb6",
     ),
     "pair-2x12": (
         dict(mode="pair", dims=(2, 12), n_samples=200, seed=72, k_analytic=3),
         "3383e5bb04958ca60992e685acb58da20692f1acd03ab88945bf8d92b350fcf8",
         "7f0718a6c957499a7105d9c5048b22f6b60961320713bd4e45a72f436bfcce30",
-        "c82b1c085c6ce788cbb5b490497d612126aad946466ad252d4497f6561e5657e",
+        "38ed786cba4a749b84665f1e4dc648ea11f2a582eae37b05d87032cadcb6eb31",
     ),
     "triple-2x4x4": (
         dict(mode="triple", dims=(2, 4, 4), n_samples=150, seed=73, k_analytic=3),
         "f45992834fc3bde88eb8f7be0b238b5d23d94c6cb7b1231feb5970c191bc405e",
         "a02becfc962a64f9fb0038dc1474740c808a224cac3d960382060be5dc7ea6bc",
-        "87211b4b7f39764b6eae962f464531fe9dbac383cc2ed81b748cdadb5ae6b1d2",
+        "a6ae265e6fbc23c3ed9fa052d8432491df85ed971d77011e01296ebeadd1470a",
     ),
 }
 
 # RUNS case -> SHA-256 of manifest.to_dict() without started_utc/finished_utc.
 MANIFESTS = {
-    "single-12": "7b1398549631382d9d4d1687f7a3d95b73f0018d97fe221c5e46d982ea3df64d",
-    "pair-2x12": "9768bf9b8668da5233f6819035a00634f19fc814d28e243108aae71230ef5a31",
-    "triple-2x4x4": "2b217d0781b98d4a3573ae54567299c0f6bc913e14fafcf26acc29bdebc78976",
+    "single-12": "5cf504960e5f8060ef81486f20e00430002e349eebfa2f2180ed37cbf2949781",
+    "pair-2x12": "3b0b55d21dde7b7f8aae50fa7099a1b568e1cafd266c3b11c30a3109ce3a003b",
+    "triple-2x4x4": "4ca670fc6ade64d04d1a96a8c3a30708ed7e5a61a48c794426eabc15cc475a90",
 }
 
 SAMPLES = {
-    "single": ("12", "b55295663d920fd5d5081fe0c3aa1b99711d2b2740a8d125196d60d927725a22"),
-    "pair": ("2,12", "de80120db8a5687ebdb515ed282202f61e81176cabaf87bf85cf215560594bef"),
-    "triple": ("2,4,4", "ee53dbb2845fe5f9c0d165331c69d87638a97daeb1f1e2aedfa8f8b9731f3eb7"),
+    "single": ("12", "981dd9c3b8843d1e096fb5efe731f47b3eb7aa917e5406b4669f6ecac24a9329"),
+    "pair": ("2,12", "b58b237bce7594151571f71fcd58d82a29b5847c399791af082280296af70dd4"),
+    "triple": ("2,4,4", "76cda8c0ae4a03bb2d3716bbbce4dfc487fdead9f1c3b367b62236a6527a65a9"),
 }
 
 # mode -> (dims, SHA-256 of phases.csv from `kronphase sample --window 3.5`)
 WINDOW_SAMPLES = {
-    "pair": ("2,12", "d4cdca8b4ce71e2dfee8dabf93b672959274983908ed859836a583b98471f4bb"),
-    "triple": ("2,4,4", "12a22d1f63629d243b1bd58fddf19903be4b1937f654d00059e79f26b78afdda"),
+    "pair": ("2,12", "4b9f1dd00c3b1e2bd137737e99c8938339c9248c065cf4d02ce520d12187b24d"),
+    "triple": ("2,4,4", "0806e9dc5d5f5ffcac285a6de465991a2aba920d5d3a23876cac6202925b6858"),
 }
 
 

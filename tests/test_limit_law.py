@@ -32,15 +32,15 @@ CURVE_RUNS = {
     ),
     "single-poisson": (
         dict(mode="single", dims=(12,), n_samples=300, seed=82, k_analytic=3, curve="poisson"),
-        "d42a19df461c8560281abf4bcf7a54fb46d4518082ab0cb743331d39099efaf4",
+        "295f766e71560150ee5cea65422665e914c21d150db7e125b9ba3b22dc0a203a",
     ),
     "single-superposed": (
         dict(mode="single", dims=(12,), n_samples=300, seed=83, k_analytic=3, curve="superposed"),
-        "7bad63e8362a893721b5560c903352f167ff52c79d7eae24204e6cecc2aea699",
+        "07e038965acf0ab5bdd6cfbd36631719e31e2fe850cd69acf5eacb7541adc3e1",
     ),
     "triple-superposed": (
         dict(mode="triple", dims=(2, 4, 4), n_samples=150, seed=84, k_analytic=3, curve="superposed"),
-        "7bab9a330d6fe65828326ed2b1b8a194636a0cee4b20414ec38b65fead906c58",
+        "625ee5b397b2492a6af8d403aef41caada992aecfe08b65c22ec4300d12dc273",
     ),
 }
 

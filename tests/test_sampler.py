@@ -26,11 +26,17 @@ def oracle_generator(seed, stream_id):
 
 
 def reference_ginibre(u1, u2, n):
-    """Box-Muller as first written, one complex expression."""
-    u1 = 1.0 - u1
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = r * (np.cos(TWO_PI * u2) + 1j * np.sin(TWO_PI * u2))
-    return (z / np.sqrt(2.0)).reshape(-1, n, n)
+    """Box-Muller with the half-angle rule, one plane at a time: with
+    t = tan(pi u2), r (1 - t^2) / (1 + t^2) / sqrt(2) and
+    r 2t / (1 + t^2) / sqrt(2), each scale taken as r / (1 + t^2) times
+    1 / sqrt(2)."""
+    r = np.sqrt(-2.0 * np.log(1.0 - u1))
+    t = np.tan(np.pi * u2)
+    scale = r / (1.0 + t * t) * (1.0 / np.sqrt(2.0))
+    z = np.empty(np.shape(u2), dtype=complex)
+    z.real = (1.0 - t * t) * scale
+    z.imag = (t + t) * scale
+    return z.reshape(-1, n, n)
 
 
 def factor_stack(dims, i, seed, start, stop):
@@ -516,7 +522,8 @@ class TestRunDrawsAreUnitary:
 
     def test_nan_draw_fails_the_command(self, tmp_path, monkeypatch, capsys):
         # without the unitarity check a NaN stack reaches the eigensolve,
-        # whose eigvals fallback refuses it: exit 1 before any output
+        # whose eigvals fallback refuses it: a runtime error (exit 2) that
+        # names the factor and its samples, before any output
         draw = sampler._haar_from_uniforms
 
         def poisoned(u, n):
@@ -528,9 +535,22 @@ class TestRunDrawsAreUnitary:
         out = tmp_path / "not-made"
         argv = ["correlate", "--mode", "pair", "--dims", "2,12", "--samples", "20", "--seed", "5"]
         with np.errstate(invalid="ignore"):
-            assert cli.main(argv + ["--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+            assert cli.main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: eigensolve of factor 0 (n=2), samples 0 .. 19 of seed 5 failed: ")
         assert not out.exists()
+
+    def test_solve_fault_names_its_block(self, monkeypatch):
+        # blocks of 4 samples of 3 x 3, with a NaN in the short last block
+        # only: samples 2 .. 5 solve, 6 .. 8 do not.  The error is not a
+        # ValueError, which callers read as bad input.
+        draw = sampler._haar_from_uniforms
+        monkeypatch.setattr(sampler, "_haar_from_uniforms", lambda u, n: draw(u, n) * (np.nan if len(u) < 4 else 1.0))
+        monkeypatch.setattr(sampler, "BLOCK_BYTES", 16 * 3 * 3 * 4)
+        with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match=r"factor 1 \(n=3\), samples 6 .. 8 of seed 8") as info:
+            sample_factor_phases((2, 3), 1, 8, 2, 9)
+        assert not isinstance(info.value, ValueError)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestBoxMullerOracle:
@@ -541,14 +561,35 @@ class TestBoxMullerOracle:
         assert same_bits(sampler._complex_ginibre(u1, u2, n), reference_ginibre(u1, u2, n))
 
     def test_signed_zeros(self):
-        # u1 = 0 gives r = -0, and u2 = 0 a zero sine; u2 runs through
-        # every quadrant of the angle
+        # u1 = 0 gives r = -0, and u2 = 0 a zero tangent; u2 runs through
+        # every quadrant of the angle.  With r = -0 each plane is a zero
+        # whose sign is that of its product: -0 times (1 - t^2) and times 2t.
         u2 = np.concatenate([[0.0, 0.25, 0.5, 0.75], np.linspace(0.0, 1.0, 64, endpoint=False)])
         u1 = np.zeros_like(u2)
         u1[::3] = np.random.default_rng(7).random(u2[::3].size)
         for a, b in ((u1, u2), (np.zeros_like(u2), u2), (u2, np.zeros_like(u2))):
             got = sampler._complex_ginibre(a[None], b[None], 1)
             assert same_bits(got, reference_ginibre(a[None], b[None], 1))
+        t = np.tan(np.pi * u2)
+        got = sampler._complex_ginibre(np.zeros_like(u2)[None], u2[None], 1).ravel()
+        assert not got.any()
+        assert np.array_equal(np.signbit(got.real), ~(1.0 - t * t < 0))
+        assert np.array_equal(np.signbit(got.imag), ~(t < 0))
+
+    @pytest.mark.parametrize("n, b", [(1, 5), (2, 64), (16, 9), (40, 3)])
+    def test_within_rounding_of_cos_and_sin(self, n, b):
+        # the half-angle rule against r (cos 2 pi u2 + i sin 2 pi u2) / sqrt(2):
+        # within 4.5e-16, relative where that value's modulus exceeds 1, on
+        # random blocks and on the quadrant edges, 1/2 +- 2^-53 and 1 - 2^-53,
+        # with u1 = 0 (r = 0) and with random u1
+        u = np.random.default_rng(n).random((b, 2 * n * n))
+        edges = np.array([0.0, 0.25, 0.5, 0.75, 0.5 - 2.0**-53, 0.5 + 2.0**-53, 1.0 - 2.0**-53])
+        rand = np.random.default_rng(b).random(edges.size)
+        for u1, u2 in ((u[:, : n * n], u[:, n * n :]), (np.zeros((1, edges.size)), edges[None]), (rand[None], edges[None])):
+            r = np.sqrt(-2.0 * np.log(1.0 - u1))
+            want = r * (np.cos(TWO_PI * u2) + 1j * np.sin(TWO_PI * u2)) / np.sqrt(2.0)
+            err = np.abs(sampler._complex_ginibre(u1, u2, 1).reshape(want.shape) - want)
+            assert np.all(err <= 4.5e-16 * np.maximum(1.0, np.abs(want)))
 
 
 class TestUnitarityResidual:
