@@ -88,11 +88,9 @@ def sample_blocks(cfg):
 def sample_phase_block(cfg, start, stop):
     """Sorted phases in [0, 2pi) of samples start .. stop - 1, one row each:
     the tensor sum of each factor's phases from sample_factor_phases, which
-    draws and solves one factor at a time.  An empty range gives (0, P).
+    checks the range and draws and solves one factor at a time.  An empty
+    range gives (0, P).
     """
-    start, stop = as_int("start", start), as_int("stop", stop)
-    if stop < start:
-        raise ValueError("sample range: stop %d is below start %d" % (stop, start))
     return tensor_phases(*(sample_factor_phases(cfg.dims, i, cfg.seed, start, stop) for i in range(len(cfg.dims))))
 
 

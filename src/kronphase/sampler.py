@@ -181,12 +181,12 @@ def sample_factor_phases(dims, i, seed, start, stop):
 def sample_haar_unitary(n, rng):
     """Draw one n x n unitary from the Haar measure on U(n).
 
-    An RngStream gives the first draw of its stream, factor 0 of
-    sample_factor_phases; a numpy Generator its next 2 n^2 uniforms.
+    A numpy Generator gives its next 2 n^2 uniforms; an RngStream the first
+    2 n^2 of its generator(), the words factor 0 of sample_factor_phases reads.
     """
     (n,) = _checked("sample_haar_unitary", [n])
     if isinstance(rng, RngStream):
-        return _haar_from_uniforms(_uniforms(rng.seed, rng.stream_id, rng.stream_id + 1, 2 * n * n, 0), n)[0]
+        rng = rng.generator()
     if not isinstance(rng, np.random.Generator):
         raise ValueError("rng must be an RngStream or numpy Generator")
     return _haar_from_uniforms(rng.random((1, 2 * n * n)), n)[0]

@@ -51,6 +51,7 @@ MUTANTS = [
     ("sampler", '"counter": [word // 4, 0, 0, 0]', '"counter": [0, 0, 0, 0]', "Philox counter 0 for every factor"),
     ("sampler", '"counter": [word // 4, 0, 0, 0]', '"counter": [word // 4 + 1, 0, 0, 0]', "factor started 4 words late"),
     ("sampler", "_uniforms(seed, b, min(b + step, stop)", "_uniforms(seed, b, b + step", "last block_length step not cut at stop"),
+    ("sampler", "0 <= start <= stop <= _U64", "0 <= start < stop <= _U64", "empty sample range refused"),
     # sampler: the eigensolve
     ("sampler", "UNITARITY_TOL = 1e-8", "UNITARITY_TOL = 1e-2", "unitarity tolerance raised to 1e-2"),
     ("sampler", "\nCAYLEY_MAX_ABS = 2e3", "\nCAYLEY_MAX_ABS = 2e5", "Cayley guard loosened to 2e5"),
@@ -81,7 +82,6 @@ MUTANTS = [
     ("gof", "f = np.broadcast_to(np.asarray(target(mids), dtype=float), mids.shape)", "f = np.asarray(target(mids), dtype=float)", "curve target left unbroadcast"),
     # runner
     ("runner", "sampler.BLOCK_BYTES // (32 * P)", "sampler.BLOCK_BYTES // (4 * P)", "estimator block bound // (32 P) -> // (4 P)"),
-    ("runner", "if stop < start:", "if stop <= start:", "empty sample range refused"),
     # combinatorics
     ("combinatorics", "weight = falling_factorial(m, p) / mk", "weight = m**p / mk", "partition weight m^p for the falling factorial"),
     ("combinatorics", "p * row[p] + row[p - 1]", "(p + 1) * row[p] + row[p - 1]", "Stirling recurrence off by one"),

@@ -338,8 +338,10 @@ class TestRunner:
 
     def test_sample_range_rejects_stop_below_start(self):
         cfg = ExperimentConfig(mode="pair", dims=(2, 12), n_samples=5, seed=3)
-        with pytest.raises(ValueError, match="stop 2 is below start 4"):
+        with pytest.raises(ValueError, match="need 0 <= start <= stop <= 2\\^64, got 4 and 2"):
             runner.sample_phase_block(cfg, 4, 2)
+        with pytest.raises(ValueError, match="need 0 <= start <= stop <= 2\\^64, got -1 and 2"):
+            runner.sample_phase_block(cfg, -1, 2)
 
     @pytest.mark.parametrize("mode, dims", [("single", (12,)), ("pair", (2, 12)), ("triple", (2, 3, 4))])
     def test_block_size_invariance(self, mode, dims, tmp_path, monkeypatch):
