@@ -38,7 +38,7 @@ from .estimators import Accumulator, SpacingHistogram
 from .gof import chi_square_uniformity, ks_against_exponential
 from .kernels import TWO_PI, as_int, cue_s, hadamard_bound, rho_cue, rho_sine
 from .processes import RescaledConfig
-from .runner import _accumulate_samples, run_convergence_sweep, run_experiment
+from .runner import _accumulate_samples, run_convergence_sweep, run_experiment, worker_ranges
 from .sampler import RngStream, _haar_from_uniforms, block_length, eigenphases
 
 # 1% upper quantile of the chi-square distribution with 31 degrees of
@@ -134,8 +134,8 @@ def _fmt(x):
 def _config(mode, dims, n_samples, seed, curve="auto"):
     """Config of a Monte Carlo criterion, its pair grid (0, 4] in 40 bins
     stated here rather than taken from ExperimentConfig's defaults, so that
-    a change of those defaults cannot move a criterion."""
-    return ExperimentConfig(mode=mode, dims=dims, n_samples=n_samples, seed=seed, delta_max=4.0, n_bins=40, curve=curve)
+    a change of those defaults cannot move a criterion; 2 workers move no byte."""
+    return ExperimentConfig(mode=mode, dims=dims, n_samples=n_samples, seed=seed, delta_max=4.0, n_bins=40, curve=curve, workers=2)
 
 
 def criterion_1():
@@ -197,7 +197,7 @@ def criterion_4():
             bundle, manifest = run_experiment(cfg)
             rms, cvar = manifest.summary["pair_rms_dev"], bundle.count_var
         else:  # the later repetitions read only the spacing KS
-            bundle = _accumulate_samples(cfg, spacing_bins=cfg.n_bins)
+            bundle = _accumulate_samples(cfg, worker_ranges(cfg), spacing_bins=cfg.n_bins)
         ks = ks_against_exponential(thin_spacings(bundle.spacings, KS_SUBSAMPLE, seed))
         ks_pass += 1 if ks.passed else 0
         ks_ds.append(ks.d_statistic)

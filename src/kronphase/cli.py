@@ -68,7 +68,7 @@ def _add_experiment_args(p):
     p.add_argument("--delta-max", type=float, dest="delta_max", help="pair-correlation range, mean-spacing units")
     p.add_argument("--bins", type=int, dest="n_bins", help="histogram bin count (>= 4)")
     p.add_argument("--window", type=float, dest="window_half_width", help="half-width of the dump window (sample only; an error elsewhere)")
-    p.add_argument("--workers", type=int, help="checked (>= 1) and recorded in the manifest; runs are serial")
+    p.add_argument("--workers", type=int, help="processes of a correlate, spacings or sweep run, at most one per block and usable CPU (sample is serial)")
     p.add_argument("--k-analytic", type=int, dest="k_analytic", help="max analytic correlation order (<= %d); >= 3 adds a triple-correlation probe" % kernels.DEFAULT_K_CAP)
     p.add_argument("--curve", choices=CURVES, help="pair-correlation reference curve")
     p.add_argument("--out", default=".", metavar="DIR", help="output directory (default: current)")

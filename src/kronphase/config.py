@@ -38,7 +38,7 @@ class ExperimentConfig:
     delta_max: float = 4.0
     n_bins: int = 40
     window_half_width: float | None = None
-    # Checked and echoed in the manifest; runs are serial whatever its value.
+    # Processes of a correlate, spacings or sweep run (runner.worker_ranges).
     workers: int = 1
     k_analytic: int = 2
     curve: str = "auto"

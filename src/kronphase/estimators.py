@@ -14,7 +14,7 @@ One Accumulator computes all of them from (B, P) blocks of sorted rows
 added through add_block, one configuration per row.  The pair histogram
 and the triple windows share one walk over the offsets k = 1, 2, ... of
 every point to its k-th next point.  Every count is an exact integer, so
-any split into blocks, added in any order, gives the bytes of one pass.
+any split into blocks or Accumulators (add_counts) gives one pass's bytes.
 
 The per-configuration functions after Accumulator add one-row blocks to
 an Accumulator or call its kernels on a single row; only the benchmark's
@@ -360,6 +360,17 @@ class Accumulator:
             if self.gaps is None:
                 self.gaps = np.zeros((self.n_samples, P))
             self.gaps[first : first + B] = _gaps(rows, self.L)
+
+    def add_counts(self, other):
+        """Add the exact counts, not the pool rows, of an Accumulator of other samples."""
+        if self.finalized or (self.added & other.added).any():
+            raise ValueError("add_counts: finalized, or a sample was added twice")
+        self.added |= other.added
+        self.n_points, self.triples = self.n_points + other.n_points, self.triples + other.triples
+        self.s1, self.s2 = [a + b for a, b in zip(self.s1, other.s1)], [a + b for a, b in zip(self.s2, other.s2)]
+        if self.edges is not None:
+            self.batch_counts += other.batch_counts
+            self.batch_samples += other.batch_samples
 
     def finalize(self):
         """EstimateBundle of the samples added; the spacing pool needs all of

@@ -1,11 +1,11 @@
 """Experiment orchestration: sampling, estimation, persistence.
 
 Reproducibility contract: sample index s always uses the random stream
-(seed, stream_id = s).  sample_phase_block draws the samples, in index
-order in one serial pass, so a run's results (and the CSV bytes written
-from them) depend only on its configuration.
+(seed, stream_id = s), and worker_ranges splits the samples into ranges,
+one per process, whose exact counts are summed, so a run's results (and
+the CSV bytes written from them) depend only on its configuration.
 
-The pass hands blocks of consecutive samples (sample_blocks) to one
+Each range hands blocks of consecutive samples (sample_blocks) to one
 estimators.Accumulator, sized by sampler.BLOCK_BYTES at 32 bytes a point.
 sample_phase_block asks the sampler for each factor's phases over the
 whole block; the sampler draws a factor block_length([n]) samples at a
@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import datetime as _dt
 import os
+import pickle
+import signal
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -94,13 +96,66 @@ def sample_phase_block(cfg, start, stop):
     return tensor_phases(*(sample_factor_phases(cfg.dims, i, cfg.seed, start, stop) for i in range(len(cfg.dims))))
 
 
-def _accumulate_samples(cfg, **parts):
-    """EstimateBundle of the given Accumulator parts over every sample of cfg,
-    drawn block by block; add_block checks and sorts the rescaled rows."""
-    P = cfg.factor_product
-    acc = Accumulator(float(P), cfg.n_samples, **parts)
-    for start, stop in sample_blocks(cfg):
-        acc.add_block(rescale_points(sample_phase_block(cfg, start, stop), P), start)
+def worker_ranges(cfg):
+    """The contiguous runs of sample_blocks(cfg), one per process: min(workers, blocks, usable CPUs) of them."""
+    blocks = sample_blocks(cfg)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    k = min(cfg.workers, len(blocks), cpus) if hasattr(os, "fork") else 1
+    return [blocks[len(blocks) * i // k : len(blocks) * (i + 1) // k] for i in range(k)]
+
+
+def _accumulate(cfg, blocks, parts):
+    """An Accumulator of the given parts fed the samples of blocks."""
+    acc = Accumulator(float(cfg.factor_product), cfg.n_samples, **parts)
+    for start, stop in blocks:
+        acc.add_block(rescale_points(sample_phase_block(cfg, start, stop), cfg.factor_product), start)
+    return acc
+
+
+def _fork(cfg, blocks, parts):
+    """(pid, pipe) of a child that sends (None, its Accumulator without the pool) and its pool rows, or (error, None)."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(w)
+        return pid, os.fdopen(r, "rb")
+    try:  # the child leaves only through os._exit
+        os.close(r)
+        with os.fdopen(w, "wb") as out:
+            try:
+                acc = _accumulate(cfg, blocks, parts)
+                gaps, acc.gaps = acc.gaps, None
+                out.write(pickle.dumps((None, acc)))
+                out.write(b"" if gaps is None else gaps[blocks[0][0] : blocks[-1][1]])
+            except Exception as exc:
+                out.write(pickle.dumps((exc, None)))
+    finally:
+        os._exit(0)
+
+
+def _accumulate_samples(cfg, ranges, **parts):
+    """EstimateBundle of the given Accumulator parts over the ranges of
+    worker_ranges(cfg): the first added here, each other one in a forked child,
+    whose error is raised here.  Every child is killed and reaped on the way out."""
+    children = []
+    try:
+        for blocks in ranges[1:]:
+            children.append(_fork(cfg, blocks, parts))
+        acc = _accumulate(cfg, ranges[0], parts)
+        for (_, pipe), blocks in zip(children, ranges[1:]):
+            start, stop = blocks[0][0], blocks[-1][1]
+            lost = RuntimeError("the process of samples %d .. %d ended before it sent them" % (start, stop - 1))
+            exc, part = pickle.load(pipe) if pipe.peek(1) else (lost, None)
+            if exc is not None:
+                raise exc
+            acc.add_counts(part)
+            if acc.gaps is not None and pipe.readinto(acc.gaps[start:stop]) != acc.gaps[start:stop].nbytes:
+                raise lost
+    finally:
+        for pid, pipe in children:  # a child that has sent its result has only os._exit left
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return acc.finalize()
 
 
@@ -163,17 +218,11 @@ def run_experiment(cfg, out_dir=None, emit=EMIT_NAMES):
     lengths = tuple(ell for ell in COUNT_LENGTHS if ell <= L / 2)
     want_triple = cfg.k_analytic >= 3 and L >= 4 * (TRIPLE_R2 + DEFAULT_TRIPLE_TOL)
 
-    bundle = _accumulate_samples(
-        cfg,
-        pair=(cfg.delta_max, cfg.n_bins),
-        lengths=lengths,
-        n_offsets=DEFAULT_COUNT_OFFSETS,
-        triple=(TRIPLE_R1, TRIPLE_R2, DEFAULT_TRIPLE_TOL) if want_triple else None,
-        spacing_bins=cfg.n_bins,
-    )
-    hist = bundle.pair
-    spacings = bundle.spacings
-    count_var = bundle.count_var
+    ranges = worker_ranges(cfg)
+    triple = (TRIPLE_R1, TRIPLE_R2, DEFAULT_TRIPLE_TOL) if want_triple else None
+    bundle = _accumulate_samples(cfg, ranges, pair=(cfg.delta_max, cfg.n_bins), lengths=lengths,
+                                 n_offsets=DEFAULT_COUNT_OFFSETS, triple=triple, spacing_bins=cfg.n_bins)
+    hist, spacings, count_var = bundle.pair, bundle.spacings, bundle.count_var
 
     curve_name, curve_fn = target_curve(cfg)
     comparison = compare_to_curve(hist, curve_fn)
@@ -234,7 +283,7 @@ def run_experiment(cfg, out_dir=None, emit=EMIT_NAMES):
         started_utc=started,
         finished_utc=_utc_now(),
         stream_policy=STREAM_POLICY,
-        worker_streams=({"worker": 0, "first_stream_id": 0, "stride": 1, "count": cfg.n_samples},),
+        worker_streams=tuple({"worker": i, "first_stream_id": r[0][0], "stride": 1, "count": r[-1][1] - r[0][0]} for i, r in enumerate(ranges)),
         outputs=tuple(outputs),
         summary=summary,
     )
@@ -268,7 +317,7 @@ def run_convergence_sweep(cfg, n_values, out_dir=None):
             raise type(exc)("n_values: n=%d: %s" % (n, exc)) from exc
     rows = []
     for sub in subs:
-        hist = _accumulate_samples(sub, pair=(sub.delta_max, sub.n_bins)).pair
+        hist = _accumulate_samples(sub, worker_ranges(sub), pair=(sub.delta_max, sub.n_bins)).pair
         comparison = compare_to_curve(hist, target_curve(sub)[1])
         rows.append(
             {

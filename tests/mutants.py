@@ -73,6 +73,9 @@ MUTANTS = [
     ("estimators", "np.std(means, axis=0, ddof=1)", "np.std(means, axis=0, ddof=0)", "ddof=0 in the batch standard error"),
     ("estimators", "/ (m - 1)))", "/ m))", "count variance over m instead of m - 1"),
     ("estimators", "triple = self.triples / (n * L", "triple = 1.02 * self.triples / (n * L", "triple estimate scaled by 1.02"),
+    # estimators: the merge of a run's processes
+    ("estimators", "[a + b for a, b in zip(self.s2, other.s2)]", "list(self.s2)", "s2 not merged"),
+    ("estimators", "self.batch_counts += other.batch_counts", "self.batch_counts += 2 * other.batch_counts", "batch counts merged twice"),
     ("estimators", "offs = (np.arange(n) + 0.5) * (circumference / n)", "offs = (np.arange(n) + 0.75) * (circumference / n)", "arc grid shifted by a quarter step"),
     ("estimators", "rows[:, :j] + L], axis=-1)", "rows[:, : j - 1] + L], axis=-1)", "arc search with j - 1 wrapped columns"),
     ("estimators", "rows[:, :j] + L], axis=-1)", "rows[:, :0] + L], axis=-1)", "arc search with j = 0 wrapped columns"),
@@ -82,6 +85,9 @@ MUTANTS = [
     ("gof", "f = np.broadcast_to(np.asarray(target(mids), dtype=float), mids.shape)", "f = np.asarray(target(mids), dtype=float)", "curve target left unbroadcast"),
     # runner
     ("runner", "sampler.BLOCK_BYTES // (32 * P)", "sampler.BLOCK_BYTES // (4 * P)", "estimator block bound // (32 P) -> // (4 P)"),
+    ("runner", "len(blocks) * (i + 1) // k]", "len(blocks) * (i + 1) // k + 1]", "a process range one block too long"),
+    ("runner", "min(cfg.workers, len(blocks), cpus)", "min(cfg.workers, len(blocks))", "process count not capped at the usable CPUs"),
+    ("runner", "pipe.readinto(acc.gaps[start:stop])", "pipe.readinto(acc.gaps[start - 1 : stop - 1])", "a child's pool rows shifted by one"),
     # combinatorics
     ("combinatorics", "weight = falling_factorial(m, p) / mk", "weight = m**p / mk", "partition weight m^p for the falling factorial"),
     ("combinatorics", "p * row[p] + row[p - 1]", "(p + 1) * row[p] + row[p - 1]", "Stirling recurrence off by one"),

@@ -10,9 +10,11 @@ benchmark.  The benchmark files are only read here.
 """
 
 import json
+import os
 
 import pytest
 
+from kronphase import runner, sampler
 from kronphase.config import ExperimentConfig
 from kronphase.runner import run_experiment
 
@@ -26,9 +28,7 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_traced_run_matches_run_experiment(name, tmp_path):
-    cfg = ExperimentConfig(delta_max=3.0, n_bins=12, **CASES[name])
+def check_traced_run_matches_run_experiment(cfg, tmp_path):
     _, manifest = run_experiment(cfg, out_dir=str(tmp_path / "run"), emit=("pair", "counts"))
     summary, triples, kept = traced_correlate(cfg, str(tmp_path / "traced"), Tracer(), keep_configs=True)
     assert json.loads(json.dumps(summary)) == manifest.summary
@@ -36,3 +36,18 @@ def test_traced_run_matches_run_experiment(name, tmp_path):
     assert len(kept) == cfg.n_samples and len(triples) == cfg.n_samples
     for table in ("pair_correlation.csv", "count_variance.csv"):
         assert (tmp_path / "traced" / table).read_bytes() == (tmp_path / "run" / table).read_bytes(), table
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_traced_run_matches_run_experiment(name, tmp_path):
+    check_traced_run_matches_run_experiment(ExperimentConfig(delta_max=3.0, n_bins=12, **CASES[name]), tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_traced_run_matches_a_forked_run_experiment(name, tmp_path, monkeypatch):
+    # one sample per block and three processes, whatever the host's CPUs
+    monkeypatch.setattr(sampler, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(3), raising=False)
+    cfg = ExperimentConfig(delta_max=3.0, n_bins=12, **dict(CASES[name], workers=3))
+    assert len(runner.worker_ranges(cfg)) == 3 and hasattr(os, "fork")
+    check_traced_run_matches_run_experiment(cfg, tmp_path)

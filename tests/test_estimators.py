@@ -719,6 +719,36 @@ class TestAccumulator:
         acc = accumulate_in_blocks(rows, L, blocks, order, **parts_of(settings_))
         check_against_references(rows, L, acc=acc, **settings_)
 
+    @settings(max_examples=50, deadline=None)
+    @given(blocked_runs())
+    def test_accumulators_summed_by_add_counts_equal_per_sample(self, case):
+        # one accumulator per block, as a run's processes keep them: their
+        # counts added in a random order, and their pool rows copied over
+        rows, L, settings_, blocks, order = case
+        accs = [accumulate_in_blocks(rows, L, [blocks[k]], [0], **parts_of(settings_)) for k in order]
+        acc = accs[0]
+        for part, k in zip(accs[1:], order[1:]):
+            a, b = blocks[k]
+            acc.add_counts(part)
+            acc.gaps[a:b] = part.gaps[a:b]
+        check_against_references(rows, L, acc=acc, **settings_)
+
+    def test_add_counts_refuses_a_sample_twice_and_a_finalized_accumulator(self):
+        rows = np.stack([cfg.points[:38] for cfg in poisson_configs(40.0, 6, seed=18, intensity=1.5)])
+        parts = dict(pair=(4.0, 8), lengths=(1.0,), triple=(1.0, 2.0, 0.2), spacing_bins=8)
+        first, last, overlap = (Accumulator(40.0, 6, **parts) for _ in range(3))
+        first.add_block(rows[:3], 0)
+        last.add_block(rows[3:], 3)
+        overlap.add_block(rows[2:4], 2)
+        with pytest.raises(ValueError, match="a sample was added twice"):
+            first.add_counts(overlap)
+        assert first.n_points == 3 * 38 and not first.added[3:].any()
+        first.add_counts(last)
+        first.gaps[3:] = last.gaps[3:]
+        first.finalize()
+        with pytest.raises(ValueError, match="finalized"):
+            first.add_counts(Accumulator(40.0, 6, **parts))
+
     def test_blocks_across_batches_with_short_pair_reach(self):
         # delta_max < r2 + tol/2: the triple windows reach further than the
         # pair gaps; the blocks cut 23 rows in 5 batches (boundaries at rows

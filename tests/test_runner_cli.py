@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -26,6 +27,7 @@ from kronphase.runner import (
     run_experiment,
     sample_blocks,
     target_curve,
+    worker_ranges,
 )
 from kronphase import estimators, runner, sampler
 from kronphase.sampler import RngStream, eigenphases, sample_haar_unitary
@@ -575,6 +577,164 @@ class TestRunner:
         assert not (tmp_path / "x.csv").exists()
 
 
+def assert_same_bundle(got, want):
+    """Every number of two EstimateBundles of run_experiment, bit for bit."""
+    assert (got.intensity, got.count_var, got.triple) == (want.intensity, want.count_var, want.triple)
+    for part, field in (("pair", "bin_edges"), ("pair", "batch_counts"), ("pair", "batch_samples"), ("spacings", "spacings")):
+        a, b = getattr(getattr(got, part), field), getattr(getattr(want, part), field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The list of os.fork calls, with three usable CPUs whatever the host
+    has; on teardown, no child of the tests may be left."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(3), raising=False)
+    yield calls
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkerProcesses:
+    # 31 one-sample blocks, which neither 2 nor 3 divides, and 150 samples
+    # of 2 x 16 x 16 in the default blocks of 64, 64 and 22 rows
+    FORKED = [("single", (12,), 31, 1), ("pair", (2, 12), 31, 1), ("triple", (2, 16, 16), 150, None)]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("mode, dims, n_samples, block_bytes", FORKED)
+    def test_forked_runs_write_the_bytes_of_one_process(
+        self, mode, dims, n_samples, block_bytes, workers, tmp_path, monkeypatch, forks
+    ):
+        if block_bytes is not None:
+            monkeypatch.setattr(sampler, "BLOCK_BYTES", block_bytes)
+        cfg = ExperimentConfig(mode=mode, dims=dims, n_samples=n_samples, seed=29, k_analytic=3)
+        runs = []
+        for w in (1, workers):
+            out = tmp_path / str(w)
+            bundle, manifest = run_experiment(replace(cfg, workers=w), out_dir=str(out))
+            runs.append((bundle, manifest, [(out / name).read_bytes() for name in manifest.outputs]))
+        (b1, m1, files1), (bw, mw, filesw) = runs
+        assert len(forks) == min(workers, len(sample_blocks(cfg))) - 1 > 0
+        assert (mw.outputs, filesw, mw.summary) == (m1.outputs, files1, m1.summary)
+        assert_same_bundle(bw, b1)
+        streams = mw.worker_streams
+        firsts = [a for (a, _), *_ in worker_ranges(replace(cfg, workers=workers))]
+        assert [s["worker"] for s in streams] == list(range(len(forks) + 1))
+        assert [s["first_stream_id"] for s in streams] == firsts
+        assert [s["count"] for s in streams] == np.diff(firsts + [n_samples]).tolist()
+        assert {s["stride"] for s in streams} == {1}
+        assert m1.worker_streams == ({"worker": 0, "first_stream_id": 0, "stride": 1, "count": n_samples},)
+
+    def test_forked_sweep_writes_the_bytes_of_one_process(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(sampler, "BLOCK_BYTES", 1)
+        cfg = ExperimentConfig(mode="pair", dims=(2, 10), n_samples=31, seed=30)
+        rows1 = run_convergence_sweep(cfg, [10, 12], out_dir=str(tmp_path / "1"))
+        rows3 = run_convergence_sweep(replace(cfg, workers=3), [10, 12], out_dir=str(tmp_path / "3"))
+        assert len(forks) == 4
+        assert rows3 == rows1
+        assert (tmp_path / "3" / "sweep.csv").read_bytes() == (tmp_path / "1" / "sweep.csv").read_bytes()
+
+    def test_process_count_is_bounded(self, monkeypatch):
+        # a million workers take at most one process per block and usable CPU
+        monkeypatch.setattr(sampler, "BLOCK_BYTES", 1)
+        cfg = ExperimentConfig(mode="pair", dims=(2, 12), n_samples=31, seed=31, workers=10**6)
+        blocks = sample_blocks(cfg)
+        assert len(blocks) == 31 and len(worker_ranges(cfg)) <= os.cpu_count()
+        for cpus, k in ((1, 1), (3, 3), (10**9, 31)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(cpus), raising=False)
+            ranges = worker_ranges(cfg)
+            assert len(ranges) == k and sum(ranges, []) == blocks
+            assert {len(r) for r in ranges} <= {31 // k, -(-31 // k)}
+
+        def refuse():
+            raise AssertionError("a one-CPU run forked")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(1), raising=False)  # one usable CPU
+        monkeypatch.setattr(os, "fork", refuse)
+        _, manifest = run_experiment(cfg)
+        assert manifest.worker_streams == ({"worker": 0, "first_stream_id": 0, "stride": 1, "count": 31},)
+
+    def test_without_fork_one_process_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sampler, "BLOCK_BYTES", 1)
+        cfg = ExperimentConfig(mode="pair", dims=(2, 12), n_samples=31, seed=32, k_analytic=3)
+        want_bundle, want = run_experiment(cfg, out_dir=str(tmp_path / "1"))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(3), raising=False)
+        monkeypatch.delattr(os, "fork")
+        cfg3 = replace(cfg, workers=3)
+        assert worker_ranges(cfg3) == [sample_blocks(cfg3)]
+        got_bundle, got = run_experiment(cfg3, out_dir=str(tmp_path / "3"))
+        assert (got.worker_streams, got.summary) == (want.worker_streams, want.summary)
+        for name in want.outputs:
+            assert (tmp_path / "3" / name).read_bytes() == (tmp_path / "1" / name).read_bytes(), name
+        assert_same_bundle(got_bundle, want_bundle)
+
+    def test_child_error_reaches_the_parent_with_its_text(self, tmp_path, monkeypatch, capsys, forks):
+        # the child's first block is sample 15 of 31: the text it raises is
+        # the text of the same block's eigensolve in this process
+        draw, parent = sampler._haar_from_uniforms, [None]
+
+        def poisoned(u, n):  # a NaN in every stack drawn outside the parent
+            q = draw(u, n)
+            if os.getpid() != parent[0]:
+                q[:, 0, 0] = np.nan
+            return q
+
+        monkeypatch.setattr(sampler, "_haar_from_uniforms", poisoned)
+        monkeypatch.setattr(sampler, "BLOCK_BYTES", 1)
+        with np.errstate(invalid="ignore"), pytest.raises(RuntimeError) as serial:
+            sampler.sample_factor_phases((2, 12), 0, 5, 15, 16)
+        assert str(serial.value).startswith("eigensolve of factor 0 (n=2), samples 15 .. 15 of seed 5 failed: ")
+        parent[0] = os.getpid()
+        cfg = ExperimentConfig(mode="pair", dims=(2, 12), n_samples=31, seed=5, workers=2)
+        with np.errstate(invalid="ignore"), pytest.raises(RuntimeError) as forked:
+            run_experiment(cfg)
+        assert type(forked.value) is type(serial.value) and str(forked.value) == str(serial.value)
+        argv = ["correlate", "--mode", "pair", "--dims", "2,12", "--samples", "31", "--seed", "5", "--workers", "2"]
+        with np.errstate(invalid="ignore"):
+            assert cli.main(argv + ["--out", str(tmp_path / "not-made")]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % serial.value
+        assert len(forks) == 2 and not (tmp_path / "not-made").exists()
+
+    def test_a_child_that_dies_fails_the_run(self, monkeypatch, forks):
+        parent, add = os.getpid(), estimators.Accumulator.add_block
+
+        def dying(self, points, first_index):
+            if os.getpid() != parent:
+                os._exit(3)
+            return add(self, points, first_index)
+
+        monkeypatch.setattr(estimators.Accumulator, "add_block", dying)
+        monkeypatch.setattr(sampler, "BLOCK_BYTES", 1)
+        cfg = ExperimentConfig(mode="pair", dims=(2, 12), n_samples=31, seed=5, workers=2)
+        with pytest.raises(RuntimeError, match=r"^the process of samples 15 \.\. 30 ended before it sent them$"):
+            run_experiment(cfg)
+
+    def test_parent_error_kills_and_reaps_its_children(self, monkeypatch, forks):
+        # each child would take a minute over its first block
+        parent = os.getpid()
+
+        def slow_or_failing(self, points, first_index):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise ValueError("fault in the parent")
+
+        monkeypatch.setattr(estimators.Accumulator, "add_block", slow_or_failing)
+        monkeypatch.setattr(sampler, "BLOCK_BYTES", 1)
+        cfg = ExperimentConfig(mode="pair", dims=(2, 12), n_samples=31, seed=5, workers=3)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="fault in the parent"):
+            run_experiment(cfg)
+        assert time.monotonic() - start < 30
+        assert len(forks) == 2
+
+
 class TestCli:
     @pytest.mark.parametrize(
         "argv",
@@ -600,6 +760,19 @@ class TestCli:
         assert "pair correlation vs superposed_pair(m=2)" in r1.stdout
         assert (d1 / "pair_correlation.csv").read_bytes() == (d2 / "pair_correlation.csv").read_bytes()
         assert (d1 / "count_variance.csv").read_bytes() == (d2 / "count_variance.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["correlate", "spacings"])
+    def test_several_blocks_print_and_write_alike_for_any_workers(self, command, tmp_path):
+        # 800 samples of 2 x 12 are 3 estimator blocks, of 341, 341 and 118 rows
+        args = [command, "--mode", "pair", "--dims", "2,12", "--samples", "800", "--seed", "13", "--k-analytic", "3"]
+        results = []
+        for w in (1, 2, 3):
+            out = tmp_path / str(w)
+            r = run_cli(*args, "--out", str(out), "--workers", str(w))
+            assert r.returncode == 0, r.stderr
+            outputs = sorted(p.name for p in out.iterdir() if p.suffix == ".csv")
+            results.append((r.stdout.replace(str(out), "OUT"), outputs, [(out / name).read_bytes() for name in outputs]))
+        assert results[1] == results[0] and results[2] == results[0]
 
     def test_config_file_and_override(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
