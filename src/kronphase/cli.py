@@ -20,7 +20,6 @@ from .config import CONFIG_PARSERS, CURVES, MODES, build_config, parse_config_fi
 from .output import _write_lines
 from .processes import circle_rows, rescale_points
 from .runner import (
-    REFERENCE_KINDS,
     csv_preamble,
     emit_reference_curve,
     run_convergence_sweep,
@@ -67,7 +66,6 @@ def _add_experiment_args(p):
     p.add_argument("--seed", type=int, help="base seed (64-bit)")
     p.add_argument("--delta-max", type=float, dest="delta_max", help="pair-correlation range, mean-spacing units")
     p.add_argument("--bins", type=int, dest="n_bins", help="histogram bin count (>= 4)")
-    p.add_argument("--window", type=float, dest="window_half_width", help="half-width of the dump window (sample only; an error elsewhere)")
     p.add_argument("--workers", type=int, help="processes of a correlate, spacings or sweep run, at most one per block and usable CPU (sample is serial)")
     p.add_argument("--k-analytic", type=int, dest="k_analytic", help="max analytic correlation order (<= %d); >= 3 adds a triple-correlation probe" % kernels.DEFAULT_K_CAP)
     p.add_argument("--curve", choices=CURVES, help="pair-correlation reference curve")
@@ -77,36 +75,34 @@ def _add_experiment_args(p):
 def _build_config_from_args(args):
     file_values = parse_config_file(args.config) if args.config else {}
     # every experiment flag's dest is its config key
-    overrides = {key: getattr(args, key) for key in CONFIG_PARSERS}
-    cfg = build_config(file_values, overrides)
-    # checked before any command makes its output directory
-    if cfg.window_half_width is not None and args.command != "sample":
-        raise ValueError("--window (window_half_width) applies to the sample command only, not to %s" % args.command)
-    return cfg
+    return build_config(file_values, {key: getattr(args, key) for key in CONFIG_PARSERS})
 
 
-def _phase_lines(cfg):
-    """The rows of phases.csv, one sample at a time; one format per row,
-    whose %d and %.17g are write_csv's bytes for an int and a float."""
-    P, w = cfg.factor_product, cfg.window_half_width
+def _phase_lines(cfg, w):
+    """The rows of phases.csv, one sample at a time, keeping |theta| <= w
+    unless w is None; one format per row, whose %d and %.17g are
+    write_csv's bytes for an int and a float."""
+    P = cfg.factor_product
     for start, stop in sample_blocks(cfg):
         block = sample_phase_block(cfg, start, stop)
         if cfg.mode != "single":
             block = circle_rows(rescale_points(block, P), P)
-        if w is not None:  # ExperimentConfig has checked 0 < 2w <= P
+        if w is not None:  # _cmd_sample has checked 0 < 2w <= P
             block = [row[np.abs(row) <= w] for row in block]
         for s, pts in enumerate(block, start):
             yield "".join(map("%d,%d,%.17g\n".__mod__, zip(itertools.repeat(s), range(len(pts)), pts.tolist())))
 
 
 def _cmd_sample(args):
-    cfg = _build_config_from_args(args)
-    if cfg.mode == "single" and cfg.window_half_width is not None:
+    cfg, w = _build_config_from_args(args), args.window
+    if w is not None and cfg.mode == "single":
         raise ValueError("--window applies to the rescaled pair and triple modes, not to single mode")
+    if w is not None and not 0.0 < 2 * w <= cfg.factor_product:
+        raise ValueError("--window W must satisfy 0 < 2W <= product(dims), got %r" % w)
     os.makedirs(args.out, exist_ok=True)
     # the first block is drawn before phases.csv is opened, so a config the
     # sampler rejects leaves no file; then one block is held at a time
-    lines = _phase_lines(cfg)
+    lines = _phase_lines(cfg, w)
     first = next(lines)
     path = os.path.join(args.out, "phases.csv")
     name = "phase" if cfg.mode == "single" else "theta"
@@ -189,6 +185,7 @@ def build_parser():
 
     p = sub.add_parser("sample", help="dump raw phase configurations")
     _add_experiment_args(p)
+    p.add_argument("--window", type=float, metavar="W", help="keep only the points with |theta| <= W, 0 < 2W <= product(dims) (pair and triple modes)")
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("correlate", help="pair correlation and count variance vs an analytic curve")
@@ -205,8 +202,8 @@ def build_parser():
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("refcurve", help="write an analytic reference curve")
-    p.add_argument("--kind", choices=REFERENCE_KINDS, required=True)
-    p.add_argument("--m", type=int, help="superposition order (superposed_pair only)")
+    p.add_argument("--kind", choices=CURVES[1:], required=True, help="limit law")
+    p.add_argument("--m", type=int, help="superposition order (superposed only)")
     p.add_argument("--delta-max", type=float, default=4.0, dest="delta_max")
     p.add_argument("--points", type=int, default=80)
     p.add_argument("--out", default="refcurve.csv", metavar="FILE")

@@ -2,21 +2,28 @@
 
 Config files are plain text, one `key = value` pair per line, with `#`
 comments and blank lines ignored.  Unknown keys are errors.  Units:
-dims are matrix sizes; delta_max, window_half_width and arc lengths are
-in units of the mean point spacing on the rescaled circle (whose
-circumference equals the product of dims).
+dims are matrix sizes; delta_max and arc lengths are in units of the
+mean point spacing on the rescaled circle (whose circumference equals
+the product of dims).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass, fields
 
 from . import kernels, processes, sampler
 from .errors import CapacityError
 
-MODES = ("single", "pair", "triple")
-CURVES = ("auto", "sine_pair", "superposed", "poisson")
+# The paper's three regimes: each mode's factor count and the limit law of its
+# rescaled process (runner.limit_law).  One factor gives the sine process,
+# U (x) V with an m x m first factor the superposition of m sine processes,
+# and three factors the Poisson process.
+Mode = namedtuple("Mode", "factors law")
+MODES = {"single": Mode(1, "sine_pair"), "pair": Mode(2, "superposed"), "triple": Mode(3, "poisson")}
+# a run's reference curve: its mode's own law, or any law by name
+CURVES = ("auto", *(mode.law for mode in MODES.values()))
 
 
 def parse_int_list(text):
@@ -37,7 +44,6 @@ class ExperimentConfig:
     seed: int
     delta_max: float = 4.0
     n_bins: int = 40
-    window_half_width: float | None = None
     # Processes of a correlate, spacings or sweep run (runner.worker_ranges).
     workers: int = 1
     k_analytic: int = 2
@@ -52,12 +58,12 @@ class ExperimentConfig:
                 value = kernels.as_int(key, value)
             elif parse is parse_int_list:
                 value = tuple(kernels.as_int(key, v) for v in value)
-            elif parse is float and value is not None:
+            elif parse is float:
                 value = kernels.as_float(key, value)
             object.__setattr__(self, key, value)
-        if self.mode not in MODES:
-            raise ValueError("mode must be one of %s" % (MODES,))
-        want = {"single": 1, "pair": 2, "triple": 3}[self.mode]
+        if self.mode not in tuple(MODES):  # not a dict lookup: an unhashable mode is refused, not a TypeError
+            raise ValueError("mode must be one of %s" % (tuple(MODES),))
+        want = MODES[self.mode].factors
         if len(self.dims) != want:
             raise ValueError("mode %s needs %d dims, got %d" % (self.mode, want, len(self.dims)))
         if any(d < 1 for d in self.dims):
@@ -76,9 +82,6 @@ class ExperimentConfig:
             raise ValueError("delta_max must lie in (0, product(dims)/2]")
         if self.n_bins < 4:
             raise ValueError("n_bins must be >= 4")
-        w = self.window_half_width
-        if w is not None and not 0.0 < 2 * w <= self.factor_product:
-            raise ValueError("window_half_width must satisfy 0 < 2w <= product(dims)")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if not 1 <= self.k_analytic <= kernels.DEFAULT_K_CAP:
@@ -103,7 +106,6 @@ CONFIG_PARSERS = {
     "seed": int,
     "delta_max": float,
     "n_bins": int,
-    "window_half_width": float,
     "workers": int,
     "k_analytic": int,
     "curve": str,

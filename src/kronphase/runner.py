@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, sampler
 from .combinatorics import rho_superposed_pair, rho_superposed_sine
-from .config import ExperimentConfig
+from .config import CURVES, MODES, ExperimentConfig
 from .estimators import DEFAULT_COUNT_OFFSETS, DEFAULT_TRIPLE_TOL, Accumulator
 from .gof import KS_MIN_N, compare_to_curve, ks_against_exponential
 from .kernels import as_int, rho_sine, shaped_like
@@ -159,17 +159,11 @@ def _accumulate_samples(cfg, ranges, **parts):
     return acc.finalize()
 
 
-# The limit law of each mode's rescaled process: one factor gives the sine
-# process, U (x) V with an m x m first factor the superposition of m sine
-# processes, and three factors the Poisson process.
-MODE_LAWS = {"single": "sine_pair", "pair": "superposed", "triple": "poisson"}
-
-
 def limit_law(kind, m):
     """(name, pair correlation at d, k-point correlation at pts) of a limit law.
 
-    kind is a config curve: "sine_pair", "superposed" (m superposed sine
-    processes, each dilated by m) or "poisson".  The pair correlation
+    kind is a law of config.MODES: "sine_pair", "superposed" (m superposed
+    sine processes, each dilated by m) or "poisson".  The pair correlation
     takes an array of distances, or a scalar, for which it gives a float.
     """
     if kind == "sine_pair":
@@ -189,7 +183,7 @@ def limit_law(kind, m):
 
 def target_curve(cfg):
     """(name, callable) analytic pair-correlation target for a config."""
-    return limit_law(MODE_LAWS[cfg.mode] if cfg.curve == "auto" else cfg.curve, cfg.dims[0])[:2]
+    return limit_law(MODES[cfg.mode].law if cfg.curve == "auto" else cfg.curve, cfg.dims[0])[:2]
 
 
 def _check_run_config(cfg):  # before any sample is drawn or directory made
@@ -242,7 +236,7 @@ def run_experiment(cfg, out_dir=None, emit=EMIT_NAMES):
         summary["ks_threshold_05"] = ks.threshold_05
         summary["ks_pass"] = ks.passed
     if want_triple:
-        triple_law = limit_law(MODE_LAWS[cfg.mode], cfg.dims[0])[2]
+        triple_law = limit_law(MODES[cfg.mode].law, cfg.dims[0])[2]
         summary["triple_estimate"] = bundle.triple
         summary["triple_gaps"] = [TRIPLE_R1, TRIPLE_R2]
         summary["triple_tol"] = DEFAULT_TRIPLE_TOL
@@ -283,7 +277,7 @@ def run_experiment(cfg, out_dir=None, emit=EMIT_NAMES):
         started_utc=started,
         finished_utc=_utc_now(),
         stream_policy=STREAM_POLICY,
-        worker_streams=tuple({"worker": i, "first_stream_id": r[0][0], "stride": 1, "count": r[-1][1] - r[0][0]} for i, r in enumerate(ranges)),
+        worker_streams=tuple({"worker": i, "first_stream_id": r[0][0], "count": r[-1][1] - r[0][0]} for i, r in enumerate(ranges)),
         outputs=tuple(outputs),
         summary=summary,
     )
@@ -338,14 +332,12 @@ def run_convergence_sweep(cfg, n_values, out_dir=None):
     return rows
 
 
-REFERENCE_KINDS = ("sine_pair", "superposed_pair", "poisson")
-
-
 def emit_reference_curve(kind, grid, path, m=None):
-    """Write a two-column CSV (delta, rho) of an analytic pair curve."""
-    if kind not in REFERENCE_KINDS:
-        raise ValueError("kind must be one of %s" % (REFERENCE_KINDS,))
-    if m is not None and kind != "superposed_pair":
+    """Write a two-column CSV (delta, rho) of the pair curve of a limit law,
+    named as a config curve other than "auto"; m is given for "superposed" only."""
+    if kind not in CURVES[1:]:
+        raise ValueError("kind must be one of %s" % (CURVES[1:],))
+    if m is not None and kind != "superposed":
         raise ValueError("%s takes no m" % kind)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
@@ -355,10 +347,10 @@ def emit_reference_curve(kind, grid, path, m=None):
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly ascending")
     preamble = {"kind": kind}
-    if kind == "superposed_pair":
+    if kind == "superposed":
         if m is None:
-            raise ValueError("superposed_pair needs m >= 1")
+            raise ValueError("superposed needs m >= 1")
         preamble["m"] = m = as_int("m", m, 1)
-    rho = limit_law("superposed" if kind == "superposed_pair" else kind, m)[1](grid)
+    rho = limit_law(kind, m)[1](grid)
     write_csv(path, preamble, ("delta", "rho"), zip(grid.tolist(), rho.tolist()))
     return path

@@ -8,10 +8,11 @@ For each row the script copies the tree (src/, tests/, bench/ and the
 files the tests read) into a temporary directory, replaces the row's old
 text, which must occur exactly once in its module, by the new text,
 and runs pytest there without the acceptance criteria
-(tests/test_acceptance.py) and the digest tests (tests/test_golden.py,
-tests/test_limit_law.py).  The mutated module's own test file runs first
-and pytest stops at the first failure, which it names.  Two mutants run
-at a time.
+(tests/test_acceptance.py), the digest tests (tests/test_golden.py,
+tests/test_limit_law.py) and the check of this table
+(tests/test_mutant_table.py), which fails on any mutated copy.  The
+mutated module's own test file runs first and pytest stops at the first
+failure, which it names.  Two mutants run at a time.
 
 The report gives killed/total and the first test that kills each mutant,
 and lists the rows whose old text no longer occurs once, so that the
@@ -33,8 +34,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COPIED = ("src", "tests", "bench", "pyproject.toml", "README.md", "BENCHMARK.json")
-LEFT_OUT = ("test_acceptance.py", "test_golden.py", "test_limit_law.py")
-OWN_TESTS = {"runner": "test_runner_cli.py"}  # module -> its test file, where not test_<module>.py
+LEFT_OUT = ("test_acceptance.py", "test_golden.py", "test_limit_law.py", "test_mutant_table.py")
+# module -> its test file, where not test_<module>.py
+OWN_TESTS = {"runner": "test_runner_cli.py", "cli": "test_runner_cli.py", "config": "test_runner_cli.py"}
 JOBS = 2
 TIMEOUT_S = 600
 
@@ -88,6 +90,11 @@ MUTANTS = [
     ("runner", "len(blocks) * (i + 1) // k]", "len(blocks) * (i + 1) // k + 1]", "a process range one block too long"),
     ("runner", "min(cfg.workers, len(blocks), cpus)", "min(cfg.workers, len(blocks))", "process count not capped at the usable CPUs"),
     ("runner", "pipe.readinto(acc.gaps[start:stop])", "pipe.readinto(acc.gaps[start - 1 : stop - 1])", "a child's pool rows shifted by one"),
+    ("runner", 'if m is not None and kind != "superposed":', 'if m is not None and kind == "sine_pair":', "refcurve takes m for poisson"),
+    # config and cli: the mode table and the sample window
+    ("config", '"pair": Mode(2, "superposed")', '"pair": Mode(2, "poisson")', "pair mode's limit law -> poisson"),
+    ("config", '"single": Mode(1, "sine_pair")', '"single": Mode(2, "sine_pair")', "single mode's factor count 1 -> 2"),
+    ("cli", "not 0.0 < 2 * w <=", "not 0.0 <= 2 * w <=", "sample --window 0 accepted"),
     # combinatorics
     ("combinatorics", "weight = falling_factorial(m, p) / mk", "weight = m**p / mk", "partition weight m^p for the falling factorial"),
     ("combinatorics", "p * row[p] + row[p - 1]", "(p + 1) * row[p] + row[p - 1]", "Stirling recurrence off by one"),
@@ -103,7 +110,9 @@ def suite_files(module, tests_dir):
 
 
 def run_mutant(row):
-    """(verdict, detail, seconds) of one row: killed, survived or stale."""
+    """(verdict, detail, seconds) of one row: killed, survived, stale, or
+    error when pytest ran no test (a usage error, such as a missing test
+    file, or nothing collected), which kills nothing."""
     module, old, new, _ = row
     path = os.path.join(ROOT, "src", "kronphase", module + ".py")
     with open(path, encoding="utf-8") as fh:
@@ -131,6 +140,8 @@ def run_mutant(row):
     seconds = time.perf_counter() - start
     if proc.returncode == 0:
         return "survived", "", seconds
+    if proc.returncode in (4, 5):  # pytest's USAGE_ERROR and NO_TESTS_COLLECTED
+        return "error", "pytest exit %d" % proc.returncode, seconds
     first = re.search(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.M)
     return "killed", first.group(1) if first else "pytest exit %d" % proc.returncode, seconds
 

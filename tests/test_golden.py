@@ -51,9 +51,9 @@ RUNS = {
 
 # RUNS case -> SHA-256 of manifest.to_dict() without started_utc/finished_utc.
 MANIFESTS = {
-    "single-12": "5cf504960e5f8060ef81486f20e00430002e349eebfa2f2180ed37cbf2949781",
-    "pair-2x12": "3b0b55d21dde7b7f8aae50fa7099a1b568e1cafd266c3b11c30a3109ce3a003b",
-    "triple-2x4x4": "4ca670fc6ade64d04d1a96a8c3a30708ed7e5a61a48c794426eabc15cc475a90",
+    "single-12": "e42eda92083f32292b27e96047c319e009d1d64a59080cf3ce15c1d937d26aad",
+    "pair-2x12": "84dd7e50de8b3eb3c9d3895dba3b49ab4ae315328f007ccc82afa069503e6c03",
+    "triple-2x4x4": "bff347a90f8758473180c6647dbd85b346594349f1a29c710a94b02d061cdec0",
 }
 
 SAMPLES = {

@@ -86,7 +86,7 @@ SITES = [
     ("RngStream seed", RngStream, 5),
     ("RngStream stream_id", lambda v: RngStream(5, v), 7),
     ("chi_square_uniformity n_bins", lambda v: chi_square_uniformity(np.linspace(0, 6, 200), v), 4),
-    ("emit_reference_curve m", lambda v: emit_reference_curve("superposed_pair", [1.0], os.devnull, m=v), 2),
+    ("emit_reference_curve m", lambda v: emit_reference_curve("superposed", [1.0], os.devnull, m=v), 2),
     ("sample_phase_block start", lambda v: sample_phase_block(_config(), v, 2), 1),
     ("sample_phase_block stop", lambda v: sample_phase_block(_config(), 1, v), 3),
     ("run_convergence_sweep n_values", lambda v: run_convergence_sweep(_config(dims=(2, 3), delta_max=1.0), [v]), 3),

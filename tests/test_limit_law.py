@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 from kronphase.combinatorics import rho_superposed_pair, rho_superposed_sine
-from kronphase.config import ExperimentConfig
+from kronphase.config import MODES, ExperimentConfig
 from kronphase.kernels import rho_sine, sine_q
-from kronphase.runner import MODE_LAWS, emit_reference_curve, limit_law, run_experiment, target_curve
+from kronphase.runner import emit_reference_curve, limit_law, run_experiment, target_curve
 
 REFCURVES = {
     "sine_pair": (None, "58a95f22210f391a6def7c9db3571e4ab3c4b21461da352f20e87ad687457b2d"),
-    "superposed_pair": (3, "e15807f473412c0c807ed7681f9207ffb0d204d13a2fbe810caffeb47c549e51"),
+    "superposed": (3, "902914cf6796aa08adb10e4c2ff6f34a7be7f7e4a2d39845be23e498b3e74345"),
     "poisson": (None, "8d040f1b11580e40361e887a3bba07dc2fc53511f29f2ecbe05150a87910f23d"),
 }
 
@@ -107,7 +107,7 @@ class TestLimitLaw:
         cfg = ExperimentConfig(mode="pair", dims=(3, 9), n_samples=20, seed=4, k_analytic=3, curve="poisson")
         assert target_curve(cfg)[0] == "poisson"
         _, manifest = run_experiment(cfg)
-        assert manifest.summary["triple_target"] == limit_law(MODE_LAWS["pair"], 3)[2]([0.0, 1.0, 2.0])
+        assert manifest.summary["triple_target"] == limit_law(MODES["pair"].law, 3)[2]([0.0, 1.0, 2.0])
         assert manifest.summary["triple_target"] == rho_superposed_sine(3, [0.0, 1.0, 2.0])
 
 

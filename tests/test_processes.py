@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from kronphase import CapacityError, cli, processes
-from kronphase.config import ExperimentConfig
 from kronphase.processes import (
     RescaledConfig,
     circle_rows,
@@ -285,7 +284,9 @@ def sample_thetas(argv, out):
 
 class TestWindow:
     """`kronphase sample --window w` keeps the points with |theta| <= w;
-    ExperimentConfig checks that 0 < 2w <= P."""
+    the command checks that 0 < 2w <= P before phases.csv exists."""
+
+    ARGV = ["sample", "--mode", "pair", "--dims", "2,3", "--samples", "2", "--seed", "0", "--delta-max", "3"]
 
     def test_selects_symmetric_interval(self, tmp_path):
         full = sample_thetas([], tmp_path / "full")
@@ -297,14 +298,20 @@ class TestWindow:
             assert kept.get(s, []) == [t for t in thetas if abs(t) <= w]
         assert sum(map(len, kept.values())) < sum(map(len, full.values()))
 
-    def test_width_check(self):
-        cfg = dict(mode="pair", dims=(2, 3), n_samples=1, seed=0, delta_max=3.0)
-        assert ExperimentConfig(**cfg, window_half_width=3.0).window_half_width == 3.0
-        with pytest.raises(ValueError, match="window_half_width must satisfy"):
-            ExperimentConfig(**cfg, window_half_width=3.5)
+    def test_width_check(self, tmp_path, capsys):
+        # w = P/2 keeps the whole circle [-P/2, P/2); w > P/2 is refused
+        assert cli.main(self.ARGV + ["--window", "3.0", "--out", str(tmp_path / "half")]) == 0
+        assert cli.main(self.ARGV + ["--out", str(tmp_path / "full")]) == 0
+        assert (tmp_path / "half" / "phases.csv").read_bytes() == (tmp_path / "full" / "phases.csv").read_bytes()
+        capsys.readouterr()
+        assert cli.main(self.ARGV + ["--window", "3.5", "--out", str(tmp_path)]) == 1
+        assert "--window W must satisfy 0 < 2W <= product(dims), got 3.5" in capsys.readouterr().err
+        assert not (tmp_path / "phases.csv").exists()
 
-    def test_spec_validation(self):
-        cfg = dict(mode="pair", dims=(2, 3), n_samples=1, seed=0, delta_max=3.0)
-        for w in (0.0, -0.5, np.nan):
-            with pytest.raises(ValueError, match="window_half_width must satisfy"):
-                ExperimentConfig(**cfg, window_half_width=w)
+    def test_spec_validation(self, tmp_path, capsys):
+        for mode, dims, w in (("pair", "2,3", "0"), ("pair", "2,3", "-0.5"), ("pair", "2,3", "nan"), ("single", "6", "1.0")):
+            argv = ["sample", "--mode", mode, "--dims", dims, "--samples", "2", "--seed", "0", "--delta-max", "2", "--window", w]
+            assert cli.main(argv + ["--out", str(tmp_path)]) == 1, w
+            err = capsys.readouterr().err
+            assert ("single mode" if mode == "single" else "--window W must satisfy") in err, w
+            assert not (tmp_path / "phases.csv").exists()

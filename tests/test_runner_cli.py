@@ -14,6 +14,7 @@ import pytest
 
 import kronphase
 from kronphase import cli
+from kronphase.combinatorics import rho_superposed_pair
 from kronphase.config import CONFIG_PARSERS, ExperimentConfig, build_config, parse_config_file
 from kronphase.estimators import DEFAULT_TRIPLE_TOL, spacing_histogram_from_gaps
 from kronphase.output import fmt_real, write_csv, write_manifest
@@ -95,18 +96,16 @@ class TestExperimentConfig:
             ExperimentConfig(mode="pair", dims=(2, 20), n_samples=10, seed=1, curve="bogus")
         with pytest.raises(ValueError):
             ExperimentConfig(mode="single", dims=(1,), n_samples=10, seed=1)
-        with pytest.raises(ValueError):
-            ExperimentConfig(
-                mode="pair", dims=(2, 20), n_samples=10, seed=1, window_half_width=30.0
-            )
+        with pytest.raises(ValueError, match="mode must be one of"):
+            ExperimentConfig(mode=["pair"], dims=(2, 20), n_samples=10, seed=1)
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
             ExperimentConfig(mode="pair", dims=(2, 20), n_samples=10, seed=1 << 64)
         # numbers that are not integers: see the ExperimentConfig rows of test_int_args.SITES
 
-    @pytest.mark.parametrize("key", ["delta_max", "window_half_width"])
+    @pytest.mark.parametrize("key", ["delta_max"])
     @pytest.mark.parametrize("flag", [True, np.True_], ids=repr)
     def test_float_settings_refuse_bools(self, key, flag):
-        # float() would store True as 1.0, a valid delta_max and window
+        # float() would store True as 1.0, a valid delta_max
         with pytest.raises(ValueError, match=r"%s must be a number, got (np\.)?True" % key):
             ExperimentConfig(mode="pair", dims=(2, 20), n_samples=10, seed=1, **{key: flag})
 
@@ -114,14 +113,13 @@ class TestExperimentConfig:
         # numpy numbers are stored as the plain types the manifest records
         cfg = ExperimentConfig(
             mode="pair", dims=np.array([2, 20]), n_samples=np.int64(10), seed=np.uint64(1 << 63),
-            delta_max=np.float32(3.5), n_bins=np.int32(8), window_half_width=3, k_analytic=np.int8(3),
+            delta_max=np.float32(3.5), n_bins=np.int32(8), k_analytic=np.int8(3),
         )
         assert cfg.dims == (2, 20) and cfg.seed == 1 << 63
         for key, kind in (("n_samples", int), ("seed", int), ("delta_max", float), ("n_bins", int),
-                          ("window_half_width", float), ("workers", int), ("k_analytic", int)):
+                          ("workers", int), ("k_analytic", int)):
             assert type(getattr(cfg, key)) is kind, key
         assert all(type(d) is int for d in cfg.dims)
-        assert cfg.to_dict()["window_half_width"] == 3.0
 
     def test_k_analytic_reads_the_correlation_order_cap(self, monkeypatch, capsys):
         with pytest.raises(ValueError, match=r"k_analytic must lie in \[1, 8\]"):
@@ -415,7 +413,7 @@ class TestRunner:
         ]
         assert m1["config"]["seed"] == 13
         assert m2["worker_streams"] == [
-            {"worker": 0, "first_stream_id": 0, "stride": 1, "count": 25},
+            {"worker": 0, "first_stream_id": 0, "count": 25},
         ]
 
     def test_matches_public_estimators(self):
@@ -555,7 +553,7 @@ class TestRunner:
         assert np.allclose(rho, 1.0 - np.sinc(d) ** 2, atol=1e-15)
 
         p2 = str(tmp_path / "sup.csv")
-        emit_reference_curve("superposed_pair", [1.0], p2, m=2)
+        emit_reference_curve("superposed", [1.0], p2, m=2)
         val = float(open(p2).read().splitlines()[-1].split(",")[1])
         assert val == pytest.approx(PAIR_M2_AT_1, abs=1e-15)
 
@@ -566,8 +564,11 @@ class TestRunner:
     def test_reference_curve_validation(self, tmp_path):
         with pytest.raises(ValueError):
             emit_reference_curve("bogus", [1.0], str(tmp_path / "x.csv"))
-        with pytest.raises(ValueError):
-            emit_reference_curve("superposed_pair", [1.0], str(tmp_path / "x.csv"))
+        with pytest.raises(ValueError, match="superposed needs m >= 1"):
+            emit_reference_curve("superposed", [1.0], str(tmp_path / "x.csv"))
+        for kind in ("superposed_pair", "auto"):  # the old name of the law, and no law
+            with pytest.raises(ValueError, match="kind must be one of"):
+                emit_reference_curve(kind, [1.0], str(tmp_path / "x.csv"), m=2)
         with pytest.raises(ValueError):
             emit_reference_curve("sine_pair", [2.0, 1.0], str(tmp_path / "x.csv"))
         # NaN fails every comparison, so only a finiteness check rejects it
@@ -629,8 +630,8 @@ class TestWorkerProcesses:
         assert [s["worker"] for s in streams] == list(range(len(forks) + 1))
         assert [s["first_stream_id"] for s in streams] == firsts
         assert [s["count"] for s in streams] == np.diff(firsts + [n_samples]).tolist()
-        assert {s["stride"] for s in streams} == {1}
-        assert m1.worker_streams == ({"worker": 0, "first_stream_id": 0, "stride": 1, "count": n_samples},)
+        assert {tuple(s) for s in streams} == {("worker", "first_stream_id", "count")}
+        assert m1.worker_streams == ({"worker": 0, "first_stream_id": 0, "count": n_samples},)
 
     def test_forked_sweep_writes_the_bytes_of_one_process(self, tmp_path, monkeypatch, forks):
         monkeypatch.setattr(sampler, "BLOCK_BYTES", 1)
@@ -659,7 +660,7 @@ class TestWorkerProcesses:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(1), raising=False)  # one usable CPU
         monkeypatch.setattr(os, "fork", refuse)
         _, manifest = run_experiment(cfg)
-        assert manifest.worker_streams == ({"worker": 0, "first_stream_id": 0, "stride": 1, "count": 31},)
+        assert manifest.worker_streams == ({"worker": 0, "first_stream_id": 0, "count": 31},)
 
     def test_without_fork_one_process_writes_the_same_bytes(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sampler, "BLOCK_BYTES", 1)
@@ -918,21 +919,32 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["correlate", "spacings", "sweep"])
     def test_only_sample_takes_a_window(self, command, tmp_path, capsys):
+        # --window is an option of the sample parser alone: elsewhere a usage error
         out = tmp_path / "not-made"
         argv = [command, "--mode", "pair", "--dims", "2,6", "--samples", "5", "--seed", "1", "--delta-max", "2"]
         argv += ["--n-values", "6,8"] if command == "sweep" else []
-        assert cli.main(argv + ["--window", "1.0", "--out", str(out)]) == 1
-        assert "applies to the sample command only, not to %s" % command in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--window", "1.0", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --window 1.0" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_config_file_window_is_rejected_outside_sample(self, tmp_path):
+    def test_config_file_window_is_rejected_outside_sample(self, tmp_path, capsys):
+        # the window is sample's --window alone: no config, file or manifest
+        # holds it, so the key is an unknown one for every command, sample too
         conf = tmp_path / "run.conf"
         conf.write_text("mode = pair\ndims = 2,6\nn_samples = 5\nseed = 1\ndelta_max = 2\nwindow_half_width = 1.0\n")
         out = tmp_path / "not-made"
-        assert cli.main(["correlate", "--config", str(conf), "--out", str(out)]) == 1
-        assert not out.exists()
-        # sample reads the same file and applies its window
-        assert cli.main(["sample", "--config", str(conf), "--out", str(out)]) == 0
+        for command in ("correlate", "sample"):
+            assert cli.main([command, "--config", str(conf), "--out", str(out)]) == 1
+            assert "unknown key 'window_half_width'" in capsys.readouterr().err
+            assert not out.exists()
+        with pytest.raises(ValueError, match="unknown config key 'window_half_width'"):
+            build_config(None, dict(mode="pair", dims=(2, 6), n_samples=5, seed=1, window_half_width=1.0))
+        with pytest.raises(TypeError, match="window_half_width"):
+            ExperimentConfig(mode="pair", dims=(2, 6), n_samples=5, seed=1, window_half_width=True)
+        conf.write_text("mode = pair\ndims = 2,6\nn_samples = 5\nseed = 1\ndelta_max = 2\n")
+        assert cli.main(["sample", "--config", str(conf), "--window", "1.0", "--out", str(out)]) == 0
         thetas = np.array([float(ln.split(",")[2]) for ln in (out / "phases.csv").read_text().splitlines()[4:]])
         assert thetas.size > 0 and np.all(np.abs(thetas) <= 1.0)
 
@@ -971,7 +983,7 @@ class TestCli:
 
     def test_refcurve_command(self, tmp_path):
         out = str(tmp_path / "ref.csv")
-        r = run_cli("refcurve", "--kind", "superposed_pair", "--m", "2",
+        r = run_cli("refcurve", "--kind", "superposed", "--m", "2",
                     "--delta-max", "1", "--points", "1", "--out", out)
         assert r.returncode == 0, r.stderr
         last = open(out).read().splitlines()[-1].split(",")
@@ -996,9 +1008,24 @@ class TestCli:
         assert not out.exists()
 
     def test_refcurve_missing_m(self, tmp_path):
-        r = run_cli("refcurve", "--kind", "superposed_pair",
+        r = run_cli("refcurve", "--kind", "superposed",
                     "--delta-max", "1", "--points", "4", "--out", str(tmp_path / "r.csv"))
         assert r.returncode == 1
+        assert "error: superposed needs m >= 1" in r.stderr
+
+    def test_refcurve_kinds_are_the_config_laws(self, tmp_path, capsys):
+        # the superposed rows are those the kind superposed_pair wrote, under "# kind=superposed"
+        out = tmp_path / "r.csv"
+        assert cli.main(["refcurve", "--kind", "superposed", "--m", "2", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[:3] == ["# kind=superposed", "# m=2", "delta,rho"] and len(lines) == 83
+        grid = np.linspace(4.0 / 80, 4.0, 80)
+        assert lines[3:] == ["%s,%s" % (fmt_real(d), fmt_real(r)) for d, r in zip(grid, rho_superposed_pair(2, grid))]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["refcurve", "--kind", "superposed_pair", "--m", "2", "--out", str(tmp_path / "old.csv")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'superposed_pair'" in capsys.readouterr().err
+        assert not (tmp_path / "old.csv").exists()
 
     @pytest.mark.parametrize("kind", ["sine_pair", "poisson"])
     def test_refcurve_rejects_m_for_kinds_without_one(self, tmp_path, kind):
